@@ -11,11 +11,11 @@
 package sma
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"sma/internal/core"
-	"sma/internal/coupled"
 	"sma/internal/eval"
 	"sma/internal/flow"
 	"sma/internal/grid"
@@ -308,16 +308,22 @@ func BenchmarkSemiMapBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPyramidVsFlat compares the hierarchical coarse-to-fine
-// extension against a flat search with equivalent displacement reach
-// (§6 future work: adaptive hierarchical windows).
+// BenchmarkPyramidVsFlat compares the coarse-to-fine hypothesis search
+// (Options.Pyramid, 3 levels) against the exhaustive search over the same
+// ±8 window (§6 future work: adaptive hierarchical windows). Both sides
+// include geometry preparation and run on one worker.
 func BenchmarkPyramidVsFlat(b *testing.B) {
 	scene := synth.Hurricane(64, 64, 15)
 	pair := core.Monocular(scene.Frame(0), scene.Frame(1))
-	b.Run("pyramid3xNZS2", func(b *testing.B) {
-		p := core.Params{NS: 2, NZS: 2, NZT: 3}
+	b.Run("pyramid3xNZS8", func(b *testing.B) {
+		p := core.Params{NS: 2, NZS: 8, NZT: 3}
+		opt := core.Options{Pyramid: core.PyramidOptions{Levels: 3}}
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TrackPyramid(pair, p, 3, core.Options{}); err != nil {
+			prep, err := core.PreparePyramid(pair, p, 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := core.TrackPyramidPreparedCtx(context.Background(), prep, opt, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -364,9 +370,11 @@ func BenchmarkHostParallel(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TrackParallel(pair, p, core.Options{}, workers); err != nil {
+				prep, err := core.Prepare(pair, p)
+				if err != nil {
 					b.Fatal(err)
 				}
+				core.TrackPreparedParallel(prep, core.BuildSemiMap(prep), core.Options{}, workers)
 			}
 		})
 	}
@@ -400,27 +408,6 @@ func BenchmarkPostproc(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCoupledTrack measures one coupled stereo–motion iteration
-// (§6: "coupling stereo and motion estimation").
-func BenchmarkCoupledTrack(b *testing.B) {
-	scene := synth.Hurricane(40, 40, 25)
-	i0, i1 := scene.Frame(0), scene.Frame(1)
-	height := func(img *grid.Grid) *grid.Grid {
-		z := img.GaussianBlur(2)
-		z.Apply(func(v float32) float32 { return v * 0.05 })
-		return z
-	}
-	pair := core.Pair{I0: i0, I1: i1, Z0: height(i0), Z1: height(i1)}
-	p := core.Params{NS: 2, NZS: 2, NZT: 3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := coupled.Track(pair, p, core.Options{}, 0.5, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkTrackSIMD measures the pure-SIMD data path (surfaces fitted on

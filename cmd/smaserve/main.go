@@ -67,7 +67,7 @@ func main() {
 		resultTTL    = flag.Duration("result-ttl", 0, "how long finished results stay retrievable (0 = 15m)")
 		maxFrames    = flag.Int("max-frames", 0, "job sequence length cap (0 = 512)")
 		maxPixels    = flag.Int("max-pixels", 0, "frame area cap in pixels (0 = 2048²)")
-		rowWorkers   = flag.Int("row-workers", 0, "per-pair row parallelism (0 = GOMAXPROCS; pin to 1 for scaling studies)")
+		rowWorkers   = flag.Int("row-workers", 0, "per-pair row parallelism (0 = GOMAXPROCS / -workers, at least 1; shard requests on a -worker node use GOMAXPROCS; pin to 1 for scaling studies)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain bound")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled)")
 		dataDir      = flag.String("data-dir", "", "durable job plane directory: journal job state and result bytes here, and resume interrupted jobs on restart (empty = in-memory only)")

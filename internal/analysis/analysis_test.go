@@ -144,28 +144,20 @@ func TestLoaderResolvesModuleImports(t *testing.T) {
 	}
 }
 
-// TestLoaderHonorsBuildConstraints loads internal/core, which holds a
-// mutually exclusive build-tagged pair (kernel_default.go !smaref,
-// kernel_smaref.go smaref). Without constraint evaluation both files
-// type-check together and useReferenceKernel is a duplicate declaration.
+// TestLoaderHonorsBuildConstraints loads the buildtags fixture, which
+// holds a mutually exclusive build-tagged pair (variant_default.go
+// !smavetcustom, variant_custom.go smavetcustom). Without constraint
+// evaluation both files type-check together and variant is a duplicate
+// declaration.
 func TestLoaderHonorsBuildConstraints(t *testing.T) {
-	loaderOnce.Do(func() {
-		loaderVal, loaderErr = NewLoader(filepath.Join("..", ".."))
-	})
-	if loaderErr != nil {
-		t.Fatal(loaderErr)
-	}
-	pkg, err := loaderVal.LoadDir(filepath.Join("internal", "core"))
-	if err != nil {
-		t.Fatalf("LoadDir(internal/core): %v", err)
-	}
-	if obj := pkg.Types.Scope().Lookup("useReferenceKernel"); obj == nil {
-		t.Fatal("useReferenceKernel not declared in loaded package")
+	pkg := fixture(t, "buildtags")
+	if obj := pkg.Types.Scope().Lookup("variant"); obj == nil {
+		t.Fatal("variant not declared in loaded package")
 	}
 	for _, f := range pkg.Files {
 		name := filepath.Base(loaderVal.Fset.Position(f.Pos()).Filename)
-		if name == "kernel_smaref.go" {
-			t.Fatal("smaref-tagged file loaded under default build config")
+		if name == "variant_custom.go" {
+			t.Fatal("custom-tagged file loaded under default build config")
 		}
 	}
 }
@@ -178,7 +170,7 @@ func TestBuildTagDefaults(t *testing.T) {
 			t.Errorf("tag %q should be satisfied", tag)
 		}
 	}
-	for _, tag := range []string{"smaref", "gofuzz", "go2something", "tinygo"} {
+	for _, tag := range []string{"smavetcustom", "gofuzz", "go2something", "tinygo"} {
 		if defaultBuildTag(tag) {
 			t.Errorf("tag %q should not be satisfied", tag)
 		}

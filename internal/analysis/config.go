@@ -57,20 +57,17 @@ func DefaultConfig() *Config {
 	return &Config{
 		KernelFuncs: set(
 			// core tracker inner loop
-			"trackPixel", "trackPixelFrom", "score",
-			"preparePixel", "scoreHyp",
+			"trackPixel", "searchWindow", "preparePixel",
 			"accumulateA", "accumulateB",
 			"residualSum", "residualSumBounded", "rowResiduals",
-			"residualSumBoundedReassoc",
 			"solveMotion", "factorMotion", "solveFactored",
 			"symmetrize", "robustRefine",
-			// batch (multi-hypothesis) kernel — batch.go
-			"trackPixelBatchFrom", "scoreHypLanes", "scoreLanes",
+			// lane kernel — batch.go (scoreLanes: simdtrack.go's closure)
+			"scoreHypLanes", "scoreLanes",
 			"copyLaneRHS", "rowResidualsLane",
-			"residualSumBoundedLane", "residualSumBoundedLaneReassoc",
-			"solveFactoredLanes",
-			// build-tagged reference kernel (same hot-path discipline)
-			"scoreReference", "trackPixelFromReference",
+			"residualSumBoundedLane", "solveFactoredLanes",
+			// reference kernel (same hot-path discipline)
+			"scoreReference", "trackPixelReference",
 			// surface fit per-pixel path
 			"Fit",
 			// linear algebra per-elimination path

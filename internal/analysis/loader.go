@@ -150,8 +150,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 
 // buildConstraintSatisfied reports whether the file's //go:build line (if
 // any) is satisfied under the default build configuration: host GOOS/GOARCH,
-// the gc compiler, and all go1.x release tags true; custom tags (such as the
-// smaref reference-kernel tag) false. Files whose constraint fails are
+// the gc compiler, and all go1.x release tags true; custom tags false. Files whose constraint fails are
 // skipped, exactly as `go build` would skip them, so mutually exclusive
 // build-tagged file pairs no longer type-check as duplicate declarations.
 // Only the header before the package clause is scanned, matching the

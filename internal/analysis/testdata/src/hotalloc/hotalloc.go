@@ -1,9 +1,9 @@
 // Package hotalloc is a smavet analyzer fixture. Lines marked
 // "want-marked hotalloc" must be flagged; everything else must not.
-// score and trackPixel are in the default kernel set; setup is not.
+// searchWindow and trackPixel are in the default kernel set; setup is not.
 package hotalloc
 
-func score(n int) []float64 {
+func searchWindow(n int) []float64 {
 	buf := make([]float64, n) // want hotalloc
 	return buf
 }

@@ -6,79 +6,48 @@ import (
 	"sma/internal/la"
 )
 
-// This file is the cache-blocked multi-hypothesis batch kernel: instead of
-// one b-pass over the cached template invariants per hypothesis (scoreHyp),
-// trackPixelBatchFrom scores up to la.BatchLanes hypotheses per pass. The
-// hypothesis-invariant slots of the scratch buffer (zx, zy, |n0|, 1/E,
-// 1/G) are loaded ONCE per template pixel and feed every lane; the
-// right-hand sides accumulate into structure-of-arrays lane stripes
+// This file is the search kernel's per-hypothesis half, in lanes: one
+// scoreHypLanes call scores up to la.BatchLanes hypotheses in a single
+// pass over the cached template invariants. The hypothesis-invariant
+// slots of the scratch buffer (zx, zy, |n0|, 1/E, 1/G) are loaded ONCE
+// per template pixel and feed every lane; the right-hand sides
+// accumulate into structure-of-arrays lane stripes
 // ([6][la.BatchLanes]float64, lane index contiguous) so the inner lane
 // loops are stride-1; and the factored normal-equation matrix is replayed
 // for all lanes in one la.SolveFactored6Lanes call that reads each LU
 // element once per batch.
 //
 // Bit-exactness contract: within a lane, the b accumulation visits
-// template pixels in exactly scoreHyp's order and performs accumulateB's
-// operation sequence, the substitution replays SolveFactored6, and the
-// residual sum runs residualSumBounded's arithmetic against the live
-// incumbent ε — lanes are scored left to right, each seeing the incumbent
-// updated by its predecessors, which is precisely the sequential search.
-// Batching therefore changes memory traffic only, never arithmetic, and
-// TrackPrepared output is bit-identical to TrackPreparedReference at
-// every batch width (kernel_equiv_test.go, the golden fixtures).
-//
-// The only mode that trades exactness for speed is Options.Reassoc, which
-// reorders the ε summation (residualSumBoundedReassoc) and is off
-// everywhere by default; its error bound is derived in
-// docs/PERFORMANCE.md §6.3 and enforced by TestReassocToleranceBounds.
+// template pixels in the reference kernel's order and performs
+// accumulateB's operation sequence, the substitution replays
+// SolveFactored6, and the residual sum runs residualSumBounded's
+// arithmetic against the live incumbent ε — lanes are folded left to
+// right, each seeing the incumbent updated by its predecessors, which is
+// precisely the sequential search. The lane width therefore changes
+// memory traffic only, never arithmetic, and TrackPrepared output is
+// bit-identical to TrackPreparedReference at every width
+// (kernel_equiv_test.go, batch_equiv_test.go, the golden fixtures).
 
 // laneRHSStride is the per-template-pixel stride of the lane rhs scratch:
 // three residual rows, each a contiguous la.BatchLanes stripe.
 const laneRHSStride = 3 * la.BatchLanes
 
-// trackPixelBatchFrom is trackPixelFrom with the search loop feeding
-// hypotheses to the batch scorer in groups of t.nlanes. Visit order,
-// tie-breaking and early-exit semantics are identical to the scalar loop.
-func (t *tracker) trackPixelBatchFrom(x, y, bx, by int) (hx, hy int, eps float64, theta la.Vec6) {
-	p := t.prep.P
-	srx := p.SearchRX()
-	sry := p.SearchRY()
-	t.preparePixel(x, y)
-	hx, hy = bx, by
-	eps, theta, _ = t.scoreHyp(x, y, bx, by, math.Inf(1))
-	var lhx, lhy [la.BatchLanes]int
-	n := 0
-	for dy := -sry; dy <= sry; dy++ {
-		for dx := -srx; dx <= srx; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			lhx[n], lhy[n] = bx+dx, by+dy
-			n++
-			if n == t.nlanes {
-				hx, hy, eps, theta = t.scoreHypLanes(x, y, lhx[:n], lhy[:n], hx, hy, eps, theta)
-				n = 0
-			}
-		}
-	}
-	if n > 0 {
-		hx, hy, eps, theta = t.scoreHypLanes(x, y, lhx[:n], lhy[:n], hx, hy, eps, theta)
-	}
-	if t.sm != nil {
-		dx, dy := t.sm.Delta(x, y, hx, hy)
-		hx += dx
-		hy += dy
-	}
-	return hx, hy, eps, theta
+// incumbent is the best hypothesis of a pixel's search so far.
+type incumbent struct {
+	hx, hy int
+	eps    float64
+	theta  la.Vec6
 }
 
 // scoreHypLanes scores the hypotheses (lhx[l], lhy[l]) in one pass over
-// the cached template invariants and folds them into the incumbent
-// (bhx, bhy, beps, btheta), which it returns updated. preparePixel(x, y)
-// must have run for the same pixel. Lanes are folded in slice order with
-// the incumbent live between lanes, so acceptance decisions replay the
-// sequential search exactly.
-func (t *tracker) scoreHypLanes(x, y int, lhx, lhy []int, bhx, bhy int, beps float64, btheta la.Vec6) (int, int, float64, la.Vec6) {
+// the cached template invariants and folds them into best.
+// preparePixel(x, y) must have run for the same pixel. Lanes are folded
+// in slice order with the incumbent live between lanes, so acceptance
+// decisions replay the sequential search exactly. With anchor set, lane 0
+// is the search's anchor hypothesis: it is scored against an infinite
+// bound and replaces best unconditionally, whatever its ε — a NaN anchor
+// ε therefore wins the pixel, because no later ε compares below it.
+func (t *tracker) scoreHypLanes(x, y int, lhx, lhy []int, anchor bool, best *incumbent) {
 	p := t.prep.P
 	rx := p.TemplateRX()
 	ry := p.TemplateRY()
@@ -91,10 +60,15 @@ func (t *tracker) scoreHypLanes(x, y int, lhx, lhy []int, bhx, bhy int, beps flo
 	gw, gh := g1.Ni.W, g1.Ni.H
 	niD, njD, nkD := g1.Ni.Data, g1.Nj.Data, g1.Nk.Data
 
-	// Per-lane hoists, mirroring scoreHyp: the semi-fluid hypothesis index
-	// and the interior-fast-path test depend only on the lane's (hx, hy).
-	// smIdx[l] < 0 encodes "no semi-map lookup for this lane" (sm nil or
-	// offset outside the precomputed window, matching Delta's δ = 0).
+	// Per-lane hoists: the semi-fluid hypothesis index and the interior
+	// test depend only on the lane's (hx, hy). smIdx[l] < 0 encodes "no
+	// semi-map lookup for this lane" (sm nil or offset outside the
+	// precomputed window, matching Delta's δ = 0). A lane is interior when
+	// the template window (for the semi-map lookup) and the displaced
+	// window plus the largest possible δ (for the after-normal lookup)
+	// both stay inside their grids: every access is then in bounds, so
+	// Grid.At's border clamping is a no-op and direct Data indexing
+	// returns bit-identical values.
 	var smIdx [la.BatchLanes]int
 	var interior [la.BatchLanes]bool
 	var smDX, smDY []int8
@@ -121,7 +95,7 @@ func (t *tracker) scoreHypLanes(x, y int, lhx, lhy []int, bhx, bhy int, beps flo
 	// Joint b-pass: one sweep over the template; the invariant slots are
 	// loaded once per pixel and feed every lane. Within a lane the
 	// accumulation order over pixels — and accumulateB's operation order
-	// within a pixel — is exactly scoreHyp's.
+	// within a pixel — is exactly the reference kernel's.
 	var bb la.Vec6Lanes
 	k := 0
 	r := 0
@@ -178,43 +152,35 @@ func (t *tracker) scoreHypLanes(x, y int, lhx, lhy []int, bhx, bhy int, beps flo
 	// Fold lanes into the incumbent in order. The bound each lane prunes
 	// against is the incumbent AFTER its predecessors — the sequential
 	// search's bound exactly — so pruned/accepted decisions, the winning
-	// (hx, hy, ε, θ) and all tie-breaks are bit-identical to the scalar
-	// loop.
+	// (hx, hy, ε, θ) and all tie-breaks are independent of the lane
+	// width.
 	for l := 0; l < L; l++ {
 		theta := thetas.Vec(l)
 		if t.opt.Robust {
 			t.copyLaneRHS(buf, rhs, l)
 			theta = robustRefine(buf, theta, t.opt.HuberK)
 		}
-		bound := beps
-		if t.noEarlyExit {
+		first := anchor && l == 0
+		bound := best.eps
+		if first || t.noEarlyExit {
 			bound = math.Inf(1)
 		}
 		var e float64
 		var pruned bool
-		switch {
-		case t.opt.Robust && t.opt.Reassoc:
-			e, pruned = residualSumBoundedReassoc(buf, &theta, bound)
-		case t.opt.Robust:
+		if t.opt.Robust {
 			e, pruned = residualSumBounded(buf, &theta, bound)
-		case t.opt.Reassoc:
-			e, pruned = residualSumBoundedLaneReassoc(buf, rhs, l, &theta, bound)
-		default:
+		} else {
 			e, pruned = residualSumBoundedLane(buf, rhs, l, &theta, bound)
 		}
-		if !pruned && e < beps {
-			beps = e
-			bhx, bhy = lhx[l], lhy[l]
-			btheta = theta
+		if first || (!pruned && e < best.eps) {
+			*best = incumbent{hx: lhx[l], hy: lhy[l], eps: e, theta: theta}
 		}
 	}
-	return bhx, bhy, beps, btheta
 }
 
 // copyLaneRHS materializes lane l's right-hand sides into the scratch
 // buffer's rhs slots, so the Huber refinement (which reads bufR0..bufR2)
-// runs unchanged on the batch path. The stores are the same three values
-// per pixel scoreHyp would have written.
+// runs unchanged on the lane path.
 func (t *tracker) copyLaneRHS(buf, rhs []float64, l int) {
 	r := 0
 	for k := 0; k < len(buf); k += bufStride {
@@ -242,7 +208,7 @@ func rowResidualsLane(buf, rhs []float64, k, r, l int, th *la.Vec6) (r0w, r1w, r
 
 // residualSumBoundedLane is residualSumBounded reading lane l's rhs from
 // the structure-of-arrays scratch: identical accumulation order, so an
-// unpruned result is bit-identical to the scalar kernel's.
+// unpruned result is bit-identical to residualSum's.
 func residualSumBoundedLane(buf, rhs []float64, l int, th *la.Vec6, bound float64) (eps float64, pruned bool) {
 	r := 0
 	for k := 0; k < len(buf); k += bufStride {
@@ -254,34 +220,6 @@ func residualSumBoundedLane(buf, rhs []float64, l int, th *la.Vec6, bound float6
 		r += laneRHSStride
 	}
 	return eps, false
-}
-
-// residualSumBoundedLaneReassoc is the lane-rhs form of the
-// tolerance-checked reassociated sum (Options.Reassoc): identical
-// reassociation pattern to residualSumBoundedReassoc, so both paths of
-// the tolerance mode compute the same value.
-func residualSumBoundedLaneReassoc(buf, rhs []float64, l int, th *la.Vec6, bound float64) (eps float64, pruned bool) {
-	var s0, s1, s2, s3 float64
-	k := 0
-	r := 0
-	for ; k+4*bufStride <= len(buf); k, r = k+4*bufStride, r+4*laneRHSStride {
-		r0, r1, r2 := rowResidualsLane(buf, rhs, k, r, l, th)
-		s0 += r0 + r1 + r2
-		r0, r1, r2 = rowResidualsLane(buf, rhs, k+bufStride, r+laneRHSStride, l, th)
-		s1 += r0 + r1 + r2
-		r0, r1, r2 = rowResidualsLane(buf, rhs, k+2*bufStride, r+2*laneRHSStride, l, th)
-		s2 += r0 + r1 + r2
-		r0, r1, r2 = rowResidualsLane(buf, rhs, k+3*bufStride, r+3*laneRHSStride, l, th)
-		s3 += r0 + r1 + r2
-		if eps = ((s0 + s1) + s2) + s3; eps >= bound {
-			return eps, true
-		}
-	}
-	for ; k < len(buf); k, r = k+bufStride, r+laneRHSStride {
-		r0, r1, r2 := rowResidualsLane(buf, rhs, k, r, l, th)
-		s0 += r0 + r1 + r2
-	}
-	return ((s0 + s1) + s2) + s3, false
 }
 
 // solveFactoredLanes solves the first n lanes of bs against the stored

@@ -8,38 +8,30 @@ import (
 	"sma/internal/synth"
 )
 
-// The batch-kernel equivalence wall: every batch width and every tile
-// shape must reproduce TrackPreparedReference bit for bit in exact mode.
-// This file extends kernel_equiv_test.go's contract to the
-// multi-hypothesis kernel (batch.go) and the pixel-tile parallel driver
-// (tiles.go); run it under -race to also exercise the scheduler for data
-// races (race_equiv_test.go does).
+// The lane-width equivalence wall: every lane width and every tile shape
+// must reproduce TrackPreparedReference bit for bit. This file extends
+// kernel_equiv_test.go's contract across the lane widths of the search
+// kernel (batch.go) and the pixel-tile parallel driver (tiles.go); run it
+// under -race to also exercise the scheduler for data races
+// (race_equiv_test.go does).
 
-// batchWidths are the widths the wall pins: scalar fallback, partial
-// batches, the power-of-two sweet spots, and the full lane count.
+// batchWidths are the widths the wall pins: one hypothesis per pass,
+// partial batches, the power-of-two sweet spots, and the full lane count.
 var batchWidths = []int{1, 2, 4, 8}
 
 // TestBatchKernelMatchesReference runs the full raster search at every
-// batch width across scenes × {continuous, semi-fluid} ×
+// lane width across the equivalence scenes × {continuous, semi-fluid} ×
 // {least-squares, robust} and demands bit-identical flow, ε, and motion
 // parameters against the retained naive kernel.
 func TestBatchKernelMatchesReference(t *testing.T) {
-	scenes := []struct {
-		name  string
-		frame func(w, h int, seed int64) *synth.Scene
-	}{
-		{"hurricane", synth.Hurricane},
-		{"thunderstorm", synth.Thunderstorm},
-	}
-	for _, sc := range scenes {
+	for _, sc := range equivScenes {
 		for _, semi := range []bool{false, true} {
 			for _, robust := range []bool{false, true} {
 				p := contParams()
 				if semi {
 					p = testParams()
 				}
-				s := sc.frame(20, 20, 137)
-				prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), p)
+				prep, err := Prepare(sc.pair(137), p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -48,18 +40,8 @@ func TestBatchKernelMatchesReference(t *testing.T) {
 				for _, bw := range batchWidths {
 					name := fmt.Sprintf("%s/semi=%v/robust=%v/batch=%d", sc.name, semi, robust, bw)
 					t.Run(name, func(t *testing.T) {
-						got := TrackPrepared(prep, sm, Options{Robust: robust, KeepMotion: true, BatchHyps: bw})
-						if !got.Flow.Equal(ref.Flow) {
-							t.Fatal("flow differs from reference kernel")
-						}
-						if !got.Err.Equal(ref.Err) {
-							t.Fatal("ε differs from reference kernel")
-						}
-						for i := range ref.Motion {
-							if !got.Motion[i].Equal(ref.Motion[i]) {
-								t.Fatalf("motion grid %d differs from reference kernel", i)
-							}
-						}
+						got := TrackPrepared(prep, sm, Options{Robust: robust, KeepMotion: true, batchHyps: bw})
+						requireSameBits(t, "TrackPrepared", got, ref)
 					})
 				}
 			}
@@ -84,14 +66,14 @@ func TestBatchEarlyExitBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				sm := BuildSemiMap(prep)
-				opt := Options{BatchHyps: bw}
+				opt := Options{batchHyps: bw}
 				on := newTracker(prep, sm, opt)
 				off := newTracker(prep, sm, opt)
 				off.noEarlyExit = true
 				for y := 0; y < prep.H; y++ {
 					for x := 0; x < prep.W; x++ {
-						hx1, hy1, e1, th1 := on.trackPixelFrom(x, y, 0, 0)
-						hx2, hy2, e2, th2 := off.trackPixelFrom(x, y, 0, 0)
+						hx1, hy1, e1, th1 := on.trackPixel(x, y)
+						hx2, hy2, e2, th2 := off.trackPixel(x, y)
 						if hx1 != hx2 || hy1 != hy2 {
 							t.Fatalf("(%d,%d): argmin (%d,%d) with exit, (%d,%d) without",
 								x, y, hx1, hy1, hx2, hy2)
@@ -132,7 +114,7 @@ func TestTileParallelBitIdentical(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			name := fmt.Sprintf("tile=%dx%d/workers=%d", tl.tw, tl.th, workers)
 			t.Run(name, func(t *testing.T) {
-				opt := Options{KeepMotion: true, TileW: tl.tw, TileH: tl.th}
+				opt := Options{KeepMotion: true, tileW: tl.tw, tileH: tl.th}
 				got := TrackPreparedParallel(prep, sm, opt, workers)
 				if !got.Flow.Equal(want.Flow) {
 					t.Fatal("flow differs from serial kernel")
@@ -158,7 +140,7 @@ func TestBatchWidthClamped(t *testing.T) {
 		{0, 8}, {-3, 1}, {1, 1}, {5, 5}, {8, 8}, {9, 8}, {100, 8},
 	}
 	for _, c := range cases {
-		if got := effectiveBatch(Options{BatchHyps: c.in}); got != c.want {
+		if got := effectiveBatch(Options{batchHyps: c.in}); got != c.want {
 			t.Fatalf("effectiveBatch(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
@@ -169,9 +151,9 @@ func TestBatchWidthClamped(t *testing.T) {
 	}
 	ref := TrackPreparedReference(prep, nil, Options{})
 	for _, bw := range []int{-1, 3, 100} {
-		got := TrackPrepared(prep, nil, Options{BatchHyps: bw})
+		got := TrackPrepared(prep, nil, Options{batchHyps: bw})
 		if !got.Flow.Equal(ref.Flow) || !got.Err.Equal(ref.Err) {
-			t.Fatalf("BatchHyps=%d: output differs from reference", bw)
+			t.Fatalf("batchHyps=%d: output differs from reference", bw)
 		}
 	}
 }

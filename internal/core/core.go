@@ -24,8 +24,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"sma/internal/grid"
+	"sma/internal/la"
 )
 
 // Params holds the neighborhood radii of the SMA algorithm. Window sizes
@@ -87,6 +89,9 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: NZT = %d, need >= 1", p.NZT)
 	case p.NSS < 0:
 		return fmt.Errorf("core: NSS = %d, need >= 0", p.NSS)
+	case p.NSS > math.MaxInt8:
+		// The semi-fluid map stores each δ component as an int8.
+		return fmt.Errorf("core: NSS = %d, need <= %d", p.NSS, math.MaxInt8)
 	case p.NSS > 0 && p.NST < 1:
 		return fmt.Errorf("core: NST = %d, need >= 1 when the semi-fluid model is enabled", p.NST)
 	case p.NZTX < 0 || p.NZTY < 0 || p.NZSX < 0 || p.NZSY < 0:
@@ -198,4 +203,27 @@ type Result struct {
 	// Motion optionally holds the six fitted affine motion parameters of
 	// the winning hypothesis per pixel (nil unless requested).
 	Motion []*grid.Grid
+}
+
+// newResult allocates a w×h result, with the six motion-parameter grids
+// when keepMotion is set.
+func newResult(w, h int, keepMotion bool) *Result {
+	res := &Result{Flow: grid.NewVectorField(w, h), Err: grid.New(w, h)}
+	if keepMotion {
+		res.Motion = make([]*grid.Grid, 6)
+		for i := range res.Motion {
+			res.Motion[i] = grid.New(w, h)
+		}
+	}
+	return res
+}
+
+// set stores one pixel's winning hypothesis: offset, ε and, when the
+// result keeps them, the fitted motion parameters.
+func (r *Result) set(x, y, hx, hy int, eps float64, theta la.Vec6) {
+	r.Flow.Set(x, y, float32(hx), float32(hy))
+	r.Err.Set(x, y, float32(eps))
+	for i, g := range r.Motion {
+		g.Set(x, y, float32(theta[i]))
+	}
 }

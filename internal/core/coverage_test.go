@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"sma/internal/grid"
 	"sma/internal/la"
 	"sma/internal/maspar"
 	"sma/internal/synth"
@@ -63,7 +63,12 @@ func TestRobustWithCustomHuberK(t *testing.T) {
 func TestPyramidKeepMotion(t *testing.T) {
 	s := synth.Hurricane(32, 32, 123)
 	pair := Monocular(s.Frame(0), s.Frame(1))
-	res, err := TrackPyramid(pair, contParams(), 2, Options{KeepMotion: true})
+	prep, err := PreparePyramid(pair, contParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{KeepMotion: true, Pyramid: PyramidOptions{Levels: 2}}
+	res, _, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,31 +77,7 @@ func TestPyramidKeepMotion(t *testing.T) {
 	}
 }
 
-func TestTrackGuidedNilPriorMatchesSequential(t *testing.T) {
-	s := synth.Thunderstorm(24, 24, 125)
-	pair := Monocular(s.Frame(0), s.Frame(1))
-	a, err := TrackSequential(pair, contParams(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TrackGuided(pair, contParams(), nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Flow.Equal(b.Flow) {
-		t.Fatal("nil-prior guided tracking differs from sequential")
-	}
-}
-
-func TestTrackGuidedRejectsMismatchedPrior(t *testing.T) {
-	s := synth.Thunderstorm(16, 16, 127)
-	pair := Monocular(s.Frame(0), s.Frame(1))
-	if _, err := TrackGuided(pair, contParams(), grid.NewVectorField(8, 8), Options{}); err == nil {
-		t.Fatal("mismatched prior accepted")
-	}
-}
-
-// --- ScoreOnce and sparse tracking ------------------------------------------------
+// --- ScoreOnce ------------------------------------------------
 
 func TestScoreOnceZeroForIdenticalFrames(t *testing.T) {
 	s := synth.Hurricane(24, 24, 129)
@@ -107,17 +88,6 @@ func TestScoreOnceZeroForIdenticalFrames(t *testing.T) {
 	}
 	if eps := ScoreOnce(prep, 12, 12); eps > 1e-9 {
 		t.Fatalf("identical frames ε = %v", eps)
-	}
-}
-
-func TestTrackPixelsEmptyList(t *testing.T) {
-	s := synth.Thunderstorm(16, 16, 131)
-	prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), contParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := TrackPixels(prep, nil, Options{}, nil); len(out) != 0 {
-		t.Fatalf("empty point list produced %d results", len(out))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sma/internal/grid"
@@ -98,13 +99,17 @@ func TestRectangularTemplateMatchesSquareWhenEqual(t *testing.T) {
 // --- Pyramid (coarse-to-fine) ---------------------------------------------------
 
 func TestPyramidRecoversLargeMotion(t *testing.T) {
-	// A 6-px translation with a ±2 per-level search: unreachable flat,
-	// reachable through 3 levels (2·2^2 = 8 ≥ 6).
+	// A 6-px translation inside a ±6 search window: 3 levels with the
+	// default ±2 refinement find it while evaluating a fraction of the
+	// exhaustive 169 hypotheses per pixel.
 	s := &synth.Scene{W: 64, H: 64, Flow: synth.Uniform{U: 6, V: 0},
 		Tex: synth.Hurricane(64, 64, 35).Tex}
-	pair := Monocular(s.Frame(0), s.Frame(1))
-	p := Params{NS: 2, NZS: 2, NZT: 3}
-	res, err := TrackPyramid(pair, p, 3, Options{})
+	p := Params{NS: 2, NZS: 6, NZT: 3}
+	prep, err := PreparePyramid(Monocular(s.Frame(0), s.Frame(1)), p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, st, err := TrackPyramidPreparedCtx(context.Background(), prep, Options{Pyramid: PyramidOptions{Levels: 3}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +125,9 @@ func TestPyramidRecoversLargeMotion(t *testing.T) {
 	if good*10 < tot*8 {
 		t.Fatalf("pyramid recovered only %d/%d of the 6-px motion", good, tot)
 	}
+	if st.HypPerPixel*2 > float64(st.ExhaustivePerPixel) {
+		t.Fatalf("pyramid evaluated %.1f hyp/px, over half the exhaustive %d", st.HypPerPixel, st.ExhaustivePerPixel)
+	}
 }
 
 func TestPyramidSingleLevelMatchesSequential(t *testing.T) {
@@ -130,11 +138,18 @@ func TestPyramidSingleLevelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrackPyramid(pair, p, 1, Options{})
+	prep, err := PreparePyramid(pair, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Flow.Equal(b.Flow) {
+	b, st, err := TrackPyramidPreparedCtx(context.Background(), prep, Options{Pyramid: PyramidOptions{Levels: 1}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Levels != 1 || st.FallbackPixels != 0 {
+		t.Fatalf("single-level pyramid ran %d levels with %d fallbacks", st.Levels, st.FallbackPixels)
+	}
+	if !a.Flow.Equal(b.Flow) || !a.Err.Equal(b.Err) {
 		t.Fatal("single-level pyramid differs from sequential")
 	}
 }
@@ -142,15 +157,23 @@ func TestPyramidSingleLevelMatchesSequential(t *testing.T) {
 func TestPyramidRejectsSemiFluid(t *testing.T) {
 	s := synth.Thunderstorm(16, 16, 39)
 	pair := Monocular(s.Frame(0), s.Frame(1))
-	if _, err := TrackPyramid(pair, testParams(), 2, Options{}); err == nil {
-		t.Fatal("semi-fluid pyramid accepted")
+	if _, err := PreparePyramid(pair, testParams(), 2); err == nil {
+		t.Fatal("semi-fluid pyramid preparation accepted")
+	}
+	prep, err := Prepare(pair, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Pyramid: PyramidOptions{Levels: 2}}
+	if _, err := TrackPreparedParallelCtx(context.Background(), prep, BuildSemiMap(prep), opt, 1); err == nil {
+		t.Fatal("semi-fluid pyramid search accepted")
 	}
 }
 
 func TestPyramidRejectsBadLevels(t *testing.T) {
 	s := synth.Thunderstorm(16, 16, 41)
 	pair := Monocular(s.Frame(0), s.Frame(1))
-	if _, err := TrackPyramid(pair, contParams(), 0, Options{}); err == nil {
+	if _, err := PreparePyramid(pair, contParams(), 0); err == nil {
 		t.Fatal("zero levels accepted")
 	}
 }
@@ -165,11 +188,13 @@ func TestTrackParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prep, err := Prepare(pair, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := BuildSemiMap(prep)
 	for _, workers := range []int{1, 3, 8} {
-		par, err := TrackParallel(pair, p, Options{KeepMotion: true}, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := TrackPreparedParallel(prep, sm, Options{KeepMotion: true}, workers)
 		if !par.Flow.Equal(seq.Flow) || !par.Err.Equal(seq.Err) {
 			t.Fatalf("workers=%d: parallel differs from sequential", workers)
 		}
@@ -178,13 +203,6 @@ func TestTrackParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: motion parameter %d differs", workers, i)
 			}
 		}
-	}
-}
-
-func TestTrackParallelRejectsNegativeWorkers(t *testing.T) {
-	s := synth.Thunderstorm(16, 16, 47)
-	if _, err := TrackParallel(Monocular(s.Frame(0), s.Frame(1)), contParams(), Options{}, -1); err == nil {
-		t.Fatal("negative workers accepted")
 	}
 }
 
@@ -270,9 +288,9 @@ func TestMultispectralDisambiguatesSemiMap(t *testing.T) {
 	}
 }
 
-// --- Prior-guided search ------------------------------------------------------------
+// --- Windowed search ----------------------------------------------------------------
 
-func TestTrackPixelFromOffsetsSearch(t *testing.T) {
+func TestSearchWindowOffsetsSearch(t *testing.T) {
 	// With a prior of (4,0) and true motion (4,0), even a ±1 search finds
 	// the exact correspondence.
 	s := &synth.Scene{W: 32, H: 32, Flow: synth.Uniform{U: 4, V: 0},
@@ -282,8 +300,8 @@ func TestTrackPixelFromOffsetsSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := newTracker(prep, nil, Options{})
-	hx, hy, _, _ := tr.trackPixelFrom(16, 16, 4, 0)
+	hx, hy, _, _ := tr.searchWindow(16, 16, hypWindow{lox: 3, hix: 5, loy: -1, hiy: 1})
 	if hx != 4 || hy != 0 {
-		t.Fatalf("prior-guided search found (%d,%d), want (4,0)", hx, hy)
+		t.Fatalf("offset window search found (%d,%d), want (4,0)", hx, hy)
 	}
 }

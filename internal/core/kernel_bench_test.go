@@ -22,16 +22,6 @@ func benchPrep(b *testing.B, p Params) (*Prepared, *SemiMap) {
 	return prep, BuildSemiMap(prep)
 }
 
-func BenchmarkScoreHyp(b *testing.B) {
-	prep, sm := benchPrep(b, testParams())
-	tr := newTracker(prep, sm, Options{})
-	tr.preparePixel(16, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.scoreHyp(16, 16, 1, 1, 1e300)
-	}
-}
-
 func BenchmarkScoreReference(b *testing.B) {
 	prep, sm := benchPrep(b, testParams())
 	tr := newTracker(prep, sm, Options{})
@@ -67,19 +57,19 @@ func BenchmarkTrackPixel(b *testing.B) {
 		tr := newTracker(prep, sm, Options{})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tr.trackPixelFromReference(16, 16, 0, 0)
+			tr.trackPixelReference(16, 16)
 		}
 	})
 }
 
-// BenchmarkScoreHypLanes isolates the batched b-pass against width-many
-// scalar scoreHyp calls: the contrast is the invariant-load amortization
-// the batch kernel exists for.
+// BenchmarkScoreHypLanes isolates the lane b-pass at each width: the
+// contrast against width 1 is the invariant-load amortization the lanes
+// exist for.
 func BenchmarkScoreHypLanes(b *testing.B) {
 	prep, sm := benchPrep(b, testParams())
-	for _, bw := range []int{2, 4, 8} {
+	for _, bw := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("width%d", bw), func(b *testing.B) {
-			tr := newTracker(prep, sm, Options{BatchHyps: bw})
+			tr := newTracker(prep, sm, Options{batchHyps: bw})
 			tr.preparePixel(16, 16)
 			lhx := make([]int, bw)
 			lhy := make([]int, bw)
@@ -89,19 +79,20 @@ func BenchmarkScoreHypLanes(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tr.scoreHypLanes(16, 16, lhx, lhy, 0, 0, math.Inf(1), [6]float64{})
+				best := incumbent{eps: math.Inf(1)}
+				tr.scoreHypLanes(16, 16, lhx, lhy, false, &best)
 			}
 		})
 	}
 }
 
-// BenchmarkTrackPixelBatch sweeps the batch width over the full
-// per-pixel search (prepare + scalar base hypothesis + batched sweep).
+// BenchmarkTrackPixelBatch sweeps the lane width over the full
+// per-pixel search (prepare + lane sweep).
 func BenchmarkTrackPixelBatch(b *testing.B) {
 	prep, sm := benchPrep(b, testParams())
 	for _, bw := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("width%d", bw), func(b *testing.B) {
-			tr := newTracker(prep, sm, Options{BatchHyps: bw})
+			tr := newTracker(prep, sm, Options{batchHyps: bw})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tr.trackPixel(16, 16)

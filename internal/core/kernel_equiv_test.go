@@ -1,32 +1,89 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
+	"sma/internal/grid"
 	"sma/internal/la"
 	"sma/internal/synth"
 )
 
-// This file locks the hoisted kernel (preparePixel + scoreHyp + factored
-// solves + ε early exit) to the retained naive kernel in reference.go.
+// This file locks the hoisted kernel (preparePixel + scoreHypLanes +
+// factored solves + ε early exit) to the retained naive kernel in reference.go.
 // Every comparison is bitwise: the optimization contract is exact
 // equivalence, not numerical closeness.
 
-// TestOptimizedKernelMatchesReference runs the full raster search with
-// both kernels across synthetic scenes × {continuous, semi-fluid} ×
-// {least-squares, robust} and demands bit-identical flow, ε, and motion
-// parameters.
-func TestOptimizedKernelMatchesReference(t *testing.T) {
-	scenes := []struct {
-		name  string
-		frame func(w, h int, seed int64) *synth.Scene
-	}{
-		{"hurricane", synth.Hurricane},
-		{"thunderstorm", synth.Thunderstorm},
+// equivScenes are the inputs of the kernel-vs-reference tables. The nan
+// scene has one NaN pixel in frame 1: at 72 of its pixels the anchor
+// hypothesis scores ε = NaN while another hypothesis is finite. The
+// reference accepts the anchor unconditionally, so the NaN anchor wins
+// there; a search that seeded its incumbent with ε = +Inf instead would
+// let the finite hypothesis win, and this scene catches it.
+var equivScenes = []struct {
+	name string
+	pair func(seed int64) Pair
+}{
+	{"hurricane", func(seed int64) Pair {
+		s := synth.Hurricane(20, 20, seed)
+		return Monocular(s.Frame(0), s.Frame(1))
+	}},
+	{"thunderstorm", func(seed int64) Pair {
+		s := synth.Thunderstorm(20, 20, seed)
+		return Monocular(s.Frame(0), s.Frame(1))
+	}},
+	{"nan", func(int64) Pair {
+		s := synth.Hurricane(24, 24, 3)
+		f1 := s.Frame(1)
+		f1.Set(12, 12, float32(math.NaN()))
+		return Monocular(s.Frame(0), f1)
+	}},
+}
+
+// requireSameBits fails unless got and want hold bit-identical flow, ε
+// and motion parameters. It compares float32 bit patterns because
+// Grid.Equal treats NaN as unequal to itself; any two NaNs match, since
+// which NaN operand an x86 addition propagates (and so the sign of the
+// result) follows the compiler's operand order, which -race changes.
+func requireSameBits(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	same := func(a, b *grid.Grid) bool {
+		if len(a.Data) != len(b.Data) {
+			return false
+		}
+		for i, v := range a.Data {
+			w := b.Data[i]
+			if math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
+				return false
+			}
+		}
+		return true
 	}
-	for _, sc := range scenes {
+	if !same(got.Flow.U, want.Flow.U) || !same(got.Flow.V, want.Flow.V) {
+		t.Fatalf("%s: flow differs from reference kernel", what)
+	}
+	if !same(got.Err, want.Err) {
+		t.Fatalf("%s: ε differs from reference kernel", what)
+	}
+	if len(got.Motion) != len(want.Motion) {
+		t.Fatalf("%s: %d motion grids, want %d", what, len(got.Motion), len(want.Motion))
+	}
+	for i := range want.Motion {
+		if !same(got.Motion[i], want.Motion[i]) {
+			t.Fatalf("%s: motion grid %d differs from reference kernel", what, i)
+		}
+	}
+}
+
+// TestOptimizedKernelMatchesReference runs the full search with both
+// kernels across the equivalence scenes × {continuous, semi-fluid} ×
+// {least-squares, robust} — serially and through the tiled parallel
+// driver at 1 and 3 workers — and demands bit-identical flow, ε, and
+// motion parameters.
+func TestOptimizedKernelMatchesReference(t *testing.T) {
+	for _, sc := range equivScenes {
 		for _, semi := range []bool{false, true} {
 			for _, robust := range []bool{false, true} {
 				name := fmt.Sprintf("%s/semi=%v/robust=%v", sc.name, semi, robust)
@@ -35,25 +92,20 @@ func TestOptimizedKernelMatchesReference(t *testing.T) {
 					if semi {
 						p = testParams()
 					}
-					s := sc.frame(20, 20, 211)
-					prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), p)
+					prep, err := Prepare(sc.pair(211), p)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sm := BuildSemiMap(prep)
 					opt := Options{Robust: robust, KeepMotion: true}
 					ref := TrackPreparedReference(prep, sm, opt)
-					got := TrackPrepared(prep, sm, opt)
-					if !got.Flow.Equal(ref.Flow) {
-						t.Fatal("flow differs from reference kernel")
-					}
-					if !got.Err.Equal(ref.Err) {
-						t.Fatal("ε differs from reference kernel")
-					}
-					for i := range ref.Motion {
-						if !got.Motion[i].Equal(ref.Motion[i]) {
-							t.Fatalf("motion grid %d differs from reference kernel", i)
+					requireSameBits(t, "TrackPrepared", TrackPrepared(prep, sm, opt), ref)
+					for _, workers := range []int{1, 3} {
+						got, err := TrackPreparedParallelCtx(context.Background(), prep, sm, opt, workers)
+						if err != nil {
+							t.Fatal(err)
 						}
+						requireSameBits(t, fmt.Sprintf("TrackPreparedParallelCtx(workers=%d)", workers), got, ref)
 					}
 				})
 			}
@@ -87,8 +139,8 @@ func TestEarlyExitBitIdentical(t *testing.T) {
 					off.noEarlyExit = true
 					for y := 0; y < prep.H; y++ {
 						for x := 0; x < prep.W; x++ {
-							hx1, hy1, e1, th1 := on.trackPixelFrom(x, y, 0, 0)
-							hx2, hy2, e2, th2 := off.trackPixelFrom(x, y, 0, 0)
+							hx1, hy1, e1, th1 := on.trackPixel(x, y)
+							hx2, hy2, e2, th2 := off.trackPixel(x, y)
 							if hx1 != hx2 || hy1 != hy2 {
 								t.Fatalf("(%d,%d): argmin (%d,%d) with exit, (%d,%d) without",
 									x, y, hx1, hy1, hx2, hy2)
@@ -170,7 +222,8 @@ func TestMotionFactorMatchesSolveMotion(t *testing.T) {
 
 // TestResidualSumBoundedExact pins the pruning contract: with an infinite
 // bound the bounded sum equals residualSum bitwise, and a pruned
-// evaluation implies the true ε is at least the bound.
+// evaluation implies the true ε is at least the bound. scoreReference
+// fills every buffer slot for the hypothesis and returns residualSum.
 func TestResidualSumBoundedExact(t *testing.T) {
 	s := synth.Hurricane(16, 16, 51)
 	prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), contParams())
@@ -180,10 +233,9 @@ func TestResidualSumBoundedExact(t *testing.T) {
 	tr := newTracker(prep, nil, Options{})
 	for y := 3; y < 13; y += 3 {
 		for x := 3; x < 13; x += 3 {
-			tr.preparePixel(x, y)
-			full, th, _ := tr.scoreHyp(x, y, 1, 0, math.Inf(1))
+			full, th := tr.scoreReference(x, y, 1, 0)
 			if got, _ := residualSumBounded(tr.buf, &th, math.Inf(1)); math.Float64bits(got) != math.Float64bits(full) {
-				t.Fatalf("(%d,%d): unbounded residualSumBounded %v != scoreHyp ε %v", x, y, got, full)
+				t.Fatalf("(%d,%d): unbounded residualSumBounded %v != residualSum %v", x, y, got, full)
 			}
 			for _, frac := range []float64{0.1, 0.5, 0.9} {
 				bound := full * frac

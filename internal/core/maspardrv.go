@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"sma/internal/grid"
 	"sma/internal/maspar"
 )
 
@@ -198,13 +197,7 @@ func TrackMasPar(m *maspar.Machine, pair Pair, p Params, opt Options, scheme mas
 	// splits each layer's PE sweep across goroutines (pixels are
 	// independent, so the worker count cannot change results).
 	sm := BuildSemiMap(prep)
-	res := &Result{Flow: grid.NewVectorField(prep.W, prep.H), Err: grid.New(prep.W, prep.H)}
-	if opt.KeepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(prep.W, prep.H)
-		}
-	}
+	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	nproc := m.Cfg.NProc()
 	workers := opt.HostWorkers
 	if workers < 1 {
@@ -228,13 +221,7 @@ func TrackMasPar(m *maspar.Machine, pair Pair, p Params, opt Options, scheme mas
 						continue
 					}
 					hx, hy, eps, theta := t.trackPixel(x, y)
-					res.Flow.Set(x, y, float32(hx), float32(hy))
-					res.Err.Set(x, y, float32(eps))
-					if opt.KeepMotion {
-						for i := range res.Motion {
-							res.Motion[i].Set(x, y, float32(theta[i]))
-						}
-					}
+					res.set(x, y, hx, hy, eps, theta)
 				}
 			}(w0, w1)
 		}

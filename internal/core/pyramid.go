@@ -4,16 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync/atomic"
 
 	"sma/internal/grid"
-	"sma/internal/la"
 )
 
-// Coarse-to-fine multiresolution hypothesis search (ROADMAP item 3,
-// docs/ALGORITHM.md, cost model in docs/PERFORMANCE.md §9). The paper's
+// Coarse-to-fine multiresolution hypothesis search (docs/ALGORITHM.md,
+// cost model in docs/PERFORMANCE.md §9). The paper's
 // search is a brute-force argmin over (2·NZS+1)² shift hypotheses per
 // pixel; the pyramid driver replaces it with an exhaustive sweep at a
 // box-filtered coarse level (where the search radius shrinks by 2 per
@@ -106,83 +103,21 @@ type PyramidStats struct {
 	ResidualFallbacks int64   `json:"residual_fallbacks"`
 }
 
-// TrackPyramid is the hierarchical coarse-to-fine extension the paper's
-// §6 lists as future work ("adaptive hierarchical non-square template and
-// search windows"), mirroring the multiresolution strategy its ASA stereo
-// substrate already uses: the pair is tracked at a coarse resolution
-// first, and each finer level searches a small window centered on the
-// upsampled coarser estimate. This entry point runs in extended-reach
-// mode — refinement centers are not clamped to the full-resolution search
-// window, so the reachable displacement grows toward NZS·2^(levels−1)
-// while per-level cost stays fixed. For the in-window accelerator whose
-// output is always a member of the exhaustive hypothesis set (with
-// exhaustive fallback), set Options.Pyramid and use the parallel driver
-// or TrackPyramidPreparedCtx.
-func TrackPyramid(pair Pair, p Params, levels int, opt Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.SemiFluid() {
-		return nil, fmt.Errorf("core: TrackPyramid requires the continuous model (NSS = 0)")
-	}
-	if err := pair.Validate(); err != nil {
-		return nil, err
-	}
-	if levels < 1 {
-		return nil, fmt.Errorf("core: need at least one pyramid level, got %d", levels)
-	}
-	prep, err := PreparePyramid(pair, p, levels)
-	if err != nil {
-		return nil, err
-	}
-	o := opt
-	o.Pyramid.Levels = levels
-	workers := opt.HostWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	//smavet:allow ctxflow -- non-ctx compatibility entry point: a deliberate uncancellable root
-	res, _, err := trackPyramidCtx(context.Background(), prep, o, workers, true)
-	return res, err
-}
-
 // TrackPyramidPreparedCtx runs the coarse-to-fine accelerated search on
 // pyramid-prepared geometry (PreparePyramid) and reports its cost
-// statistics. Unlike TrackPyramid it stays inside the exhaustive search
-// window: every reported displacement is a member of the (2·NZS+1)²
-// hypothesis set, refinement windows are clamped into the per-level
-// window, and the per-pixel fallback re-runs suspect pixels through the
-// exhaustive kernel. With RefineRadius >= 2·NZS the result is
-// bit-identical to TrackPrepared. Results are bit-identical at every
-// worker count.
+// statistics. It stays inside the exhaustive search window: every
+// reported displacement is a member of the (2·NZS+1)² hypothesis set,
+// refinement windows are clamped into the per-level window, and the
+// per-pixel fallback re-runs suspect pixels through the exhaustive
+// kernel. With RefineRadius >= 2·NZS the result is bit-identical to
+// TrackPrepared. Results are bit-identical at every worker count.
 func TrackPyramidPreparedCtx(ctx context.Context, prep *Prepared, opt Options, workers int) (*Result, *PyramidStats, error) {
-	return trackPyramidCtx(ctx, prep, opt, workers, false)
-}
-
-// scaledRadius is the search radius at pyramid level l: the full-
-// resolution radius shrinks by 2 per level, never below 1.
-func scaledRadius(r, l int) int {
-	s := (r + (1 << l) - 1) >> l // ceil(r / 2^l)
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// trackPyramidCtx is the shared coarse-to-fine driver. extend selects the
-// legacy extended-reach behavior of TrackPyramid (full ±NZS sweep at the
-// coarsest level, unclamped refinement centers, no fallback); otherwise
-// it runs the in-window accelerator with exhaustive fallback.
-func trackPyramidCtx(ctx context.Context, prep *Prepared, opt Options, workers int, extend bool) (*Result, *PyramidStats, error) {
 	if ctx == nil {
 		ctx = context.Background() //smavet:allow ctxflow -- nil-guard: a nil ctx documents "never cancel", and there is nothing to derive from
 	}
 	p := prep.P
 	if p.SemiFluid() {
 		return nil, nil, fmt.Errorf("core: pyramid search requires the continuous model (NSS = 0)")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	levels := opt.Pyramid.Levels
 	if levels < 1 {
@@ -192,7 +127,6 @@ func trackPyramidCtx(ctx context.Context, prep *Prepared, opt Options, workers i
 		levels = built
 	}
 	refine := opt.Pyramid.refineRadius()
-	srx, sry := p.SearchRX(), p.SearchRY()
 	st := &PyramidStats{
 		Levels:             levels,
 		RefineRadius:       refine,
@@ -206,7 +140,7 @@ func trackPyramidCtx(ctx context.Context, prep *Prepared, opt Options, workers i
 
 	var prior *grid.VectorField
 	var res *Result
-	var edge []bool
+	var window func(x, y int) (hypWindow, bool)
 	for l := levels - 1; l >= 0; l-- {
 		lp := preps[l]
 		if prior != nil {
@@ -216,37 +150,17 @@ func trackPyramidCtx(ctx context.Context, prep *Prepared, opt Options, workers i
 			v := prior.V.Upsample2(lp.W, lp.H, 2)
 			prior = &grid.VectorField{U: u, V: v}
 		}
-		// Per-level window geometry: baseR is the exhaustive radius used
-		// when no prior exists (the coarsest level); capR clamps
-		// refinement centers and window edges. In extend mode centers
-		// roam freely and the coarsest sweep uses the full radius.
-		baseRX, baseRY := scaledRadius(srx, l), scaledRadius(sry, l)
-		capX, capY := baseRX, baseRY
-		refX, refY := refine, refine
-		if extend {
-			// Legacy reach: every level re-searches the full ±NZS window
-			// around the promoted prior, and centers roam freely.
-			baseRX, baseRY = srx, sry
-			capX, capY = math.MaxInt32/2, math.MaxInt32/2
-			refX, refY = maxInt(refine, srx), maxInt(refine, sry)
-		}
-		// The window-edge fallback trigger only applies at full
-		// resolution in accelerator mode, and only when a prior guided
-		// the window.
-		if l == 0 && !extend && levels > 1 {
-			edge = make([]bool, lp.W*lp.H)
-		}
-		keep := opt.KeepMotion && l == 0
-		var err error
-		res, err = pyramidLevel(ctx, lp, opt, workers, prior,
-			baseRX, baseRY, capX, capY, refX, refY, keep, edge, &st.Hypotheses)
+		window = levelWindow(prior, scaledRadius(p.SearchRX(), l), scaledRadius(p.SearchRY(), l), refine)
+		res = newResult(lp.W, lp.H, opt.KeepMotion && l == 0)
+		n, err := trackTiles(ctx, lp, nil, opt, workers, res, window)
 		if err != nil {
 			return nil, nil, err
 		}
+		st.Hypotheses += n
 		prior = res.Flow
 	}
-	if !extend && levels > 1 {
-		if err := pyramidFallback(ctx, prep, opt, workers, res, edge, st); err != nil {
+	if levels > 1 {
+		if err := pyramidFallback(ctx, prep, opt, workers, res, window, st); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -257,76 +171,55 @@ func trackPyramidCtx(ctx context.Context, prep *Prepared, opt Options, workers i
 	return res, st, nil
 }
 
-// pyramidLevel runs one level's windowed hypothesis sweep with the
-// work-stealing tile scheduler. prior == nil sweeps ±baseR exhaustively
-// (the coarsest level); otherwise each pixel searches a ±refine window
-// around its prior, with center and window clamped into ±capR. edge, when
-// non-nil, records pixels whose winner sat on an interior window edge —
-// the prior-misguidance fallback trigger. hyps accumulates hypothesis
-// evaluations (atomically, once per row, so the sum is deterministic).
-func pyramidLevel(ctx context.Context, lp *Prepared, opt Options, workers int, prior *grid.VectorField,
-	baseRX, baseRY, capX, capY, refX, refY int, keepMotion bool, edge []bool, hyps *int64) (*Result, error) {
-	w, h := lp.W, lp.H
-	res := &Result{Flow: grid.NewVectorField(w, h), Err: grid.New(w, h)}
-	if keepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(w, h)
-		}
+// scaledRadius is the search radius at pyramid level l: the full-
+// resolution radius shrinks by 2 per level, never below 1.
+func scaledRadius(r, l int) int {
+	s := (r + (1 << l) - 1) >> l // ceil(r / 2^l)
+	if s < 1 {
+		s = 1
 	}
-	tw, th := pyramidTileSize(lp.P, opt, w, h, workers)
-	g := newTileGrid(w, h, tw, th)
-	err := forEachTileRow(ctx, g, workers, func() func(t tileRect, y int) {
-		t := newTracker(lp, nil, opt)
-		return func(tile tileRect, y int) {
-			var rowHyps int64
-			for x := tile.X0; x < tile.X1; x++ {
-				lox, hix := -baseRX, baseRX
-				loy, hiy := -baseRY, baseRY
-				if prior != nil {
-					u, v := prior.At(x, y)
-					cx := clampInt(int(math.Round(float64(u))), -capX, capX)
-					cy := clampInt(int(math.Round(float64(v))), -capY, capY)
-					lox, hix = maxInt(cx-refX, -capX), minInt(cx+refX, capX)
-					loy, hiy = maxInt(cy-refY, -capY), minInt(cy+refY, capY)
-				}
-				hx, hy, eps, theta := t.trackPixelWindow(x, y, lox, hix, loy, hiy)
-				res.Flow.Set(x, y, float32(hx), float32(hy))
-				res.Err.Set(x, y, float32(eps))
-				if keepMotion {
-					for i := range res.Motion {
-						res.Motion[i].Set(x, y, float32(theta[i]))
-					}
-				}
-				if edge != nil {
-					edge[y*w+x] = (lox > -capX && hx == lox) || (hix < capX && hx == hix) ||
-						(loy > -capY && hy == loy) || (hiy < capY && hy == hiy)
-				}
-				rowHyps += int64(hix-lox+1) * int64(hiy-loy+1)
-			}
-			atomic.AddInt64(hyps, rowHyps)
+	return s
+}
+
+// levelWindow returns one level's per-pixel hypothesis windows. Without
+// a prior (the coarsest level) every pixel sweeps the level's ±(rx, ry)
+// window exhaustively; otherwise each pixel searches ±refine around its
+// rounded prior, with center and window clamped into ±(rx, ry).
+func levelWindow(prior *grid.VectorField, rx, ry, refine int) func(x, y int) (hypWindow, bool) {
+	return func(x, y int) (hypWindow, bool) {
+		if prior == nil {
+			return hypWindow{-rx, rx, -ry, ry}, true
 		}
-	})
-	if err != nil {
-		return nil, err
+		u, v := prior.At(x, y)
+		cx := clampInt(int(math.Round(float64(u))), -rx, rx)
+		cy := clampInt(int(math.Round(float64(v))), -ry, ry)
+		return hypWindow{maxInt(cx-refine, -rx), minInt(cx+refine, rx),
+			maxInt(cy-refine, -ry), minInt(cy+refine, ry)}, true
 	}
-	return res, nil
 }
 
 // pyramidFallback re-runs suspect level-0 pixels through the exhaustive
-// kernel: pixels flagged by the window-edge trigger plus pixels whose
-// residual exceeds FallbackFactor × the frame's median residual. Both
+// kernel: pixels whose winner sat on an interior edge of their
+// prior-guided window (the prior steered the window away from the true
+// minimum) plus pixels whose residual exceeds FallbackFactor × the
+// frame's median residual. window is level 0's window function. Both
 // triggers read only completed level-0 output, so the pixel set — and
 // therefore the result — is deterministic at every worker count.
-func pyramidFallback(ctx context.Context, prep *Prepared, opt Options, workers int, res *Result, edge []bool, st *PyramidStats) error {
+func pyramidFallback(ctx context.Context, prep *Prepared, opt Options, workers int, res *Result,
+	window func(x, y int) (hypWindow, bool), st *PyramidStats) error {
 	w, h := prep.W, prep.H
-	need := edge
-	if need == nil {
-		need = make([]bool, w*h)
-	}
-	for _, f := range need {
-		if f {
-			st.EdgeFallbacks++
+	full := fullWindow(prep.P)
+	need := make([]bool, w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			win, _ := window(x, y)
+			u, v := res.Flow.At(x, y)
+			hx, hy := int(u), int(v)
+			if (win.lox > full.lox && hx == win.lox) || (win.hix < full.hix && hx == win.hix) ||
+				(win.loy > full.loy && hy == win.loy) || (win.hiy < full.hiy && hy == win.hiy) {
+				need[y*w+x] = true
+				st.EdgeFallbacks++
+			}
 		}
 	}
 	factor := opt.Pyramid.FallbackFactor
@@ -349,123 +242,11 @@ func pyramidFallback(ctx context.Context, prep *Prepared, opt Options, workers i
 	if st.FallbackPixels == 0 {
 		return nil
 	}
-	perPixel := int64(prep.P.Hypotheses())
-	tw, th := pyramidTileSize(prep.P, opt, w, h, workers)
-	g := newTileGrid(w, h, tw, th)
-	var extra int64
-	err := forEachTileRow(ctx, g, workers, func() func(t tileRect, y int) {
-		t := newTracker(prep, nil, opt)
-		return func(tile tileRect, y int) {
-			var rowHyps int64
-			for x := tile.X0; x < tile.X1; x++ {
-				if !need[y*w+x] {
-					continue
-				}
-				hx, hy, eps, theta := t.trackPixel(x, y)
-				res.Flow.Set(x, y, float32(hx), float32(hy))
-				res.Err.Set(x, y, float32(eps))
-				if res.Motion != nil {
-					for i := range res.Motion {
-						res.Motion[i].Set(x, y, float32(theta[i]))
-					}
-				}
-				rowHyps += perPixel
-			}
-			if rowHyps > 0 {
-				atomic.AddInt64(&extra, rowHyps)
-			}
-		}
+	extra, err := trackTiles(ctx, prep, nil, opt, workers, res, func(x, y int) (hypWindow, bool) {
+		return full, need[y*w+x]
 	})
-	if err != nil {
-		return err
-	}
-	st.Hypotheses += atomic.LoadInt64(&extra)
-	return nil
-}
-
-// pyramidTileSize resolves the tile shape for a level, honoring the
-// TileW/TileH overrides like the parallel driver does.
-func pyramidTileSize(p Params, opt Options, w, h, workers int) (int, int) {
-	tw, th := opt.TileW, opt.TileH
-	if side := chooseTileSize(p, w, h, workers); tw <= 0 {
-		tw = side
-		if th <= 0 {
-			th = side
-		}
-	} else if th <= 0 {
-		th = tw
-	}
-	return tw, th
-}
-
-// trackPixelWindow is trackPixelFrom over an explicit rectangular
-// hypothesis window [lox,hix]×[loy,hiy]. The anchor hypothesis — zero
-// displacement clamped into the window — is scored first at an infinite
-// bound, then the window is swept in raster order with the same strict-<
-// acceptance; when the window equals the full ±NZS search window this
-// enumerates exactly trackPixelFrom(x, y, 0, 0)'s sequence, which is what
-// makes the full-radius pyramid configuration bit-identical to the
-// exhaustive search. Batched widths feed the same order through
-// scoreHypLanes in groups of nlanes, mirroring trackPixelBatchFrom.
-func (t *tracker) trackPixelWindow(x, y, lox, hix, loy, hiy int) (hx, hy int, eps float64, theta la.Vec6) {
-	ax := clampInt(0, lox, hix)
-	ay := clampInt(0, loy, hiy)
-	if useReferenceKernel {
-		hx, hy = ax, ay
-		eps, theta = t.scoreReference(x, y, ax, ay)
-		for dy := loy; dy <= hiy; dy++ {
-			for dx := lox; dx <= hix; dx++ {
-				if dx == ax && dy == ay {
-					continue
-				}
-				e, th := t.scoreReference(x, y, dx, dy)
-				if e < eps {
-					eps = e
-					hx, hy = dx, dy
-					theta = th
-				}
-			}
-		}
-		return hx, hy, eps, theta
-	}
-	t.preparePixel(x, y)
-	hx, hy = ax, ay
-	eps, theta, _ = t.scoreHyp(x, y, ax, ay, math.Inf(1))
-	if t.nlanes > 1 {
-		var lhx, lhy [la.BatchLanes]int
-		n := 0
-		for dy := loy; dy <= hiy; dy++ {
-			for dx := lox; dx <= hix; dx++ {
-				if dx == ax && dy == ay {
-					continue
-				}
-				lhx[n], lhy[n] = dx, dy
-				n++
-				if n == t.nlanes {
-					hx, hy, eps, theta = t.scoreHypLanes(x, y, lhx[:n], lhy[:n], hx, hy, eps, theta)
-					n = 0
-				}
-			}
-		}
-		if n > 0 {
-			hx, hy, eps, theta = t.scoreHypLanes(x, y, lhx[:n], lhy[:n], hx, hy, eps, theta)
-		}
-		return hx, hy, eps, theta
-	}
-	for dy := loy; dy <= hiy; dy++ {
-		for dx := lox; dx <= hix; dx++ {
-			if dx == ax && dy == ay {
-				continue
-			}
-			e, th, pruned := t.scoreHyp(x, y, dx, dy, eps)
-			if !pruned && e < eps {
-				eps = e
-				hx, hy = dx, dy
-				theta = th
-			}
-		}
-	}
-	return hx, hy, eps, theta
+	st.Hypotheses += extra
+	return err
 }
 
 // medianFloat32 is the lower median of vs (deterministic for even
@@ -504,64 +285,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// TrackGuided runs one continuous-model tracking pass with per-pixel
-// search centers taken from a prior displacement field (for example the
-// previous frame pair's flow — temporal coherence — or a coarser pyramid
-// level). The search window covers prior ± NZS per axis.
-func TrackGuided(pair Pair, p Params, prior *grid.VectorField, opt Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.SemiFluid() {
-		return nil, fmt.Errorf("core: TrackGuided requires the continuous model (NSS = 0)")
-	}
-	if err := pair.Validate(); err != nil {
-		return nil, err
-	}
-	if prior != nil {
-		if pw, ph := prior.Bounds(); pw != pair.I0.W || ph != pair.I0.H {
-			return nil, fmt.Errorf("core: prior field %dx%d does not match image %dx%d",
-				pw, ph, pair.I0.W, pair.I0.H)
-		}
-	}
-	prep, err := Prepare(pair, p)
-	if err != nil {
-		return nil, err
-	}
-	return trackWithPrior(prep, prior, opt), nil
-}
-
-// trackWithPrior runs the hypothesis search with per-pixel search centers
-// taken from a prior flow field (nil means zero centers everywhere).
-func trackWithPrior(prep *Prepared, prior *grid.VectorField, opt Options) *Result {
-	w, h := prep.W, prep.H
-	res := &Result{Flow: grid.NewVectorField(w, h), Err: grid.New(w, h)}
-	if opt.KeepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(w, h)
-		}
-	}
-	t := newTracker(prep, nil, opt)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			bx, by := 0, 0
-			if prior != nil {
-				u, v := prior.At(x, y)
-				bx = int(math.Round(float64(u)))
-				by = int(math.Round(float64(v)))
-			}
-			hx, hy, eps, theta := t.trackPixelFrom(x, y, bx, by)
-			res.Flow.Set(x, y, float32(hx), float32(hy))
-			res.Err.Set(x, y, float32(eps))
-			if opt.KeepMotion {
-				for i := range res.Motion {
-					res.Motion[i].Set(x, y, float32(theta[i]))
-				}
-			}
-		}
-	}
-	return res
 }

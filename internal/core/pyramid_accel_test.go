@@ -58,7 +58,7 @@ func TestPyramidFullRadiusBitIdentical(t *testing.T) {
 		want := TrackPrepared(prep, nil, Options{})
 		for _, batch := range []int{0, 1, 3} {
 			for _, workers := range []int{1, 4} {
-				opt := Options{BatchHyps: batch, Pyramid: PyramidOptions{
+				opt := Options{batchHyps: batch, Pyramid: PyramidOptions{
 					Levels: 3, RefineRadius: 2 * tc.p.SearchRX(),
 				}}
 				got, st, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, workers)

@@ -11,7 +11,7 @@ import (
 // TestParallelDriversBitIdenticalUnderRace is the enforcement half of the
 // paper's equivalence claim ("the parallel algorithm obtained the same
 // result as the sequential implementation"): both goroutine drivers —
-// TrackParallel's tile-stealing workers and TrackMasPar's per-layer
+// TrackPreparedParallel's tile-stealing workers and TrackMasPar's per-layer
 // PE-span workers — must be bit-identical to TrackSequential for every
 // worker count, including GOMAXPROCS. The suite runs under `make race`, so any
 // unsynchronized write the smavet goroutinecapture check missed is also
@@ -24,18 +24,20 @@ func TestParallelDriversBitIdenticalUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prep, err := Prepare(pair, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := BuildSemiMap(prep)
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, workers := range workerCounts {
-		par, err := TrackParallel(pair, p, Options{KeepMotion: true}, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := TrackPreparedParallel(prep, sm, Options{KeepMotion: true}, workers)
 		if !par.Flow.Equal(seq.Flow) || !par.Err.Equal(seq.Err) {
-			t.Fatalf("TrackParallel(workers=%d) differs from TrackSequential", workers)
+			t.Fatalf("TrackPreparedParallel(workers=%d) differs from TrackSequential", workers)
 		}
 		for i := range par.Motion {
 			if !par.Motion[i].Equal(seq.Motion[i]) {
-				t.Fatalf("TrackParallel(workers=%d): motion parameter %d differs", workers, i)
+				t.Fatalf("TrackPreparedParallel(workers=%d): motion parameter %d differs", workers, i)
 			}
 		}
 

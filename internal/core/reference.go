@@ -3,26 +3,22 @@ package core
 import (
 	"math"
 
-	"sma/internal/grid"
 	"sma/internal/la"
 )
 
 // This file retains the naive per-hypothesis kernel — the direct
 // transcription of the paper's cost model, which re-accumulates and
 // re-eliminates the full 6×6 normal equations for every hypothesis — as
-// the measured baseline for the optimized kernel in track.go. The two are
-// bit-identical by construction (the optimized kernel only hoists
-// hypothesis-invariant arithmetic and stops residual sums that provably
-// cannot win); the conformance tests assert it, and the benchmark
-// trajectory (eval.TrackThroughputExperiment → BENCH_track.json) measures
-// the speedup against this path. Building with `-tags smaref` routes the
-// whole tracker through it.
+// the oracle for the optimized search in track.go and batch.go. The two
+// are bit-identical by construction (the optimized kernel only hoists
+// hypothesis-invariant arithmetic, scores hypotheses in lanes and stops
+// residual sums that provably cannot win); the conformance tests assert
+// it at every lane width, and the benchmark trajectory
+// (eval.TrackThroughputExperiment → BENCH_track.json) measures the
+// speedup against this path.
 //
 // The reference stays deliberately scalar: one hypothesis per pass, no
-// batching, no lane scratch. The batch kernel (batch.go) is pinned to
-// this path's bits at every batch width by the equivalence wall in
-// kernel_equiv_test.go — only Options.Reassoc is allowed to diverge, and
-// only within the tolerance bound documented in docs/PERFORMANCE.md §6.3.
+// lanes, no early exit, and its own search loop.
 
 // scoreReference evaluates ε(x, y; x+hx, y+hy) by rebuilding and
 // eliminating the full normal equations for this single hypothesis.
@@ -80,23 +76,23 @@ func (t *tracker) scoreReference(x, y, hx, hy int) (eps float64, theta la.Vec6) 
 	return eps, theta
 }
 
-// trackPixelFromReference is trackPixelFrom on the naive kernel: the same
-// search order and tie-breaking, with every hypothesis fully evaluated.
-func (t *tracker) trackPixelFromReference(x, y, bx, by int) (hx, hy int, eps float64, theta la.Vec6) {
+// trackPixelReference is trackPixel on the naive kernel: the same
+// search order and tie-breaking (the zero hypothesis accepted first,
+// unconditionally), with every hypothesis fully evaluated.
+func (t *tracker) trackPixelReference(x, y int) (hx, hy int, eps float64, theta la.Vec6) {
 	p := t.prep.P
 	srx := p.SearchRX()
 	sry := p.SearchRY()
-	hx, hy = bx, by
-	eps, theta = t.scoreReference(x, y, bx, by)
+	eps, theta = t.scoreReference(x, y, 0, 0)
 	for dy := -sry; dy <= sry; dy++ {
 		for dx := -srx; dx <= srx; dx++ {
 			if dx == 0 && dy == 0 {
 				continue
 			}
-			e, th := t.scoreReference(x, y, bx+dx, by+dy)
+			e, th := t.scoreReference(x, y, dx, dy)
 			if e < eps {
 				eps = e
-				hx, hy = bx+dx, by+dy
+				hx, hy = dx, dy
 				theta = th
 			}
 		}
@@ -114,28 +110,12 @@ func (t *tracker) trackPixelFromReference(x, y, bx, by int) (hx, hy int, eps flo
 // exists for the benchmark trajectory and the optimized-vs-reference
 // equivalence tests; production callers should use TrackPrepared.
 func TrackPreparedReference(prep *Prepared, sm *SemiMap, opt Options) *Result {
-	w, h := prep.W, prep.H
-	res := &Result{
-		Flow: grid.NewVectorField(w, h),
-		Err:  grid.New(w, h),
-	}
-	if opt.KeepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(w, h)
-		}
-	}
+	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	t := newTracker(prep, sm, opt)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			hx, hy, eps, theta := t.trackPixelFromReference(x, y, 0, 0)
-			res.Flow.Set(x, y, float32(hx), float32(hy))
-			res.Err.Set(x, y, float32(eps))
-			if opt.KeepMotion {
-				for i := range res.Motion {
-					res.Motion[i].Set(x, y, float32(theta[i]))
-				}
-			}
+	for y := 0; y < prep.H; y++ {
+		for x := 0; x < prep.W; x++ {
+			hx, hy, eps, theta := t.trackPixelReference(x, y)
+			res.set(x, y, hx, hy, eps, theta)
 		}
 	}
 	return res

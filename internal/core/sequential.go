@@ -1,10 +1,5 @@
 package core
 
-import (
-	"sma/internal/grid"
-	"sma/internal/la"
-)
-
 // TrackSequential runs the SMA algorithm exactly as the paper's
 // "sequential (un-optimized) version ... used to form a baseline for
 // comparing the correctness of the parallel algorithm results": prepare
@@ -20,46 +15,18 @@ func TrackSequential(pair Pair, p Params, opt Options) (*Result, error) {
 }
 
 // TrackPrepared runs the hypothesis search on already-prepared geometry,
-// letting callers stage (and time) preparation separately.
+// letting callers stage (and time) preparation separately. It is the
+// serial raster loop: one tracker, pixels in scan order.
 func TrackPrepared(prep *Prepared, sm *SemiMap, opt Options) *Result {
-	w, h := prep.W, prep.H
-	res := &Result{
-		Flow: grid.NewVectorField(w, h),
-		Err:  grid.New(w, h),
-	}
-	if opt.KeepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(w, h)
-		}
-	}
+	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	t := newTracker(prep, sm, opt)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+	for y := 0; y < prep.H; y++ {
+		for x := 0; x < prep.W; x++ {
 			hx, hy, eps, theta := t.trackPixel(x, y)
-			res.Flow.Set(x, y, float32(hx), float32(hy))
-			res.Err.Set(x, y, float32(eps))
-			if opt.KeepMotion {
-				for i := range res.Motion {
-					res.Motion[i].Set(x, y, float32(theta[i]))
-				}
-			}
+			res.set(x, y, hx, hy, eps, theta)
 		}
 	}
 	return res
-}
-
-// TrackPixels tracks only the listed pixels (the paper's comparison mode:
-// "only 32 pixels corresponding to the manually tracked wind barbs were
-// compared"), returning a sparse displacement list aligned with pts.
-func TrackPixels(prep *Prepared, sm *SemiMap, opt Options, pts []grid.Point) []la.Vec6 {
-	t := newTracker(prep, sm, opt)
-	out := make([]la.Vec6, len(pts))
-	for i, pt := range pts {
-		hx, hy, eps, theta := t.trackPixel(pt.X, pt.Y)
-		out[i] = la.Vec6{float64(hx), float64(hy), eps, theta[0], theta[1], theta[2]}
-	}
-	return out
 }
 
 // OpCounts is the analytic per-pixel operation inventory of one tracking
@@ -112,6 +79,6 @@ func CountOps(p Params, fitPasses int) OpCounts {
 // the paper's Figure 4 (per-correspondence time vs z-template size).
 func ScoreOnce(prep *Prepared, x, y int) float64 {
 	t := newTracker(prep, nil, Options{})
-	eps, _ := t.score(x, y, 0, 0)
+	_, _, eps, _ := t.searchWindow(x, y, hypWindow{})
 	return eps
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"sma/internal/grid"
 	"sma/internal/la"
 	"sma/internal/maspar"
 )
@@ -83,7 +82,7 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 	nkN := gather(g1.Nk, rQ)
 
 	// Lockstep hypothesis search per layer using gathered data only.
-	res := &Result{Flow: grid.NewVectorField(w, h), Err: grid.New(w, h)}
+	res := newResult(w, h, false)
 	nproc := m.Cfg.NProc()
 	oc := CountOps(p, 2)
 	trx := p.TemplateRX()
@@ -98,8 +97,8 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 			if x >= w || y >= h {
 				continue
 			}
-			bestE := math.Inf(1)
-			bestHX, bestHY := 0, 0
+			var bestE float64
+			var bestHX, bestHY int
 			// Hypothesis-invariant pass: the gathered before-geometry and
 			// the normal-equation matrix depend only on (x, y), so cache
 			// the template invariants, accumulate A and factor it once —
@@ -125,36 +124,12 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 			symmetrize(&a)
 			var mf motionFactor
 			mf.factorMotion(&a)
-			score := func(hx, hy int, bound float64) (float64, bool) {
-				var b la.Vec6
-				k := 0
-				for dy := -try; dy <= try; dy++ {
-					for dx := -trx; dx <= trx; dx++ {
-						zx := nbuf[k+bufZx]
-						zy := nbuf[k+bufZy]
-						scale := nbuf[k+bufScale]
-						ni := float64(niN.At(x, y, dx+hx, dy+hy))
-						nj := float64(njN.At(x, y, dx+hx, dy+hy))
-						nk := float64(nkN.At(x, y, dx+hx, dy+hy))
-						rhs0 := scale*ni + zx
-						rhs1 := scale*nj + zy
-						rhs2 := scale*nk - 1
-						accumulateB(&b, zx, zy, rhs0, rhs1, rhs2, nbuf[k+bufW0], nbuf[k+bufW1])
-						nbuf[k+bufR0] = rhs0
-						nbuf[k+bufR1] = rhs1
-						nbuf[k+bufR2] = rhs2
-						k += bufStride
-					}
-				}
-				theta := mf.solveFactored(&b)
-				return residualSumBounded(nbuf[:k], &theta, bound)
-			}
-			// Batched lockstep sweep: like scoreHypLanes, the gathered
-			// template invariants are loaded once per pixel and feed up to
-			// la.BatchLanes hypotheses' b accumulations; lanes fold into
-			// the incumbent in order, so the result bits match the scalar
-			// sweep exactly.
-			scoreLanes := func(lhx, lhy []int, bhx, bhy int, beps float64) (int, int, float64) {
+			// Lockstep sweep in lanes, as scoreHypLanes does it: the
+			// gathered template invariants are loaded once per pixel and
+			// feed up to la.BatchLanes hypotheses' b accumulations; lanes
+			// fold into the incumbent in order, and with anchor set lane 0
+			// is the zero hypothesis, accepted unconditionally.
+			scoreLanes := func(lhx, lhy []int, anchor bool) {
 				L := len(lhx)
 				var bb la.Vec6Lanes
 				k, r := 0, 0
@@ -191,34 +166,36 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 				thetas := mf.solveFactoredLanes(&bb, L)
 				for l := 0; l < L; l++ {
 					theta := thetas.Vec(l)
-					if e, pruned := residualSumBoundedLane(nbuf[:k], lrhs, l, &theta, beps); !pruned && e < beps {
-						beps = e
-						bhx, bhy = lhx[l], lhy[l]
+					first := anchor && l == 0
+					bound := bestE
+					if first {
+						bound = math.Inf(1)
+					}
+					if e, pruned := residualSumBoundedLane(nbuf[:k], lrhs, l, &theta, bound); first || (!pruned && e < bestE) {
+						bestE = e
+						bestHX, bestHY = lhx[l], lhy[l]
 					}
 				}
-				return bhx, bhy, beps
 			}
-			bestE, _ = score(0, 0, math.Inf(1))
 			var lhx, lhy [la.BatchLanes]int
-			nb := 0
+			nb := 1 // lane 0 is the anchor, (0, 0)
+			anchor := true
 			for hy := -sry; hy <= sry; hy++ {
 				for hx := -srx; hx <= srx; hx++ {
 					if hx == 0 && hy == 0 {
 						continue
 					}
-					lhx[nb], lhy[nb] = hx, hy
-					nb++
 					if nb == la.BatchLanes {
-						bestHX, bestHY, bestE = scoreLanes(lhx[:nb], lhy[:nb], bestHX, bestHY, bestE)
+						scoreLanes(lhx[:nb], lhy[:nb], anchor)
+						anchor = false
 						nb = 0
 					}
+					lhx[nb], lhy[nb] = hx, hy
+					nb++
 				}
 			}
-			if nb > 0 {
-				bestHX, bestHY, bestE = scoreLanes(lhx[:nb], lhy[:nb], bestHX, bestHY, bestE)
-			}
-			res.Flow.Set(x, y, float32(bestHX), float32(bestHY))
-			res.Err.Set(x, y, float32(bestE))
+			scoreLanes(lhx[:nb], lhy[:nb], anchor)
+			res.set(x, y, bestHX, bestHY, bestE, la.Vec6{})
 		}
 		// SIMD instruction charges for this layer's hypothesis sweep.
 		m.ChargeFlops(oc.HypFlops)

@@ -22,31 +22,20 @@ type Options struct {
 	// across goroutines on the host (0 or 1 = serial). Results are
 	// independent of the worker count.
 	HostWorkers int
-	// BatchHyps is the multi-hypothesis batch width: the number of
-	// correspondence hypotheses scored per pass over the cached template
-	// invariants (docs/PERFORMANCE.md §6). 0 selects the default width
-	// (la.BatchLanes); 1 disables batching; larger values are clamped to
-	// la.BatchLanes. Every width is bit-identical to the reference
-	// kernel — the batch only reorders memory traffic, never arithmetic.
-	BatchHyps int
-	// Reassoc enables the tolerance-checked fast accumulation: the ε
-	// residual sum uses 4-way reassociated partial accumulators instead
-	// of the reference kernel's strictly sequential sum. NOT bit-exact —
-	// ε can differ by a few ULPs and near-tied argmins can flip; the
-	// quantified error bound and the tests that enforce it are in
-	// docs/PERFORMANCE.md §6.3. Off (bit-exact) is the default
-	// everywhere, including every SMF1-producing path.
-	Reassoc bool
-	// TileW/TileH override the pixel-tile size of the parallel driver
-	// (0 = the cache-model default of chooseTileSize). Tiling is pure
-	// scheduling: results are bit-identical at every tile shape.
-	TileW, TileH int
 	// Pyramid enables the coarse-to-fine multiresolution hypothesis
 	// search in the parallel driver (pyramid.go). The zero value keeps
 	// the exhaustive — and bit-exact — search, like every other default.
 	// Continuous model only; requires geometry prepared with
 	// PreparePyramid / PrepareFramePyramid.
 	Pyramid PyramidOptions
+
+	// batchHyps is the lane width of the search kernel (0 = la.BatchLanes,
+	// clamped into [1, la.BatchLanes]); tileW/tileH fix the parallel
+	// driver's tile shape (0 = chooseTileSize). Both are pure scheduling
+	// — every setting is bit-identical — and only the in-package
+	// equivalence tests set them.
+	batchHyps    int
+	tileW, tileH int
 }
 
 // tracker scores correspondence hypotheses for single pixels.
@@ -73,11 +62,11 @@ type Options struct {
 // after-motion normals at q = p + h (+ δ). The optimized kernel therefore
 // runs one A-pass per tracked pixel (preparePixel: cache {zx, zy, |n0|,
 // 1/E, 1/G} per template pixel, accumulate A, factor it once) and one
-// b-pass per hypothesis (scoreHyp: accumulate b, forward/back-substitute
-// on the stored factorization, sum residuals with an early exit against
-// the best ε so far). Every step replays the reference kernel's arithmetic
-// sequence, so results are bit-identical to it (see reference.go and the
-// golden conformance suite).
+// b-pass per batch of hypotheses (scoreHypLanes: accumulate b, forward/
+// back-substitute on the stored factorization, sum residuals with an
+// early exit against the best ε so far). Every step replays the reference
+// kernel's arithmetic sequence, so results are bit-identical to it (see
+// reference.go and the golden conformance suite).
 type tracker struct {
 	prep *Prepared
 	sm   *SemiMap
@@ -85,22 +74,23 @@ type tracker struct {
 
 	// buf caches per-template-pixel quantities (bufStride values per
 	// pixel): the hypothesis-invariant slots are written once per tracked
-	// pixel by preparePixel, the rhs slots once per hypothesis by the
-	// b-pass. It is sized once at construction so the per-pixel kernel
-	// never allocates.
+	// pixel by preparePixel; the rhs slots hold one hypothesis's
+	// right-hand sides where the Huber refinement and the reference
+	// kernel need them. It is sized once at construction so the per-pixel
+	// kernel never allocates.
 	buf []float64
 
 	// mf is the factored normal-equation matrix of the current pixel.
 	mf motionFactor
 
-	// nlanes is the effective multi-hypothesis batch width (1 = scalar
-	// search loop, >1 = scoreHypLanes batches). Fixed at construction.
+	// nlanes is the number of hypotheses scoreHypLanes scores per pass.
+	// Fixed at construction.
 	nlanes int
 
-	// laneRHS is the per-lane right-hand-side scratch of the batch
+	// laneRHS is the per-lane right-hand-side scratch of the lane
 	// kernel, in structure-of-arrays form: pixel k, residual row c, lane
 	// l lives at [(k*3+c)*la.BatchLanes + l], so each row's lane stripe
-	// is contiguous. nil when nlanes == 1.
+	// is contiguous.
 	laneRHS []float64
 
 	// noEarlyExit disables the ε early exit (test hook: the argmin must be
@@ -109,7 +99,7 @@ type tracker struct {
 }
 
 // buf slot layout. The first five slots are hypothesis-invariant; the
-// three rhs slots are rewritten by each hypothesis's b-pass.
+// three rhs slots are rewritten per hypothesis.
 const (
 	bufZx    = 0 // surface slope ∂z/∂x at the template pixel
 	bufZy    = 1 // surface slope ∂z/∂y
@@ -124,24 +114,21 @@ const (
 )
 
 // newTracker builds a tracker with its scratch buffers pre-sized for the
-// template window and batch width, keeping score/trackPixel
-// allocation-free.
+// template window, keeping the per-pixel search allocation-free.
 func newTracker(prep *Prepared, sm *SemiMap, opt Options) *tracker {
 	p := prep.P
 	n := (2*p.TemplateRX() + 1) * (2*p.TemplateRY() + 1)
-	t := &tracker{prep: prep, sm: sm, opt: opt,
-		buf: make([]float64, n*bufStride), nlanes: effectiveBatch(opt)}
-	if t.nlanes > 1 {
-		t.laneRHS = make([]float64, n*3*la.BatchLanes)
-	}
-	return t
+	return &tracker{prep: prep, sm: sm, opt: opt,
+		buf:     make([]float64, n*bufStride),
+		nlanes:  effectiveBatch(opt),
+		laneRHS: make([]float64, n*laneRHSStride)}
 }
 
-// effectiveBatch resolves Options.BatchHyps to the batch width the
-// tracker will run: 0 means the default full width, anything below 1
-// disables batching, anything above la.BatchLanes is clamped to it.
+// effectiveBatch resolves Options.batchHyps to the lane width the
+// tracker will run: 0 means the full width, anything below 1 scores one
+// hypothesis per pass, anything above la.BatchLanes is clamped to it.
 func effectiveBatch(opt Options) int {
-	b := opt.BatchHyps
+	b := opt.batchHyps
 	if b == 0 {
 		b = la.BatchLanes
 	}
@@ -152,18 +139,6 @@ func effectiveBatch(opt Options) int {
 		b = la.BatchLanes
 	}
 	return b
-}
-
-// score evaluates ε(x, y; x+hx, y+hy) and the fitted motion parameters.
-// Standalone single-hypothesis entry point; the search loop calls
-// preparePixel once and scoreHyp per hypothesis instead.
-func (t *tracker) score(x, y, hx, hy int) (eps float64, theta la.Vec6) {
-	if useReferenceKernel {
-		return t.scoreReference(x, y, hx, hy)
-	}
-	t.preparePixel(x, y)
-	eps, theta, _ = t.scoreHyp(x, y, hx, hy, math.Inf(1))
-	return eps, theta
 }
 
 // preparePixel runs the hypothesis-invariant half of the kernel for
@@ -201,120 +176,6 @@ func (t *tracker) preparePixel(x, y int) {
 	}
 	symmetrize(&a)
 	t.mf.factorMotion(&a)
-}
-
-// scoreHyp runs the per-hypothesis half of the kernel: accumulate the
-// right-hand side b over the cached template, substitute on the factored
-// A, optionally Huber-refine, and sum the residuals. preparePixel(x, y)
-// must have run for the same pixel.
-//
-// bound is the best ε found so far: because every residual term is a
-// non-negative weighted square, a prefix of the sum reaching bound proves
-// the full ε cannot beat it, so the evaluation stops early (pruned =
-// true). Pruning is exact for the strict ε < bound acceptance test — a
-// pruned hypothesis can never be the argmin — and the winning hypothesis
-// is never pruned, so its returned ε is always the full sum.
-func (t *tracker) scoreHyp(x, y, hx, hy int, bound float64) (eps float64, theta la.Vec6, pruned bool) {
-	p := t.prep.P
-	rx := p.TemplateRX()
-	ry := p.TemplateRY()
-	n := (2*rx + 1) * (2*ry + 1)
-	buf := t.buf[:n*bufStride]
-
-	g1 := t.prep.G1
-	var b la.Vec6
-
-	// Hoist the per-hypothesis half of the semi-fluid lookup: the
-	// hypothesis index and window test depend only on (hx, hy), so the
-	// inner loop reduces to a single slice index per template pixel. An
-	// out-of-window offset (possible under prior-guided search) keeps
-	// smDX nil, matching Delta's δ = 0 early return.
-	var smDX, smDY []int8
-	var smW, smStride, smHIdx, margin int
-	if t.sm != nil && hx >= -t.sm.RX && hx <= t.sm.RX && hy >= -t.sm.RY && hy <= t.sm.RY {
-		smDX, smDY = t.sm.DX, t.sm.DY
-		smW = t.sm.W
-		smStride = t.sm.hyps()
-		smHIdx = t.sm.hypIndex(hx, hy)
-		margin = t.sm.NSS
-	}
-
-	// Interior fast path: when the template window (for the semi-map
-	// lookup) and the displaced window plus the largest possible δ (for
-	// the after-normal lookup) both stay inside their grids, every access
-	// below is in bounds, so the border clamping in Grid.At is a no-op
-	// and direct Data indexing returns bit-identical values.
-	gw, gh := g1.Ni.W, g1.Ni.H
-	k := 0
-	if x-rx >= 0 && x+rx < t.prep.W && y-ry >= 0 && y+ry < t.prep.H &&
-		x+hx-rx-margin >= 0 && x+hx+rx+margin < gw &&
-		y+hy-ry-margin >= 0 && y+hy+ry+margin < gh {
-		niD, njD, nkD := g1.Ni.Data, g1.Nj.Data, g1.Nk.Data
-		for dy := -ry; dy <= ry; dy++ {
-			py := y + dy
-			for dx := -rx; dx <= rx; dx++ {
-				px := x + dx
-				qx := px + hx
-				qy := py + hy
-				if smDX != nil {
-					i := (py*smW+px)*smStride + smHIdx
-					qx += int(smDX[i])
-					qy += int(smDY[i])
-				}
-				qi := qy*gw + qx
-				zx := buf[k+bufZx]
-				zy := buf[k+bufZy]
-				scale := buf[k+bufScale]
-				rhs0 := scale*float64(niD[qi]) + zx
-				rhs1 := scale*float64(njD[qi]) + zy
-				rhs2 := scale*float64(nkD[qi]) - 1
-				accumulateB(&b, zx, zy, rhs0, rhs1, rhs2, buf[k+bufW0], buf[k+bufW1])
-				buf[k+bufR0] = rhs0
-				buf[k+bufR1] = rhs1
-				buf[k+bufR2] = rhs2
-				k += bufStride
-			}
-		}
-	} else {
-		for dy := -ry; dy <= ry; dy++ {
-			for dx := -rx; dx <= rx; dx++ {
-				px := x + dx
-				py := y + dy
-				qx := x + hx + dx
-				qy := y + hy + dy
-				if smDX != nil && px >= 0 && px < t.prep.W && py >= 0 && py < t.prep.H {
-					i := (py*smW+px)*smStride + smHIdx
-					qx += int(smDX[i])
-					qy += int(smDY[i])
-				}
-				zx := buf[k+bufZx]
-				zy := buf[k+bufZy]
-				scale := buf[k+bufScale]
-				ni, nj, nk := g1.NormalAt(qx, qy)
-				rhs0 := scale*ni + zx // |n0|·ni′ − (−zx)
-				rhs1 := scale*nj + zy
-				rhs2 := scale*nk - 1
-				accumulateB(&b, zx, zy, rhs0, rhs1, rhs2, buf[k+bufW0], buf[k+bufW1])
-				buf[k+bufR0] = rhs0
-				buf[k+bufR1] = rhs1
-				buf[k+bufR2] = rhs2
-				k += bufStride
-			}
-		}
-	}
-	theta = t.mf.solveFactored(&b)
-	if t.opt.Robust {
-		theta = robustRefine(buf, theta, t.opt.HuberK)
-	}
-	if t.noEarlyExit {
-		bound = math.Inf(1)
-	}
-	if t.opt.Reassoc {
-		eps, pruned = residualSumBoundedReassoc(buf, &theta, bound)
-	} else {
-		eps, pruned = residualSumBounded(buf, &theta, bound)
-	}
-	return eps, theta, pruned
 }
 
 // accumulateA adds one template pixel's contribution to the
@@ -408,38 +269,6 @@ func residualSumBounded(buf []float64, th *la.Vec6, bound float64) (eps float64,
 		}
 	}
 	return eps, false
-}
-
-// residualSumBoundedReassoc is the tolerance-checked variant of
-// residualSumBounded (Options.Reassoc): four partial accumulators take
-// template pixels round-robin and are combined as ((s0+s1)+s2)+s3 —
-// the reassociation a SIMD horizontal reduction performs. Every term is
-// still a non-negative weighted square, so any combined prefix is a
-// lower bound on the full sum and pruning stays sound; but the addition
-// order differs from the reference kernel, so ε agrees only to the
-// reassociation error bound (docs/PERFORMANCE.md §6.3), not bitwise.
-// The bound check runs once per 4-pixel block.
-func residualSumBoundedReassoc(buf []float64, th *la.Vec6, bound float64) (eps float64, pruned bool) {
-	var s0, s1, s2, s3 float64
-	k := 0
-	for ; k+4*bufStride <= len(buf); k += 4 * bufStride {
-		r0, r1, r2 := rowResiduals(buf, k, th)
-		s0 += r0 + r1 + r2
-		r0, r1, r2 = rowResiduals(buf, k+bufStride, th)
-		s1 += r0 + r1 + r2
-		r0, r1, r2 = rowResiduals(buf, k+2*bufStride, th)
-		s2 += r0 + r1 + r2
-		r0, r1, r2 = rowResiduals(buf, k+3*bufStride, th)
-		s3 += r0 + r1 + r2
-		if eps = ((s0 + s1) + s2) + s3; eps >= bound {
-			return eps, true
-		}
-	}
-	for ; k < len(buf); k += bufStride {
-		r0, r1, r2 := rowResiduals(buf, k, th)
-		s0 += r0 + r1 + r2
-	}
-	return ((s0 + s1) + s2) + s3, false
 }
 
 // robustRefine performs one Huber re-weighted least-squares step on the
@@ -566,9 +395,36 @@ func (mf *motionFactor) solveFactored(b *la.Vec6) la.Vec6 {
 	return la.Vec6{}
 }
 
-// trackPixel runs the full hypothesis search for one pixel. The zero
-// hypothesis is evaluated first and ties break in its favor, then scan
-// order — the same deterministic rule on every driver.
+// hypWindow is a rectangular window [lox,hix]×[loy,hiy] of hypothesis
+// offsets.
+type hypWindow struct{ lox, hix, loy, hiy int }
+
+// fullWindow is the exhaustive ±NZS search window of p.
+func fullWindow(p Params) hypWindow {
+	return hypWindow{-p.SearchRX(), p.SearchRX(), -p.SearchRY(), p.SearchRY()}
+}
+
+// size is the number of hypotheses in the window.
+func (w hypWindow) size() int64 { return int64(w.hix-w.lox+1) * int64(w.hiy-w.loy+1) }
+
+// trackPixel runs the exhaustive hypothesis search for one pixel.
+func (t *tracker) trackPixel(x, y int) (hx, hy int, eps float64, theta la.Vec6) {
+	return t.searchWindow(x, y, fullWindow(t.prep.P))
+}
+
+// searchWindow is the per-pixel hypothesis search — the argmin of ε the
+// paper's MP-2 runs in lockstep on every PE — over the window win. Every
+// driver searches through it: trackPixel for the exhaustive window, the
+// pyramid levels for their refinement windows.
+//
+// The anchor hypothesis — zero displacement clamped into the window — is
+// scored first and accepted unconditionally, even when its ε is NaN; the
+// rest of the window follows in raster order under strict-< acceptance,
+// so ties break toward the anchor, then scan order. Hypotheses reach
+// scoreHypLanes in batches of nlanes, the anchor as lane 0 of the first
+// batch; batching changes memory traffic, never the visit order or the
+// arithmetic. The hypothesis-invariant work (template geometry, matrix
+// accumulation and factorization) runs once per pixel, here.
 //
 // Under the semi-fluid model the reported correspondence is the winning
 // hypothesis plus the tracked pixel's own semi-fluid adjustment,
@@ -577,47 +433,35 @@ func (mf *motionFactor) solveFactored(b *la.Vec6) la.Vec6 {
 // discriminant patch re-matched. (Without this, any hypothesis within
 // ±NSS of the truth scores a near-identical ε — the per-pixel freedom
 // absorbs the offset — and the argmin would be ambiguous.)
-func (t *tracker) trackPixel(x, y int) (hx, hy int, eps float64, theta la.Vec6) {
-	return t.trackPixelFrom(x, y, 0, 0)
-}
-
-// trackPixelFrom searches the hypothesis window centered at offset
-// (bx, by) instead of zero — the prior-guided search the hierarchical
-// (coarse-to-fine) extension uses at finer pyramid levels.
-//
-// The hypothesis-invariant work (template geometry, matrix accumulation
-// and factorization) runs once here; each hypothesis then costs one
-// b-pass, one substitution and one (early-exiting) residual sum.
-func (t *tracker) trackPixelFrom(x, y, bx, by int) (hx, hy int, eps float64, theta la.Vec6) {
-	if useReferenceKernel {
-		return t.trackPixelFromReference(x, y, bx, by)
-	}
-	if t.nlanes > 1 {
-		return t.trackPixelBatchFrom(x, y, bx, by)
-	}
-	p := t.prep.P
-	srx := p.SearchRX()
-	sry := p.SearchRY()
+func (t *tracker) searchWindow(x, y int, win hypWindow) (hx, hy int, eps float64, theta la.Vec6) {
 	t.preparePixel(x, y)
-	hx, hy = bx, by
-	eps, theta, _ = t.scoreHyp(x, y, bx, by, math.Inf(1))
-	for dy := -sry; dy <= sry; dy++ {
-		for dx := -srx; dx <= srx; dx++ {
-			if dx == 0 && dy == 0 {
+	ax := clampInt(0, win.lox, win.hix)
+	ay := clampInt(0, win.loy, win.hiy)
+	var best incumbent
+	var lhx, lhy [la.BatchLanes]int
+	lhx[0], lhy[0] = ax, ay
+	n := 1
+	anchor := true
+	for dy := win.loy; dy <= win.hiy; dy++ {
+		for dx := win.lox; dx <= win.hix; dx++ {
+			if dx == ax && dy == ay {
 				continue
 			}
-			e, th, pruned := t.scoreHyp(x, y, bx+dx, by+dy, eps)
-			if !pruned && e < eps {
-				eps = e
-				hx, hy = bx+dx, by+dy
-				theta = th
+			if n == t.nlanes {
+				t.scoreHypLanes(x, y, lhx[:n], lhy[:n], anchor, &best)
+				anchor = false
+				n = 0
 			}
+			lhx[n], lhy[n] = dx, dy
+			n++
 		}
 	}
+	t.scoreHypLanes(x, y, lhx[:n], lhy[:n], anchor, &best)
+	hx, hy = best.hx, best.hy
 	if t.sm != nil {
 		dx, dy := t.sm.Delta(x, y, hx, hy)
 		hx += dx
 		hy += dy
 	}
-	return hx, hy, eps, theta
+	return hx, hy, best.eps, best.theta
 }

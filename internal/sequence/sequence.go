@@ -122,32 +122,6 @@ func (g Geometry) WindField(f *grid.VectorField) (speed, direction *grid.Grid) {
 	return speed, direction
 }
 
-// TrackTemporal tracks a monocular sequence with temporal coherence: the
-// first pair is tracked through a coarse-to-fine pyramid (wide effective
-// reach), and each subsequent pair searches a small window centered on
-// the previous pair's flow. For slowly varying winds this reaches large
-// displacements at a fraction of the flat-search cost. Continuous model
-// only.
-func TrackTemporal(frames []*grid.Grid, p core.Params, levels int, opt core.Options) ([]*grid.VectorField, error) {
-	if len(frames) < 2 {
-		return nil, fmt.Errorf("sequence: need at least 2 frames, got %d", len(frames))
-	}
-	flows := make([]*grid.VectorField, len(frames)-1)
-	first, err := core.TrackPyramid(core.Monocular(frames[0], frames[1]), p, levels, opt)
-	if err != nil {
-		return nil, fmt.Errorf("sequence: pair 0→1: %w", err)
-	}
-	flows[0] = first.Flow
-	for i := 1; i+1 < len(frames); i++ {
-		res, err := core.TrackGuided(core.Monocular(frames[i], frames[i+1]), p, flows[i-1], opt)
-		if err != nil {
-			return nil, fmt.Errorf("sequence: pair %d→%d: %w", i, i+1, err)
-		}
-		flows[i] = res.Flow
-	}
-	return flows, nil
-}
-
 // WindFieldVariable converts a flow field to wind speeds with a per-pixel
 // ground sampling distance — the paper's Frederic imagery spans ≈1 sq-km
 // pixels at image center but ≈4 sq-km near the borders, so honest winds

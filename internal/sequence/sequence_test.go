@@ -188,51 +188,6 @@ func TestWindField(t *testing.T) {
 	}
 }
 
-func TestTrackTemporalReachesLargeMotion(t *testing.T) {
-	// 4 px/frame motion with a ±1 search: hopeless flat, easy with the
-	// pyramid start + temporal prior chain.
-	frames := uniformFrames(48, 48, 4, 7, 4, 0)
-	p := core.Params{NS: 2, NZS: 1, NZT: 3}
-	flows, err := TrackTemporal(frames, p, 3, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range flows {
-		good, tot := 0, 0
-		for y := 12; y < 36; y++ {
-			for x := 12; x < 36; x++ {
-				tot++
-				if u, v := f.At(x, y); u == 4 && v == 0 {
-					good++
-				}
-			}
-		}
-		if good*10 < tot*8 {
-			t.Fatalf("pair %d: only %d/%d correct with temporal prior", i, good, tot)
-		}
-	}
-	// Control: the same per-pair search without priors cannot reach 4 px.
-	flat, err := Track(frames[:2], p, core.Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u, _ := flat[0].At(24, 24); u == 4 {
-		t.Fatal("control flat search unexpectedly reached 4 px")
-	}
-}
-
-func TestTrackTemporalValidation(t *testing.T) {
-	p := core.Params{NS: 2, NZS: 1, NZT: 3}
-	if _, err := TrackTemporal([]*grid.Grid{grid.New(8, 8)}, p, 2, core.Options{}); err == nil {
-		t.Fatal("single frame accepted")
-	}
-	frames := uniformFrames(16, 16, 3, 9, 1, 0)
-	semi := core.ScaledParams()
-	if _, err := TrackTemporal(frames, semi, 2, core.Options{}); err == nil {
-		t.Fatal("semi-fluid temporal tracking accepted (unsupported)")
-	}
-}
-
 func TestWindFieldVariableFootprint(t *testing.T) {
 	// Same pixel displacement at center vs border: the border's larger
 	// footprint means a faster physical wind (the paper's 1 km vs 4 km).

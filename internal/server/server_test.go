@@ -160,6 +160,7 @@ func TestTrackRejectsBadRequests(t *testing.T) {
 		{"bad scene", `{"synthetic":{"scene":"volcano"}}`, http.StatusBadRequest},
 		{"too big", `{"synthetic":{"size":256}}`, http.StatusBadRequest},
 		{"bad params", `{"synthetic":{"size":16},"params":{"nss":-1}}`, http.StatusBadRequest},
+		{"nss beyond int8", `{"synthetic":{"size":16},"params":{"nss":128}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,13 +41,14 @@ echo "== golden + stream equivalence (-race)"
 go test -race -run 'Golden|Stream|TrackStats|PrepareFrame' \
     ./internal/core ./internal/stream ./internal/sequence || fail=1
 
-# The batch-kernel equivalence wall and tile-scheduler properties
-# (docs/PERFORMANCE.md §6–7): every batch width and tile shape
-# bit-identical to the reference, tolerance mode inside its bound, the
-# work-stealing scheduler leak- and race-free — run by name under the
-# race detector so a -run filter above can never silently drop them.
-echo "== batch kernel + tile scheduler (-race)"
-go test -race -run 'Batch|Tile|Reassoc|BitExact|Lanes' \
+# The search-kernel equivalence wall and tile-scheduler properties
+# (docs/PERFORMANCE.md §6–7): every lane width, tile shape and the
+# full-radius pyramid window bit-identical to the reference, the early
+# exit invisible, the work-stealing scheduler leak- and race-free — run
+# by name under the race detector so a -run filter above can never
+# silently drop them.
+echo "== search kernel + tile scheduler (-race)"
+go test -race -run 'Kernel|EarlyExit|Batch|Tile|FullRadius|Lanes' \
     ./internal/core ./internal/la || fail=1
 
 # The robustness lock (docs/ROBUSTNESS.md): fault injection, degraded-
