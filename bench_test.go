@@ -294,19 +294,35 @@ func BenchmarkASAStereo(b *testing.B) {
 }
 
 // BenchmarkSemiMapBuild isolates the semi-fluid template-mapping
-// precompute of §4.1.
+// precompute of §4.1 on one worker: the serving default (ScaledParams)
+// at 64² and 128², and the Frederic search (NZS = 6) on a reduced image.
 func BenchmarkSemiMapBuild(b *testing.B) {
-	scene := synth.Hurricane(48, 48, 13)
-	prep, err := core.Prepare(core.Monocular(scene.Frame(0), scene.Frame(1)), core.ScaledParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.BuildSemiMap(prep)
+	for _, c := range []struct {
+		name string
+		size int
+		p    core.Params
+	}{
+		{"scaled64", 64, core.ScaledParams()},
+		{"scaled128", 128, core.ScaledParams()},
+		{"frederic64", 64, core.FredericParams()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			scene := synth.Hurricane(c.size, c.size, 13)
+			prep, err := core.Prepare(core.Monocular(scene.Frame(0), scene.Frame(1)), c.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				semiMapSink = core.BuildSemiMap(prep)
+			}
+		})
 	}
 }
+
+// semiMapSink keeps BenchmarkSemiMapBuild's result live.
+var semiMapSink *core.SemiMap
 
 // BenchmarkPyramidVsFlat compares the coarse-to-fine hypothesis search
 // (Options.Pyramid, 3 levels) against the exhaustive search over the same

@@ -66,6 +66,9 @@ func DefaultConfig() *Config {
 			"scoreHypLanes", "scoreLanes",
 			"copyLaneRHS", "rowResidualsLane",
 			"residualSumBoundedLane", "solveFactoredLanes",
+			// semi-fluid map — semimap.go
+			"semiMapPixel", "scoreDisplacements", "argminDeltas",
+			"argminNbr", "CropInto",
 			// reference kernel (same hot-path discipline)
 			"scoreReference", "trackPixelReference",
 			// surface fit per-pixel path

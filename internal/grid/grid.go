@@ -259,12 +259,19 @@ func (g *Grid) Gradient() (gx, gy *Grid) {
 // Pixels sampled outside g are edge-clamped.
 func (g *Grid) Crop(x0, y0, w, h int) *Grid {
 	out := New(w, h)
+	g.CropInto(out.Data, x0, y0, w, h)
+	return out
+}
+
+// CropInto is Crop into dst, row-major with stride w, allocating
+// nothing; dst must hold at least w·h samples.
+func (g *Grid) CropInto(dst []float32, x0, y0, w, h int) {
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			out.Data[y*w+x] = g.At(x0+x, y0+y)
+		row := dst[y*w : (y+1)*w]
+		for x := range row {
+			row[x] = g.At(x0+x, y0+y)
 		}
 	}
-	return out
 }
 
 // Equal reports whether the grids have identical dimensions and samples.

@@ -64,27 +64,32 @@ func NewMotionField(id string, res *core.Result) MotionField {
 // can assert bit-identity against a local run.
 var binaryMagic = [4]byte{'S', 'M', 'F', '1'}
 
-// WriteBinary encodes the motion field in the binary framing.
+// binaryChunk bounds WriteBinary's encode buffer, so encoding a field
+// allocates at most this many bytes whatever its size.
+const binaryChunk = 16 << 10
+
+// WriteBinary encodes the motion field in the binary framing through one
+// buffer of at most binaryChunk bytes, filled with the header and then
+// the planes' samples and flushed to w whenever it is full.
 func (f MotionField) WriteBinary(w io.Writer) error {
-	if _, err := w.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	hdr := [8]byte{}
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(f.Width))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(f.Height))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+	n := 12 + 4*(len(f.U)+len(f.V)+len(f.Eps))
+	buf := make([]byte, 0, min(n, binaryChunk))
+	buf = append(buf, binaryMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Width))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Height))
 	for _, plane := range [][]float32{f.U, f.V, f.Eps} {
-		buf := make([]byte, 4*len(plane))
-		for i, v := range plane {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
+		for _, v := range plane {
+			if len(buf)+4 > cap(buf) {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 		}
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadBinaryMotionField decodes the binary framing (the client half

@@ -256,7 +256,11 @@ func (s *Server) runTrack(ctx context.Context, pair core.Pair, p core.Params, op
 			done <- outcome{err: err}
 			return
 		}
-		sm := core.BuildSemiMap(prep)
+		sm, err := core.BuildSemiMapCtx(runCtx, prep, s.rowWorkers)
+		if err != nil {
+			done <- outcome{err: err}
+			return
+		}
 		res, err := core.TrackPreparedParallelCtx(runCtx, prep, sm, opt, s.rowWorkers)
 		done <- outcome{res: res, err: err}
 	})

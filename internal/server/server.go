@@ -301,7 +301,7 @@ func (s *Server) handleTrackSVG(w http.ResponseWriter, r *http.Request) {
 		opt.Scale = scale
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	if err := viz.WriteQuiverSVG(w, tr.Res.Flow, opt); err != nil {
+	if err := viz.WriteQuiverSVG(w, tr.Flow, opt); err != nil {
 		s.cfg.Logf("smaserve: svg render: %v", err)
 	}
 }
@@ -316,7 +316,7 @@ func (s *Server) storeTrack(res *core.Result, bg *grid.Grid, p core.Params) (str
 	if err != nil {
 		return "", err
 	}
-	s.store.Put(id, &TrackResult{ID: id, Res: res, Background: bg, Params: p, Created: time.Now()})
+	s.store.Put(id, &TrackResult{ID: id, Flow: res.Flow, Background: bg, Params: p, Created: time.Now()})
 	return id, nil
 }
 

@@ -217,6 +217,33 @@ func TestTrackSaturation(t *testing.T) {
 	}
 }
 
+// TestTrackTimeoutInterruptsSemiMap: a semi-fluid /v1/track whose
+// TrackTimeout expires while the semi-fluid map is being built answers
+// 504, and the build stops with it. Built to completion this map takes
+// about ten seconds (NSS = 30, NST = 10 on 64²: 4225 patch scores of 441
+// samples per pixel), while a row of it takes under a second even under
+// the race detector, so the lone pool worker is free again soon after
+// the deadline only if the build honoured the request's ctx.
+func TestTrackTimeoutInterruptsSemiMap(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1, RowWorkers: 1, TrackTimeout: 1500 * time.Millisecond})
+	nss := 30
+	resp := postTrack(t, ts.URL, LoadOptions{Size: 64, Seed: 3, Binary: true,
+		Params: ParamsSpec{NST: 10, NSS: &nss}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504", resp.StatusCode)
+	}
+	started := make(chan struct{})
+	if err := s.pool.Submit(func(context.Context) { close(started) }); err != nil {
+		t.Fatalf("submitting probe: %v", err)
+	}
+	select {
+	case <-started:
+	case <-time.After(3 * time.Second):
+		t.Fatal("pool worker still busy 3s after the deadline: the semi-fluid map build ignored the request ctx")
+	}
+}
+
 func waitForJob(t *testing.T, url, id string, want JobStatus, timeout time.Duration) JobView {
 	t.Helper()
 	deadline := time.Now().Add(timeout)

@@ -24,23 +24,25 @@ func newID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// TrackResult is a stored synchronous tracking outcome: the motion field
-// plus the first input frame, kept so GET /v1/track/{id}/svg can render
-// vectors over the imagery they were tracked on.
+// TrackResult is a stored synchronous tracking outcome: the flow plus the
+// first input frame, kept so GET /v1/track/{id}/svg can render vectors
+// over the imagery they were tracked on. It keeps only what that render
+// reads — not the residual plane, which the POST response already
+// carried.
 type TrackResult struct {
 	ID         string
-	Res        *core.Result
+	Flow       *grid.VectorField
 	Background *grid.Grid
 	Params     core.Params
 	Created    time.Time
 }
 
 // SizeBytes reports the result's resident footprint for the store's byte
-// cap: three float32 planes plus the retained background frame.
+// cap: two float32 flow planes plus the retained background frame.
 func (t *TrackResult) SizeBytes() int64 {
 	var n int64 = 256 // struct + map-entry overhead, order of magnitude
-	if t.Res != nil {
-		n += 4 * int64(len(t.Res.Flow.U.Data)+len(t.Res.Flow.V.Data)+len(t.Res.Err.Data))
+	if t.Flow != nil {
+		n += 4 * int64(len(t.Flow.U.Data)+len(t.Flow.V.Data))
 	}
 	if t.Background != nil {
 		n += 4 * int64(len(t.Background.Data))

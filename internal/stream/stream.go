@@ -246,15 +246,19 @@ func StreamCtx(ctx context.Context, src Source, cfg Config, emit func(pair int, 
 					}
 					continue
 				}
-				sm := core.BuildSemiMap(job.prep)
 				rowWorkers := cfg.RowWorkers
 				if rowWorkers < 1 {
 					rowWorkers = 1
 				}
-				// The ctx-aware driver aborts at row granularity when the
-				// run is cancelled; completed pairs are bit-identical to
-				// TrackPrepared at every row-worker count.
-				res, err := core.TrackPreparedParallelCtx(ctx, job.prep, sm, cfg.Options, rowWorkers)
+				// The ctx-aware map build and search abort at row
+				// granularity when the run is cancelled; completed pairs
+				// are bit-identical to TrackPrepared at every row-worker
+				// count.
+				sm, err := core.BuildSemiMapCtx(ctx, job.prep, rowWorkers)
+				var res *core.Result
+				if err == nil {
+					res, err = core.TrackPreparedParallelCtx(ctx, job.prep, sm, cfg.Options, rowWorkers)
+				}
 				if err != nil {
 					if cfg.IsolatePairs && ctx.Err() == nil {
 						// Per-pair failure isolation: report this pair

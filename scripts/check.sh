@@ -44,11 +44,13 @@ go test -race -run 'Golden|Stream|TrackStats|PrepareFrame' \
 # The search-kernel equivalence wall and tile-scheduler properties
 # (docs/PERFORMANCE.md §6–7): every lane width, tile shape and the
 # full-radius pyramid window bit-identical to the reference, the early
-# exit invisible, the work-stealing scheduler leak- and race-free — run
+# exit invisible, the work-stealing scheduler leak- and race-free, the
+# semi-fluid map byte-identical to its naive oracle at every worker
+# count and cancellable mid-build — run
 # by name under the race detector so a -run filter above can never
 # silently drop them.
 echo "== search kernel + tile scheduler (-race)"
-go test -race -run 'Kernel|EarlyExit|Batch|Tile|FullRadius|Lanes' \
+go test -race -run 'Kernel|EarlyExit|Batch|Tile|FullRadius|Lanes|SemiMap' \
     ./internal/core ./internal/la || fail=1
 
 # The robustness lock (docs/ROBUSTNESS.md): fault injection, degraded-
