@@ -64,7 +64,7 @@ func DefaultConfig() *Config {
 			"symmetrize", "robustRefine",
 			// lane kernel — batch.go (scoreLanes: simdtrack.go's closure)
 			"scoreHypLanes", "scoreLanes",
-			"copyLaneRHS", "rowResidualsLane",
+			"bLane", "bLaneClamped", "fillLaneBuf",
 			"residualSumBoundedLane", "solveFactoredLanes",
 			// semi-fluid map — semimap.go
 			"semiMapPixel", "scoreDisplacements", "argminDeltas",

@@ -412,10 +412,16 @@ func (c *Coordinator) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if job == nil {
 		return
 	}
-	status, fields, dropped := job.resultSnapshot()
+	status, fields, onDisk, dropped := job.resultSnapshot()
 	if status != server.JobDone && status != server.JobFailed {
 		c.httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; result stream available once finished", status))
 		return
+	}
+	if len(onDisk) > 0 {
+		if err := c.fstore.LoadFields(job.ID, fields, onDisk); err != nil {
+			c.httpError(w, http.StatusInternalServerError, fmt.Sprintf("reading retained fields: %v", err))
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := server.WritePairStream(w, fields, dropped); err != nil {

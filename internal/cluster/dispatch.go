@@ -143,7 +143,8 @@ func (c *Coordinator) dispatchShard(ctx context.Context, job *clusterJob, req Jo
 
 // checkpointShard makes one merged shard durable: field bytes first, the
 // pair events next, and the shard-done record last — so a replayed shard
-// event certifies that everything it covers is already on disk. Any
+// event certifies that everything it covers is already on disk. Each
+// field spills from the job's memory as soon as its bytes are durable. Any
 // persistence failure abandons the checkpoint (logged); the shard simply
 // re-runs on recovery, degrading durability but never correctness.
 func (c *Coordinator) checkpointShard(job *clusterJob, k, node int, sh shardRange, recs []server.PairRecord, st stream.Stats) {
@@ -158,6 +159,7 @@ func (c *Coordinator) checkpointShard(job *clusterJob, k, node int, sh shardRang
 			c.cfg.Logf("smaserve: persisting field %s/%d: %v (shard %d will re-run on recovery)", job.ID, rec.Pair, err, k)
 			return
 		}
+		job.spill(rec.Pair)
 	}
 	for _, rec := range recs {
 		sum := server.PairSummary{Pair: rec.Pair, Status: rec.Status, Error: rec.Cause}

@@ -25,8 +25,12 @@ type clusterJob struct {
 	stats    stream.Stats
 	pairs    []server.PairSummary
 	fields   [][]byte
-	errMsg   string
-	cancel   context.CancelFunc
+	// onDisk marks pairs whose fields were spilled to the FileStore once
+	// a durable coordinator checkpointed them; their fields entries are
+	// nil and the result stream reads them back.
+	onDisk []bool
+	errMsg string
+	cancel context.CancelFunc
 
 	// Dispatch accounting, kept exactly alongside the work so a finished
 	// job's counters equal fault.ClusterPlan.Expect for injected plans.
@@ -216,6 +220,20 @@ func addStats(dst *stream.Stats, st stream.Stats) {
 	dst.Gaps += st.Gaps
 }
 
+// spill drops pair's in-memory field once it is durable on disk.
+func (j *clusterJob) spill(pair int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if pair < 0 || pair >= len(j.fields) || j.fields[pair] == nil {
+		return
+	}
+	if j.onDisk == nil {
+		j.onDisk = make([]bool, len(j.fields))
+	}
+	j.fields[pair] = nil
+	j.onDisk[pair] = true
+}
+
 // restoreShard re-seats one checkpointed shard's pairs, fields, and stats
 // on a resumed job, before its remaining shards dispatch.
 func (j *clusterJob) restoreShard(pairs []server.PairSummary, fields map[int][]byte, st stream.Stats) {
@@ -262,11 +280,12 @@ func (j *clusterJob) finish(ctx context.Context) server.JobStatus {
 	return st
 }
 
-// resultSnapshot copies what the result stream needs.
-func (j *clusterJob) resultSnapshot() (server.JobStatus, [][]byte, []server.PairSummary) {
+// resultSnapshot copies what the result stream needs: the in-memory
+// fields and which of the rest are on disk.
+func (j *clusterJob) resultSnapshot() (server.JobStatus, [][]byte, []bool, []server.PairSummary) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	fields := make([][]byte, len(j.fields))
 	copy(fields, j.fields)
-	return j.status, fields, append([]server.PairSummary(nil), j.pairs...)
+	return j.status, fields, append([]bool(nil), j.onDisk...), append([]server.PairSummary(nil), j.pairs...)
 }

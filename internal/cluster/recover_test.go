@@ -251,3 +251,33 @@ func TestClusterDrainPendingResume(t *testing.T) {
 	}
 	assertClusterResult(t, ref, fetchResult(t, ts2.URL, view.ID))
 }
+
+// TestClusterDurableJobSpillsFields: a durable coordinator drops each
+// merged field from memory once its shard checkpoint made it durable, and
+// streams the result back from disk byte-identically.
+func TestClusterDurableJobSpillsFields(t *testing.T) {
+	urls := []string{testWorkerNode(t).URL, testWorkerNode(t).URL}
+	c, ts, _ := openDurableCoordinator(t, urls, 2, t.TempDir())
+	defer shutdownCoordinator(t, c, ts)
+	ref := server.SyntheticRef{Scene: "hurricane", Size: 32, Seed: 23, Frames: 5}
+	req := JobRequest{}
+	req.Synthetic = &ref
+	view := createClusterJob(t, ts.URL, req)
+	if done := waitClusterJob(t, ts.URL, view.ID, 60*time.Second); done.Status != server.JobDone {
+		t.Fatalf("job finished %s: %s", done.Status, done.Error)
+	}
+	v, _ := c.store.Get(view.ID)
+	job := v.(*clusterJob)
+	job.mu.Lock()
+	for p, f := range job.fields {
+		if f != nil || p >= len(job.onDisk) || !job.onDisk[p] {
+			job.mu.Unlock()
+			t.Fatalf("pair %d not spilled to disk (%d bytes in memory)", p, len(f))
+		}
+	}
+	job.mu.Unlock()
+	if sz := job.SizeBytes(); sz > 1024 {
+		t.Fatalf("finished durable job charged %d bytes, want index overhead only", sz)
+	}
+	assertClusterResult(t, ref, fetchResult(t, ts.URL, view.ID))
+}

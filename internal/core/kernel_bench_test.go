@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -115,4 +116,32 @@ func BenchmarkTrackPrepared(b *testing.B) {
 			TrackPreparedReference(prep, sm, Options{})
 		}
 	})
+}
+
+// BenchmarkSearch64 times the whole hypothesis search of one 64² hurricane
+// pair on one worker, with geometry and the semi-fluid map prepared
+// outside the loop — the search kernels of the three smaperf workloads:
+// the serving default (ScaledParams, Fsemi), the Luis jobs (exhaustive
+// Fcont) and the GOES-9 cluster jobs (3-level pyramid).
+func BenchmarkSearch64(b *testing.B) {
+	s := synth.Hurricane(64, 64, 7)
+	pair := Monocular(s.Frame(0), s.Frame(1))
+	run := func(b *testing.B, p Params, levels int) {
+		prep, err := PreparePyramid(pair, p, levels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sm := BuildSemiMap(prep)
+		opt := Options{Pyramid: PyramidOptions{Levels: levels}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := TrackPreparedParallelCtx(context.Background(), prep, sm, opt, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("scaled-semimap", func(b *testing.B) { run(b, ScaledParams(), 1) })
+	b.Run("luis", func(b *testing.B) { run(b, LuisParams(), 1) })
+	b.Run("goes9-pyramid3", func(b *testing.B) { run(b, GOES9Params(), 3) })
 }

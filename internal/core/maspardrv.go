@@ -204,6 +204,7 @@ func TrackMasPar(m *maspar.Machine, pair Pair, p Params, opt Options, scheme mas
 		workers = 1
 	}
 	peSpan := (nproc + workers - 1) / workers
+	nrm := padNormals(prep)
 	for l := 0; l < layers; l++ {
 		var wg sync.WaitGroup
 		for w0 := 0; w0 < nproc; w0 += peSpan {
@@ -214,7 +215,7 @@ func TrackMasPar(m *maspar.Machine, pair Pair, p Params, opt Options, scheme mas
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				t := newTracker(prep, sm, opt)
+				t := newTrackerOn(prep, sm, opt, nrm)
 				for pe := lo; pe < hi; pe++ {
 					x, y := mp.Invert(pe, l)
 					if x >= prep.W || y >= prep.H {

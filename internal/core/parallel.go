@@ -55,7 +55,8 @@ func TrackPreparedParallelCtx(ctx context.Context, prep *Prepared, sm *SemiMap, 
 // trackTiles is the body of every tiled driver: workers goroutines (0 =
 // GOMAXPROCS) claim pixel tiles and run searchWindow on each pixel over
 // the window that window returns for it, skipping pixels for which it
-// returns false, and store the winners in res. Each worker owns a
+// returns false, and store the winners in res. The padded after-frame
+// normals are built once and read by every worker; each worker owns a
 // tracker (scratch buffers are not shared) and pixels are written to
 // disjoint result cells, so any pixel→worker assignment yields the same
 // bits. It returns the number of hypotheses searched, summed once per
@@ -76,8 +77,9 @@ func trackTiles(ctx context.Context, prep *Prepared, sm *SemiMap, opt Options, w
 		th = tw
 	}
 	var hyps atomic.Int64
+	nrm := padNormals(prep)
 	err := forEachTileRow(ctx, newTileGrid(w, h, tw, th), workers, func() func(t tileRect, y int) {
-		t := newTracker(prep, sm, opt)
+		t := newTrackerOn(prep, sm, opt, nrm)
 		return func(tile tileRect, y int) {
 			var rowHyps int64
 			for x := tile.X0; x < tile.X1; x++ {

@@ -16,7 +16,8 @@ func TrackSequential(pair Pair, p Params, opt Options) (*Result, error) {
 
 // TrackPrepared runs the hypothesis search on already-prepared geometry,
 // letting callers stage (and time) preparation separately. It is the
-// serial raster loop: one tracker, pixels in scan order.
+// serial raster loop: one tracker, pixels in scan order, over normals
+// padded once for the call.
 func TrackPrepared(prep *Prepared, sm *SemiMap, opt Options) *Result {
 	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	t := newTracker(prep, sm, opt)
@@ -76,9 +77,12 @@ func CountOps(p Params, fitPasses int) OpCounts {
 
 // ScoreOnce evaluates a single zero-offset correspondence hypothesis at
 // (x, y) with the continuous mapping — the microbenchmark kernel behind
-// the paper's Figure 4 (per-correspondence time vs z-template size).
+// the paper's Figure 4 (per-correspondence time vs z-template size). It
+// reads the unpadded normals: padding them would cost more than the one
+// hypothesis, and a template that crosses the border takes the clamped
+// path instead.
 func ScoreOnce(prep *Prepared, x, y int) float64 {
-	t := newTracker(prep, nil, Options{})
+	t := newTrackerOn(prep, nil, Options{}, padNormalsBy(prep.G1, 0, 0))
 	_, _, eps, _ := t.searchWindow(x, y, hypWindow{})
 	return eps
 }

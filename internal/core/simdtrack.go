@@ -89,8 +89,9 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 	try := p.TemplateRY()
 	srx := p.SearchRX()
 	sry := p.SearchRY()
-	nbuf := make([]float64, (2*trx+1)*(2*try+1)*bufStride)
-	lrhs := make([]float64, (2*trx+1)*(2*try+1)*laneRHSStride)
+	ntp := (2*trx + 1) * (2*try + 1)
+	tmpl := make([]tmplPix, ntp)
+	lrhs := make([][3]float64, ntp*la.BatchLanes)
 	for l := 0; l < mp.Layers(); l++ {
 		for pe := 0; pe < nproc; pe++ {
 			x, y := mp.Invert(pe, l)
@@ -113,12 +114,8 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 					w0 := 1 / float64(eN.At(x, y, dx, dy))
 					w1 := 1 / float64(gN.At(x, y, dx, dy))
 					accumulateA(&a, zx, zy, w0, w1)
-					nbuf[k+bufZx] = zx
-					nbuf[k+bufZy] = zy
-					nbuf[k+bufScale] = scale
-					nbuf[k+bufW0] = w0
-					nbuf[k+bufW1] = w1
-					k += bufStride
+					tmpl[k] = tmplPix{zx: zx, zy: zy, scale: scale, w0: w0, w1: w1}
+					k++
 				}
 			}
 			symmetrize(&a)
@@ -132,14 +129,14 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 			scoreLanes := func(lhx, lhy []int, anchor bool) {
 				L := len(lhx)
 				var bb la.Vec6Lanes
-				k, r := 0, 0
+				k := 0
 				for dy := -try; dy <= try; dy++ {
 					for dx := -trx; dx <= trx; dx++ {
-						zx := nbuf[k+bufZx]
-						zy := nbuf[k+bufZy]
-						scale := nbuf[k+bufScale]
-						w0 := nbuf[k+bufW0]
-						w1 := nbuf[k+bufW1]
+						zx := tmpl[k].zx
+						zy := tmpl[k].zy
+						scale := tmpl[k].scale
+						w0 := tmpl[k].w0
+						w1 := tmpl[k].w1
 						for l := 0; l < L; l++ {
 							ni := float64(niN.At(x, y, dx+lhx[l], dy+lhy[l]))
 							nj := float64(njN.At(x, y, dx+lhx[l], dy+lhy[l]))
@@ -155,12 +152,9 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 							bb[5][l] += w1 * -rhs1
 							bb[0][l] += rhs2
 							bb[3][l] += rhs2
-							lrhs[r+l] = rhs0
-							lrhs[r+la.BatchLanes+l] = rhs1
-							lrhs[r+2*la.BatchLanes+l] = rhs2
+							lrhs[l*ntp+k] = [3]float64{rhs0, rhs1, rhs2}
 						}
-						k += bufStride
-						r += laneRHSStride
+						k++
 					}
 				}
 				thetas := mf.solveFactoredLanes(&bb, L)
@@ -171,7 +165,7 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 					if first {
 						bound = math.Inf(1)
 					}
-					if e, pruned := residualSumBoundedLane(nbuf[:k], lrhs, l, &theta, bound); first || (!pruned && e < bestE) {
+					if e, pruned := residualSumBoundedLane(tmpl, lrhs[l*ntp:(l+1)*ntp], &theta, bound); first || (!pruned && e < bestE) {
 						bestE = e
 						bestHX, bestHY = lhx[l], lhy[l]
 					}

@@ -72,12 +72,20 @@ type tracker struct {
 	sm   *SemiMap
 	opt  Options
 
-	// buf caches per-template-pixel quantities (bufStride values per
-	// pixel): the hypothesis-invariant slots are written once per tracked
-	// pixel by preparePixel; the rhs slots hold one hypothesis's
-	// right-hand sides where the Huber refinement and the reference
-	// kernel need them. It is sized once at construction so the per-pixel
-	// kernel never allocates.
+	// nrm holds the after-frame normals the b-pass reads, padded by the
+	// kernel's reach; it is shared read-only between the trackers of one
+	// driver call.
+	nrm *normalPlanes
+
+	// tmpl caches the hypothesis-invariant quantities of every template
+	// pixel, in the reference kernel's raster order; preparePixel writes
+	// it once per tracked pixel.
+	tmpl []tmplPix
+
+	// buf holds one hypothesis's full template (bufStride values per
+	// pixel) where the reference kernel and the Huber refinement need
+	// it. Like every scratch buffer here it is sized once at
+	// construction, so the per-pixel kernel never allocates.
 	buf []float64
 
 	// mf is the factored normal-equation matrix of the current pixel.
@@ -87,19 +95,18 @@ type tracker struct {
 	// Fixed at construction.
 	nlanes int
 
-	// laneRHS is the per-lane right-hand-side scratch of the lane
-	// kernel, in structure-of-arrays form: pixel k, residual row c, lane
-	// l lives at [(k*3+c)*la.BatchLanes + l], so each row's lane stripe
-	// is contiguous.
-	laneRHS []float64
+	// laneRHS holds each lane's per-template-pixel right-hand sides:
+	// lane l's template occupies [l*len(tmpl), (l+1)*len(tmpl)), so the
+	// residual sum reads one lane contiguously.
+	laneRHS [][3]float64
 
 	// noEarlyExit disables the ε early exit (test hook: the argmin must be
 	// bit-identical with the exit on and off).
 	noEarlyExit bool
 }
 
-// buf slot layout. The first five slots are hypothesis-invariant; the
-// three rhs slots are rewritten per hypothesis.
+// buf slot layout: the template geometry, then one hypothesis's
+// right-hand sides.
 const (
 	bufZx    = 0 // surface slope ∂z/∂x at the template pixel
 	bufZy    = 1 // surface slope ∂z/∂y
@@ -113,15 +120,24 @@ const (
 	bufStride = 8
 )
 
-// newTracker builds a tracker with its scratch buffers pre-sized for the
-// template window, keeping the per-pixel search allocation-free.
+// newTracker builds a tracker over freshly padded after-frame normals.
+// Drivers that run several trackers share one padding through
+// newTrackerOn.
 func newTracker(prep *Prepared, sm *SemiMap, opt Options) *tracker {
+	return newTrackerOn(prep, sm, opt, padNormals(prep))
+}
+
+// newTrackerOn builds a tracker reading the normal planes nrm, with its
+// scratch buffers pre-sized for the template window, keeping the
+// per-pixel search allocation-free.
+func newTrackerOn(prep *Prepared, sm *SemiMap, opt Options, nrm *normalPlanes) *tracker {
 	p := prep.P
 	n := (2*p.TemplateRX() + 1) * (2*p.TemplateRY() + 1)
-	return &tracker{prep: prep, sm: sm, opt: opt,
+	return &tracker{prep: prep, sm: sm, opt: opt, nrm: nrm,
+		tmpl:    make([]tmplPix, n),
 		buf:     make([]float64, n*bufStride),
 		nlanes:  effectiveBatch(opt),
-		laneRHS: make([]float64, n*laneRHSStride)}
+		laneRHS: make([][3]float64, n*la.BatchLanes)}
 }
 
 // effectiveBatch resolves Options.batchHyps to the lane width the
@@ -142,16 +158,15 @@ func effectiveBatch(opt Options) int {
 }
 
 // preparePixel runs the hypothesis-invariant half of the kernel for
-// tracked pixel (x, y): it caches the template-pixel geometry in buf,
-// accumulates the normal-equation matrix A, and factors it (with the same
-// ridge fallback solveMotion applies) so every hypothesis of the ensuing
-// search solves by substitution only.
+// tracked pixel (x, y): it caches the template-pixel geometry and
+// accumulateB's coefficient products in tmpl, accumulates the
+// normal-equation matrix A, and factors it (with the same ridge fallback
+// solveMotion applies) so every hypothesis of the ensuing search solves
+// by substitution only.
 func (t *tracker) preparePixel(x, y int) {
 	p := t.prep.P
 	rx := p.TemplateRX()
 	ry := p.TemplateRY()
-	n := (2*rx + 1) * (2*ry + 1)
-	buf := t.buf[:n*bufStride]
 
 	g0 := t.prep.G0
 	var a la.Mat6
@@ -166,12 +181,9 @@ func (t *tracker) preparePixel(x, y int) {
 			w0 := 1 / float64(g0.E.At(px, py))
 			w1 := 1 / float64(g0.G.At(px, py))
 			accumulateA(&a, zx, zy, w0, w1)
-			buf[k+bufZx] = zx
-			buf[k+bufZy] = zy
-			buf[k+bufScale] = scale
-			buf[k+bufW0] = w0
-			buf[k+bufW1] = w1
-			k += bufStride
+			t.tmpl[k] = tmplPix{zx: zx, zy: zy, scale: scale, w0: w0, w1: w1,
+				w0zy: w0 * zy, w0nzx: w0 * -zx, w1nzy: w1 * -zy, w1zx: w1 * zx}
+			k++
 		}
 	}
 	symmetrize(&a)

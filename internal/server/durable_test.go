@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
@@ -275,4 +276,49 @@ func TestDurableDrainPending(t *testing.T) {
 		t.Fatalf("recovered = %q, want resumed", view.Recovered)
 	}
 	assertResultMatches(t, ref, fetchResult(t, ts2.URL, queued.ID))
+}
+
+// TestDurableJobSpillsFields: once a durable job's pair is checkpointed
+// its field leaves memory — the finished job is charged index overhead
+// only — and the result stream reads it back byte-identically. A field
+// lost from disk fails the stream instead of truncating it.
+func TestDurableJobSpillsFields(t *testing.T) {
+	s, ts, _ := openDurable(t, t.TempDir(), Config{Workers: 2})
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	ref := SyntheticRef{Scene: "hurricane", Size: 32, Seed: 11, Frames: 4}
+	view := createJob(t, ts.URL, JobRequest{Synthetic: &ref, Retain: true})
+	waitForJob(t, ts.URL, view.ID, JobDone, 30*time.Second)
+	v, _ := s.store.Get(view.ID)
+	job := v.(*Job)
+	job.mu.Lock()
+	for p, f := range job.fields {
+		if f != nil || p >= len(job.onDisk) || !job.onDisk[p] {
+			job.mu.Unlock()
+			t.Fatalf("pair %d not spilled to disk (%d bytes in memory)", p, len(f))
+		}
+	}
+	job.mu.Unlock()
+	if sz := job.SizeBytes(); sz > 1024 {
+		t.Fatalf("finished durable job charged %d bytes, want index overhead only", sz)
+	}
+	assertResultMatches(t, ref, fetchResult(t, ts.URL, view.ID))
+
+	if err := os.Remove(s.fstore.fieldPath(view.ID, 1)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + view.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("result with a lost field answered %d, want 500", resp.StatusCode)
+	}
 }

@@ -31,9 +31,12 @@ type FileStoreConfig struct {
 // TTL expiry, cap eviction, or Delete — its field directory is removed,
 // so disk usage tracks the same retention policy as memory.
 //
-// The disk side is durability, not memory relief: values are served from
-// the index, and the field files exist so recovery can rebuild them after
-// a restart (see Server.Recover and docs/ROBUSTNESS.md).
+// The disk side is durability first: the field files exist so recovery
+// can rebuild jobs after a restart (see Server.Recover and
+// docs/ROBUSTNESS.md). They are also memory relief: once a pair's bytes
+// are durable, the job planes drop their in-memory copy and read it back
+// through LoadFields when the result is streamed, so a retained durable
+// job holds only its index entry in memory.
 type FileStore struct {
 	mem  *MemStore
 	dir  string // <Dir>/fields
@@ -177,6 +180,27 @@ func (s *FileStore) Fields(id string, pairs int) ([][]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// LoadFields reads the persisted bytes of every pair marked in onDisk
+// into fields. A missing file is an error: the job held the pair as
+// durable, so it left the store (or the disk lost it) while the caller
+// read it.
+func (s *FileStore) LoadFields(id string, fields [][]byte, onDisk []bool) error {
+	for p, d := range onDisk {
+		if !d {
+			continue
+		}
+		b, ok, err := s.Field(id, p)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("server: filestore: field %s/%d is gone", id, p)
+		}
+		fields[p] = b
+	}
+	return nil
 }
 
 // FieldPairs lists which pair indices have persisted fields, ascending.

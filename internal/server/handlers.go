@@ -487,6 +487,7 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 					s.cfg.Logf("smaserve: persisting field %d of %s: %v", pair, job.ID, err)
 					return nil
 				}
+				job.spill(pair)
 			}
 			s.jlog.Pair(job.ID, ps)
 			fault.Crash("server.pair")
@@ -624,6 +625,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	retain := job.retain
 	fields := make([][]byte, len(job.fields))
 	copy(fields, job.fields)
+	onDisk := append([]bool(nil), job.onDisk...)
 	dropped := append([]PairSummary(nil), job.pairs...)
 	job.mu.Unlock()
 	if !retain {
@@ -633,6 +635,12 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if status != JobDone && status != JobFailed {
 		s.httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; result stream available once finished", status))
 		return
+	}
+	if len(onDisk) > 0 {
+		if err := s.fstore.LoadFields(job.ID, fields, onDisk); err != nil {
+			s.httpError(w, http.StatusInternalServerError, fmt.Sprintf("reading retained fields: %v", err))
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := WritePairStream(w, fields, dropped); err != nil {

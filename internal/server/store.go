@@ -101,9 +101,12 @@ type Job struct {
 	// retain keeps each surviving pair's SMF1-encoded motion field so
 	// GET /v1/jobs/{id}/result can stream the merged output — the
 	// bit-identity surface the cluster coordinator is compared against.
-	// fields is indexed by pair; nil entries are dropped pairs.
+	// fields is indexed by pair; nil entries are dropped pairs, or pairs
+	// marked in onDisk, whose bytes were spilled to the FileStore once
+	// durable (durable servers only).
 	retain bool
 	fields [][]byte
+	onDisk []bool
 
 	// Recovery state (zero for ordinary jobs). recovered marks how the
 	// durable plane rebuilt this job ("restored" = was terminal,
@@ -187,6 +190,21 @@ func (j *Job) SizeBytes() int64 {
 		n += int64(len(f))
 	}
 	return n
+}
+
+// spill drops pair's in-memory field once PutField has made it durable;
+// the result stream reads it back from the FileStore.
+func (j *Job) spill(pair int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if pair < 0 || pair >= len(j.fields) || j.fields[pair] == nil {
+		return
+	}
+	if j.onDisk == nil {
+		j.onDisk = make([]bool, len(j.fields))
+	}
+	j.fields[pair] = nil
+	j.onDisk[pair] = true
 }
 
 // Sizer lets stored values report their resident size so the store's

@@ -33,6 +33,12 @@ fi
 echo "== go test -race"
 go test -race ./... || fail=1
 
+# The repository benchmark (smaperf/README.md) is its own module, so the
+# suite above never builds it; build it and run its short tests here so
+# a core API change cannot break the benchmark unnoticed.
+echo "== smaperf build + short tests"
+{ go -C smaperf build -o /dev/null . && go -C smaperf test -short .; } || fail=1
+
 # The conformance lock for the streaming pipeline (docs/PIPELINE.md):
 # golden motion-field fixtures plus streaming-vs-pairwise bit-equivalence
 # under the race detector, run by name so a -run filter in the suite
