@@ -63,9 +63,9 @@ func BenchmarkTrackPixel(b *testing.B) {
 	})
 }
 
-// BenchmarkScoreHypLanes isolates the lane b-pass at each width: the
-// contrast against width 1 is the invariant-load amortization the lanes
-// exist for.
+// BenchmarkScoreHypLanes isolates one scoreHypLanes call at each width.
+// The b-pass runs per lane, so the width shares only the LU replay and
+// the call overhead between lanes.
 func BenchmarkScoreHypLanes(b *testing.B) {
 	prep, sm := benchPrep(b, testParams())
 	for _, bw := range []int{1, 2, 4, 8} {

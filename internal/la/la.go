@@ -309,10 +309,10 @@ func SolveFactored6(f *Factored6, b *Vec6) (x Vec6) {
 }
 
 // BatchLanes is the lane width of the batched substitution kernel: the
-// SMA batch tracker scores up to BatchLanes correspondence hypotheses per
-// pass over its cached template invariants, accumulating one right-hand
-// side per lane in structure-of-arrays form so the per-component inner
-// loops run over a contiguous [BatchLanes]float64 stripe.
+// SMA tracker scores up to BatchLanes correspondence hypotheses per
+// batch and solves their right-hand sides together, in
+// structure-of-arrays form so the per-component inner loops run over a
+// contiguous [BatchLanes]float64 stripe.
 const BatchLanes = 8
 
 // Vec6Lanes is a structure-of-arrays bundle of up to BatchLanes
