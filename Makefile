@@ -65,10 +65,10 @@ chaos-smoke:
 bench-smoke:
 	sh scripts/bench_smoke.sh
 
-# pyramid-smoke: the coarse-to-fine search experiment (smabench -only
-# pyramid), gated on full-radius bit-identity, a >= 3x hypothesis-work
-# speedup at NZS=10, and <= 0.1 grid-unit drift at the fixture tracers
-# (docs/PERFORMANCE.md §9).
+# pyramid-smoke: the summed-window search experiment (smabench -only
+# pyramid), gated on byte-identity with its oracle, >= 99.7% argmin
+# agreement with the lane kernel, a >= 3x speedup at NZS=10, and <= 0.1
+# grid-unit drift at the fixture tracers (docs/PERFORMANCE.md §9).
 pyramid-smoke:
 	sh scripts/pyramid_smoke.sh
 

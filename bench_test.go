@@ -324,18 +324,18 @@ func BenchmarkSemiMapBuild(b *testing.B) {
 // semiMapSink keeps BenchmarkSemiMapBuild's result live.
 var semiMapSink *core.SemiMap
 
-// BenchmarkPyramidVsFlat compares the coarse-to-fine hypothesis search
-// (Options.Pyramid, 3 levels) against the exhaustive search over the same
-// ±8 window (§6 future work: adaptive hierarchical windows). Both sides
-// include geometry preparation and run on one worker.
+// BenchmarkPyramidVsFlat compares the summed-window search the pyramid
+// option selects against the lane kernel's exhaustive search over the
+// same ±8 window. Both sides include geometry preparation and run on one
+// worker.
 func BenchmarkPyramidVsFlat(b *testing.B) {
 	scene := synth.Hurricane(64, 64, 15)
 	pair := core.Monocular(scene.Frame(0), scene.Frame(1))
-	b.Run("pyramid3xNZS8", func(b *testing.B) {
+	b.Run("summedNZS8", func(b *testing.B) {
 		p := core.Params{NS: 2, NZS: 8, NZT: 3}
 		opt := core.Options{Pyramid: core.PyramidOptions{Levels: 3}}
 		for i := 0; i < b.N; i++ {
-			prep, err := core.PreparePyramid(pair, p, 3)
+			prep, err := core.Prepare(pair, p)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -66,6 +66,10 @@ func DefaultConfig() *Config {
 			"scoreHypLanes", "scoreLanes",
 			"bLane", "bLaneClamped", "fillLaneBuf",
 			"residualSumBoundedLane", "solveFactoredLanes",
+			// summed-window search — summed.go
+			"searchBlock", "blockGeometry", "invertBlock", "scoreBlockHyp",
+			"slide", "aPlaneValues", "summedA", "invertMotion",
+			"summedEps", "summedTheta",
 			// semi-fluid map — semimap.go
 			"semiMapPixel", "scoreDisplacements", "argminDeltas",
 			"argminNbr", "CropInto",

@@ -99,9 +99,9 @@ func TestRectangularTemplateMatchesSquareWhenEqual(t *testing.T) {
 // --- Pyramid (coarse-to-fine) ---------------------------------------------------
 
 func TestPyramidRecoversLargeMotion(t *testing.T) {
-	// A 6-px translation inside a ±6 search window: 3 levels with the
-	// default ±2 refinement find it while evaluating a fraction of the
-	// exhaustive 169 hypotheses per pixel.
+	// A 6-px translation inside a ±6 search window: the summed-window
+	// search the option selects evaluates all 169 hypotheses per pixel
+	// and finds it.
 	s := &synth.Scene{W: 64, H: 64, Flow: synth.Uniform{U: 6, V: 0},
 		Tex: synth.Hurricane(64, 64, 35).Tex}
 	p := Params{NS: 2, NZS: 6, NZT: 3}
@@ -125,8 +125,9 @@ func TestPyramidRecoversLargeMotion(t *testing.T) {
 	if good*10 < tot*8 {
 		t.Fatalf("pyramid recovered only %d/%d of the 6-px motion", good, tot)
 	}
-	if st.HypPerPixel*2 > float64(st.ExhaustivePerPixel) {
-		t.Fatalf("pyramid evaluated %.1f hyp/px, over half the exhaustive %d", st.HypPerPixel, st.ExhaustivePerPixel)
+	if st.Hypotheses != st.Pixels*int64(p.Hypotheses()) {
+		t.Fatalf("pyramid evaluated %d hypotheses over %d pixels, want the exhaustive %d each",
+			st.Hypotheses, st.Pixels, p.Hypotheses())
 	}
 }
 
@@ -146,8 +147,8 @@ func TestPyramidSingleLevelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Levels != 1 || st.FallbackPixels != 0 {
-		t.Fatalf("single-level pyramid ran %d levels with %d fallbacks", st.Levels, st.FallbackPixels)
+	if st.Hypotheses != int64(24*24*p.Hypotheses()) || st.FallbackPixels != 0 {
+		t.Fatalf("single-level pyramid stats %+v, want the exhaustive count and no fallbacks", st)
 	}
 	if !a.Flow.Equal(b.Flow) || !a.Err.Equal(b.Err) {
 		t.Fatal("single-level pyramid differs from sequential")

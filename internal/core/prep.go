@@ -21,12 +21,6 @@ type Prepared struct {
 	// (multispectral extension; empty unless the pair carries channels
 	// and the semi-fluid model is active).
 	Extra []ExtraChannel
-	// Coarse holds the prepared geometry of successively box-filtered
-	// 2× reductions of the pair — Coarse[0] is half resolution — built by
-	// PreparePyramid for the coarse-to-fine hypothesis search. Empty for
-	// plain Prepare output; the pyramid driver then degrades gracefully
-	// to the exhaustive search.
-	Coarse []*Prepared
 }
 
 // ExtraChannel is one prepared multispectral band: the discriminant fields
@@ -109,11 +103,6 @@ type FramePrep struct {
 	D    *grid.Grid // nil when the continuous model is active
 	// Extra holds per-channel discriminants, aligned with Frame.Extra.
 	Extra []*grid.Grid
-	// Coarse holds prepared 2× box-filtered reductions of this frame
-	// (Coarse[0] is half resolution), built by PrepareFramePyramid. The
-	// frames of a pair must carry the same number of coarse levels for
-	// AssemblePair to accept them.
-	Coarse []*FramePrep
 }
 
 // PrepareFrame fits quadratic patches at every pixel of one frame: the
@@ -178,16 +167,6 @@ func AssemblePair(f0, f1 *FramePrep) (*Prepared, error) {
 	for i := range f0.Extra {
 		out.Extra = append(out.Extra, ExtraChannel{D0: f0.Extra[i], D1: f1.Extra[i]})
 	}
-	if len(f0.Coarse) != len(f1.Coarse) {
-		return nil, fmt.Errorf("core: coarse level counts differ: %d vs %d", len(f0.Coarse), len(f1.Coarse))
-	}
-	for i := range f0.Coarse {
-		cp, err := AssemblePair(f0.Coarse[i], f1.Coarse[i])
-		if err != nil {
-			return nil, fmt.Errorf("core: coarse level %d: %w", i+1, err)
-		}
-		out.Coarse = append(out.Coarse, cp)
-	}
 	return out, nil
 }
 
@@ -220,72 +199,35 @@ func Prepare(pair Pair, p Params) (*Prepared, error) {
 	return AssemblePair(p0, p1)
 }
 
-// pyramidMinSide stops coarse-level construction before the grids become
-// too small for a meaningful surface fit (matching the ASA pyramid's
-// 8-pixel floor).
-const pyramidMinSide = 8
-
-// PrepareFramePyramid is PrepareFrame plus coarse levels for the
-// multiresolution hypothesis search: levels−1 successive 2× box-filter
-// reductions of the intensity (and, for stereo frames, surface) images,
-// each prepared with the same parameters and chained into
-// FramePrep.Coarse. Construction stops early when a reduction would drop
-// below pyramidMinSide on either axis; the tracking driver clamps its
-// level count to what was built. Continuous model only — the semi-fluid
-// precompute is tied to a fixed global search window, which prior-guided
-// search invalidates.
+// PrepareFramePyramid is PrepareFrame behind the pyramid option's
+// validation (pyramidLevels). The summed-window search it feeds needs no
+// coarse levels, so the geometry is PrepareFrame's.
 func PrepareFramePyramid(f Frame, p Params, levels int) (*FramePrep, error) {
-	if levels < 1 {
-		return nil, fmt.Errorf("core: need at least one pyramid level, got %d", levels)
-	}
-	if levels > 1 && p.SemiFluid() {
-		return nil, fmt.Errorf("core: pyramid preparation requires the continuous model (NSS = 0)")
-	}
-	fp, err := PrepareFrame(f, p)
-	if err != nil {
+	if err := pyramidLevels(p, levels); err != nil {
 		return nil, err
 	}
-	cur := Frame{I: f.I, Z: f.Surface()}
-	for l := 1; l < levels; l++ {
-		if cur.I.W < 2*pyramidMinSide || cur.I.H < 2*pyramidMinSide {
-			break
-		}
-		ci := cur.I.DownsampleBox2()
-		cz := ci
-		if cur.Z != cur.I {
-			cz = cur.Z.DownsampleBox2()
-		}
-		cur = Frame{I: ci, Z: cz}
-		cfp, err := PrepareFrame(cur, p)
-		if err != nil {
-			return nil, err
-		}
-		fp.Coarse = append(fp.Coarse, cfp)
-	}
-	return fp, nil
+	return PrepareFrame(f, p)
 }
 
-// PreparePyramid is Prepare plus coarse levels on both frames — the input
-// of the coarse-to-fine tracking driver (Options.Pyramid). Bit-identical
-// to Prepare at level 0; the coarse chain only adds prior-guidance
-// geometry.
+// PreparePyramid is Prepare behind the pyramid option's validation; its
+// geometry is Prepare's.
 func PreparePyramid(pair Pair, p Params, levels int) (*Prepared, error) {
-	if err := p.Validate(); err != nil {
+	if err := pyramidLevels(p, levels); err != nil {
 		return nil, err
 	}
-	if err := pair.Validate(); err != nil {
-		return nil, err
+	return Prepare(pair, p)
+}
+
+// pyramidLevels validates a pyramid level count: at least one, and the
+// continuous model when the option is enabled (levels > 1).
+func pyramidLevels(p Params, levels int) error {
+	if levels < 1 {
+		return fmt.Errorf("core: need at least one pyramid level, got %d", levels)
 	}
-	f0, f1 := pair.Frames()
-	p0, err := PrepareFramePyramid(f0, p, levels)
-	if err != nil {
-		return nil, err
+	if levels > 1 && p.SemiFluid() {
+		return fmt.Errorf("core: pyramid preparation requires the continuous model (NSS = 0)")
 	}
-	p1, err := PrepareFramePyramid(f1, p, levels)
-	if err != nil {
-		return nil, err
-	}
-	return AssemblePair(p0, p1)
+	return nil
 }
 
 // FitPasses reports how many full-image surface-fit passes Prepare runs

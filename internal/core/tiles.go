@@ -55,7 +55,7 @@ func chooseTileSize(p Params, w, h, workers int) int {
 	if side < tileMinSide {
 		side = tileMinSide
 	}
-	// Degenerate-grid guard (coarse pyramid levels are as small as 8×8):
+	// Degenerate-grid guard (tiny inputs, down to 1×N grids):
 	// when the minimum side would leave fewer tiles than workers, shrink
 	// it — down to single-pixel tiles on the tiniest grids — so every
 	// worker can claim at least one valid tile. The halo term above can
@@ -112,15 +112,13 @@ func (g tileGrid) tile(i int) tileRect {
 	return r
 }
 
-// forEachTileRow runs the grid's tiles across workers goroutines. Each
-// goroutine obtains its own row visitor from newWorker (per-worker
+// forEachTile runs the grid's tiles across workers goroutines. Each
+// goroutine obtains its own tile visitor from newWorker (per-worker
 // scratch lives in that closure), then claims tiles off a shared atomic
-// index and walks each claimed tile row by row. ctx is polled without
-// blocking before every row, so after cancellation each worker finishes
-// at most its current row and no further rows start; all goroutines are
-// joined before return. Returns ctx.Err() — nil on a completed run.
-func forEachTileRow(ctx context.Context, g tileGrid, workers int, newWorker func() func(t tileRect, y int)) error {
-	done := ctx.Done()
+// index until none are left or a visit returns false — the visitor's
+// report that it saw ctx cancelled. All goroutines are joined before
+// return. Returns ctx.Err() — nil on a completed run.
+func forEachTile(ctx context.Context, g tileGrid, workers int, newWorker func() func(t tileRect) bool) error {
 	n := int64(g.tiles())
 	var next int64
 	var wg sync.WaitGroup
@@ -131,21 +129,33 @@ func forEachTileRow(ctx context.Context, g tileGrid, workers int, newWorker func
 			visit := newWorker()
 			for {
 				i := atomic.AddInt64(&next, 1) - 1
-				if i >= n {
+				if i >= n || !visit(g.tile(int(i))) {
 					return
-				}
-				t := g.tile(int(i))
-				for y := t.Y0; y < t.Y1; y++ {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					visit(t, y)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// forEachTileRow is forEachTile walking each claimed tile row by row.
+// ctx is polled without blocking before every row, so after cancellation
+// each worker finishes at most its current row and no further rows start.
+func forEachTileRow(ctx context.Context, g tileGrid, workers int, newWorker func() func(t tileRect, y int)) error {
+	done := ctx.Done()
+	return forEachTile(ctx, g, workers, func() func(t tileRect) bool {
+		visit := newWorker()
+		return func(t tileRect) bool {
+			for y := t.Y0; y < t.Y1; y++ {
+				select {
+				case <-done:
+					return false
+				default:
+				}
+				visit(t, y)
+			}
+			return true
+		}
+	})
 }

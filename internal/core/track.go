@@ -22,11 +22,10 @@ type Options struct {
 	// across goroutines on the host (0 or 1 = serial). Results are
 	// independent of the worker count.
 	HostWorkers int
-	// Pyramid enables the coarse-to-fine multiresolution hypothesis
-	// search in the parallel driver (pyramid.go). The zero value keeps
-	// the exhaustive — and bit-exact — search, like every other default.
-	// Continuous model only; requires geometry prepared with
-	// PreparePyramid / PrepareFramePyramid.
+	// Pyramid selects the summed-window exhaustive search (summed.go)
+	// in the parallel driver. The zero value keeps the lane kernel —
+	// bit-exact against the reference — like every other default.
+	// Continuous model only.
 	Pyramid PyramidOptions
 
 	// batchHyps is the lane width of the search kernel (0 = la.BatchLanes,
@@ -416,18 +415,15 @@ func fullWindow(p Params) hypWindow {
 	return hypWindow{-p.SearchRX(), p.SearchRX(), -p.SearchRY(), p.SearchRY()}
 }
 
-// size is the number of hypotheses in the window.
-func (w hypWindow) size() int64 { return int64(w.hix-w.lox+1) * int64(w.hiy-w.loy+1) }
-
 // trackPixel runs the exhaustive hypothesis search for one pixel.
 func (t *tracker) trackPixel(x, y int) (hx, hy int, eps float64, theta la.Vec6) {
 	return t.searchWindow(x, y, fullWindow(t.prep.P))
 }
 
 // searchWindow is the per-pixel hypothesis search — the argmin of ε the
-// paper's MP-2 runs in lockstep on every PE — over the window win. Every
-// driver searches through it: trackPixel for the exhaustive window, the
-// pyramid levels for their refinement windows.
+// paper's MP-2 runs in lockstep on every PE — over the window win. The
+// lane-kernel drivers search through it: trackPixel and the tiled driver
+// for the exhaustive window, ScoreOnce for the single zero hypothesis.
 //
 // The anchor hypothesis — zero displacement clamped into the window — is
 // scored first and accepted unconditionally, even when its ε is NaN; the

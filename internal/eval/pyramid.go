@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"sort"
 	"time"
 
 	"sma/internal/core"
@@ -14,177 +15,165 @@ import (
 	"sma/internal/synth"
 )
 
-// PyramidPoint is one NZS sample of the coarse-to-fine trajectory: the
-// same prepared continuous-model pair tracked exhaustively and through
-// the pyramid driver, timed without preparation, with the accuracy of
-// the accelerated field scored against the exhaustive one.
+// PyramidReps is how many times PyramidExperiment times each search at
+// each NZS; the BENCH file records the median and the spread.
+const PyramidReps = 5
+
+// Timing is the median and range of repeated wall-clock runs.
+type Timing struct {
+	MedianSec float64 `json:"median_sec"`
+	MinSec    float64 `json:"min_sec"`
+	MaxSec    float64 `json:"max_sec"`
+}
+
+func newTiming(secs []float64) Timing {
+	s := append([]float64(nil), secs...)
+	sort.Float64s(s)
+	return Timing{MedianSec: s[len(s)/2], MinSec: s[0], MaxSec: s[len(s)-1]}
+}
+
+// PyramidPoint is one NZS sample of the pyramid option's trajectory: the
+// same prepared continuous-model pair searched exhaustively by the lane
+// kernel and by the summed-window search the option selects, timed
+// without preparation, with the summed-window field scored against the
+// lane kernel's.
 type PyramidPoint struct {
-	NZS    int `json:"nzs"`
-	Levels int `json:"levels"`
-	// ExhaustiveHyp is the (2·NZS+1)² per-pixel hypothesis count the flat
-	// sweep evaluates; HypPerPixel is what the pyramid actually spent.
-	ExhaustiveHyp int     `json:"exhaustive_hyp_per_pixel"`
-	HypPerPixel   float64 `json:"hyp_per_pixel"`
-	ExhaustiveSec float64 `json:"exhaustive_sec"`
-	PyramidSec    float64 `json:"pyramid_sec"`
-	// PixelsPerSec rates the two drivers on the identical pair.
-	PixelsPerSecExhaustive float64 `json:"pixels_per_sec_exhaustive"`
-	PixelsPerSecPyramid    float64 `json:"pixels_per_sec_pyramid"`
-	Speedup                float64 `json:"speedup"`
+	NZS int `json:"nzs"`
+	// Hypotheses is the (2·NZS+1)² per-pixel count both searches evaluate.
+	Hypotheses int    `json:"hyp_per_pixel"`
+	Exhaustive Timing `json:"exhaustive"`
+	Summed     Timing `json:"summed"`
+	// Speedup is the ratio of the two median times.
+	Speedup float64 `json:"speedup"`
 	// RMSE is measured at the scene's wind-barb tracer pixels against the
-	// exhaustive field (grid units); Agreement is the fraction of all
+	// lane kernel's field (grid units); Agreement is the fraction of all
 	// pixels whose argmin displacement matches exactly.
-	RMSE         float64 `json:"rmse"`
-	Agreement    float64 `json:"argmin_agreement"`
-	FallbackFrac float64 `json:"fallback_frac"`
+	RMSE      float64 `json:"rmse"`
+	Agreement float64 `json:"argmin_agreement"`
 }
 
 // PyramidResult is the BENCH_pyramid.json trajectory: the NZS sweep plus
-// the two conformance checks the smoke gate reads — full-radius
-// bit-identity and the Figure 5/6 fixture accuracy.
+// the conformance checks the smoke gate reads — kernel-vs-oracle
+// bit-identity, argmin agreement and the Figure 5/6 fixture accuracy.
 type PyramidResult struct {
 	Name    string         `json:"name"`
 	Size    int            `json:"size"`
 	Workers int            `json:"workers"`
 	Seed    int64          `json:"seed"`
+	Reps    int            `json:"reps"`
+	Host    Host           `json:"host"`
 	Points  []PyramidPoint `json:"points"`
-	// BitIdentical certifies that a refinement radius covering the whole
-	// search window reproduces the exhaustive argmin bit for bit; the
-	// experiment errors if it does not.
+	// BitIdentical certifies that the summed-window search reproduced its
+	// oracle, core.TrackSummedReference, byte for byte at every NZS and
+	// on both fixtures; the experiment errors if it does not.
 	BitIdentical bool `json:"bit_identical"`
-	// Fig5RMSE / Fig6RMSE score the pyramid against the exhaustive search
-	// at the wind-barb tracers of the two accuracy fixtures (hurricane
-	// and thunderstorm scenes), in grid units.
+	// MinAgreement is the lowest argmin agreement with the lane kernel
+	// over the sweep and the two fixtures.
+	MinAgreement float64 `json:"min_argmin_agreement"`
+	// Fig5RMSE / Fig6RMSE score the summed-window search against the lane
+	// kernel at the wind-barb tracers of the two accuracy fixtures
+	// (hurricane and thunderstorm scenes), in grid units.
 	Fig5RMSE float64 `json:"fig5_rmse"`
 	Fig6RMSE float64 `json:"fig6_rmse"`
 	// SpeedupAtNZS10 / RMSEAtNZS10 lift the gated sample out of the sweep
 	// for the smoke script.
 	SpeedupAtNZS10 float64 `json:"speedup_at_nzs10"`
 	RMSEAtNZS10    float64 `json:"rmse_at_nzs10"`
-	GoMaxProcs     int     `json:"gomaxprocs"`
 }
 
-// pyramidLevelsFor picks the level count the cost model suggests for a
-// search radius: enough halvings that the coarsest window is ~±2, never
-// fewer than two levels (one level is just the exhaustive sweep).
-func pyramidLevelsFor(nzs int) int {
-	l := 1
-	for r := nzs; r > 2; r = (r + 1) / 2 {
-		l++
-	}
-	if l < 2 {
-		l = 2
-	}
-	return l
-}
-
-// PyramidExperiment measures the coarse-to-fine hypothesis search
-// against the exhaustive sweep on a size×size continuous-model hurricane
-// pair across NZS ∈ {2, 5, 10, 20}. The returned point doubles as a
-// conformance check: it errors if a full-covering refinement radius is
-// not bit-identical to the exhaustive search.
+// PyramidExperiment measures the summed-window search (Options.Pyramid)
+// against the lane kernel's exhaustive search on a size×size
+// continuous-model hurricane pair across NZS ∈ {2, 5, 10, 20}, timing
+// each PyramidReps times, interleaved. It doubles as a conformance check:
+// it errors unless the summed-window search is byte-identical to its
+// oracle at every point.
 func PyramidExperiment(ctx context.Context, size, workers int, seed int64) (PyramidResult, error) {
-	out := PyramidResult{Name: "pyramid", Size: size, Seed: seed}
-	if size < 32 {
-		return out, fmt.Errorf("eval: size %d too small for a multi-level pyramid", size)
-	}
+	out := PyramidResult{Name: "pyramid", Size: size, Seed: seed, Reps: PyramidReps, Host: HostInfo(), MinAgreement: 1}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out.Workers = workers
-	out.GoMaxProcs = runtime.GOMAXPROCS(0)
 
 	scene := synth.Hurricane(size, size, seed)
 	pair := core.Monocular(scene.Frame(0), scene.Frame(1))
-	pixels := int64(size) * int64(size)
-
 	for _, nzs := range []int{2, 5, 10, 20} {
 		p := core.Params{NS: 2, NZS: nzs, NZT: 3, NST: 2, NSS: 0}
-		levels := pyramidLevelsFor(nzs)
-		prep, err := core.PreparePyramid(pair, p, levels)
+		prep, err := core.Prepare(pair, p)
 		if err != nil {
 			return out, fmt.Errorf("eval: nzs %d: %w", nzs, err)
 		}
-
-		t0 := time.Now()
-		exh, err := core.TrackPreparedParallelCtx(ctx, prep, nil, core.Options{}, workers)
-		if err != nil {
-			return out, err
+		var exh, sum *core.Result
+		var exhSec, sumSec []float64
+		for rep := 0; rep < PyramidReps; rep++ {
+			t0 := time.Now()
+			if exh, err = core.TrackPreparedParallelCtx(ctx, prep, nil, core.Options{}, workers); err != nil {
+				return out, err
+			}
+			exhSec = append(exhSec, time.Since(t0).Seconds())
+			t1 := time.Now()
+			if sum, _, err = core.TrackPyramidPreparedCtx(ctx, prep, summedOptions, workers); err != nil {
+				return out, err
+			}
+			sumSec = append(sumSec, time.Since(t1).Seconds())
 		}
-		exhSec := time.Since(t0).Seconds()
-
-		opt := core.Options{Pyramid: core.PyramidOptions{Levels: levels}}
-		t1 := time.Now()
-		pyr, st, err := core.TrackPyramidPreparedCtx(ctx, prep, opt, workers)
-		if err != nil {
-			return out, err
+		if err := out.checkOracle(prep, sum); err != nil {
+			return out, fmt.Errorf("eval: nzs %d: %w", nzs, err)
 		}
-		pyrSec := time.Since(t1).Seconds()
-
 		pt := PyramidPoint{
-			NZS:           nzs,
-			Levels:        st.Levels,
-			ExhaustiveHyp: p.Hypotheses(),
-			HypPerPixel:   st.HypPerPixel,
-			ExhaustiveSec: exhSec,
-			PyramidSec:    pyrSec,
-			FallbackFrac:  st.FallbackFrac,
+			NZS:        nzs,
+			Hypotheses: p.Hypotheses(),
+			Exhaustive: newTiming(exhSec),
+			Summed:     newTiming(sumSec),
+			RMSE:       sum.Flow.RMSEAt(exh.Flow, synth.Barbs(pair.I0, 32, nzs+4, 4)),
+			Agreement:  flowAgreement(sum.Flow, exh.Flow),
 		}
-		if exhSec > 0 {
-			pt.PixelsPerSecExhaustive = float64(pixels) / exhSec
+		if pt.Summed.MedianSec > 0 {
+			pt.Speedup = pt.Exhaustive.MedianSec / pt.Summed.MedianSec
 		}
-		if pyrSec > 0 {
-			pt.PixelsPerSecPyramid = float64(pixels) / pyrSec
-			pt.Speedup = exhSec / pyrSec
-		}
-		pt.RMSE = pyr.Flow.RMSEAt(exh.Flow, synth.Barbs(pair.I0, 32, nzs+4, 4))
-		pt.Agreement = flowAgreement(pyr.Flow, exh.Flow)
+		out.MinAgreement = math.Min(out.MinAgreement, pt.Agreement)
 		if nzs == 10 {
 			out.SpeedupAtNZS10 = pt.Speedup
 			out.RMSEAtNZS10 = pt.RMSE
 		}
 		out.Points = append(out.Points, pt)
-
-		// Full-covering refinement must reproduce the exhaustive argmin
-		// bit for bit — the contract the fast path is allowed to relax
-		// only when the radius is actually narrower than the window.
-		if nzs == 5 {
-			full := core.Options{Pyramid: core.PyramidOptions{
-				Levels:       levels,
-				RefineRadius: 2 * p.SearchRX(),
-			}}
-			fres, _, err := core.TrackPyramidPreparedCtx(ctx, prep, full, workers)
-			if err != nil {
-				return out, err
-			}
-			out.BitIdentical = fres.Flow.Equal(exh.Flow) && fres.Err.Equal(exh.Err)
-			if !out.BitIdentical {
-				return out, fmt.Errorf("eval: full-radius pyramid is not bit-identical to the exhaustive search")
-			}
-		}
 	}
 
 	// Figure 5/6 fixture accuracy: the hurricane and thunderstorm scenes
-	// the accuracy experiments score, pyramid vs exhaustive at the barbs.
-	fig5, err := pyramidFixtureRMSE(ctx, synth.Hurricane(64, 64, 7), 3, workers)
-	if err != nil {
+	// the accuracy experiments score, summed-window vs lane kernel at the
+	// barbs.
+	var err error
+	if out.Fig5RMSE, err = out.fixture(ctx, synth.Hurricane(64, 64, 7), 3, workers); err != nil {
 		return out, fmt.Errorf("eval: fig5 fixture: %w", err)
 	}
-	out.Fig5RMSE = fig5
-	fig6, err := pyramidFixtureRMSE(ctx, synth.Thunderstorm(64, 64, 11), 2, workers)
-	if err != nil {
+	if out.Fig6RMSE, err = out.fixture(ctx, synth.Thunderstorm(64, 64, 11), 2, workers); err != nil {
 		return out, fmt.Errorf("eval: fig6 fixture: %w", err)
 	}
-	out.Fig6RMSE = fig6
+	out.BitIdentical = true
 	return out, nil
 }
 
-// pyramidFixtureRMSE tracks one fixture scene with the default pyramid
-// and the exhaustive sweep and returns the barb-point RMSE between them.
-func pyramidFixtureRMSE(ctx context.Context, scene *synth.Scene, nzs, workers int) (float64, error) {
+// summedOptions selects the summed-window search.
+var summedOptions = core.Options{Pyramid: core.PyramidOptions{Levels: 2}}
+
+// checkOracle errors unless res is byte-identical to the oracle's field.
+func (r *PyramidResult) checkOracle(prep *core.Prepared, res *core.Result) error {
+	want, err := core.TrackSummedReference(prep, summedOptions)
+	if err != nil {
+		return err
+	}
+	if !res.Flow.Equal(want.Flow) || !res.Err.Equal(want.Err) {
+		return fmt.Errorf("summed-window search is not bit-identical to its oracle")
+	}
+	return nil
+}
+
+// fixture tracks one fixture scene with the summed-window search and the
+// lane kernel, checks the former against its oracle, folds the argmin
+// agreement into MinAgreement and returns the barb-point RMSE.
+func (r *PyramidResult) fixture(ctx context.Context, scene *synth.Scene, nzs, workers int) (float64, error) {
 	pair := core.Monocular(scene.Frame(0), scene.Frame(1))
 	p := core.Params{NS: 2, NZS: nzs, NZT: 3, NST: 2, NSS: 0}
-	prep, err := core.PreparePyramid(pair, p, 3)
+	prep, err := core.Prepare(pair, p)
 	if err != nil {
 		return math.NaN(), err
 	}
@@ -192,13 +181,15 @@ func pyramidFixtureRMSE(ctx context.Context, scene *synth.Scene, nzs, workers in
 	if err != nil {
 		return math.NaN(), err
 	}
-	pyr, _, err := core.TrackPyramidPreparedCtx(ctx, prep, core.Options{
-		Pyramid: core.PyramidOptions{Levels: 3},
-	}, workers)
+	sum, _, err := core.TrackPyramidPreparedCtx(ctx, prep, summedOptions, workers)
 	if err != nil {
 		return math.NaN(), err
 	}
-	return pyr.Flow.RMSEAt(exh.Flow, synth.Barbs(pair.I0, 32, 8, 4)), nil
+	if err := r.checkOracle(prep, sum); err != nil {
+		return math.NaN(), err
+	}
+	r.MinAgreement = math.Min(r.MinAgreement, flowAgreement(sum.Flow, exh.Flow))
+	return sum.Flow.RMSEAt(exh.Flow, synth.Barbs(pair.I0, 32, 8, 4)), nil
 }
 
 // flowAgreement is the fraction of pixels whose displacement matches

@@ -40,46 +40,6 @@ func (g *Grid) Downsample2() *Grid {
 	return out
 }
 
-// DownsampleBox2 returns g decimated by a factor of two with a 2×2 box
-// filter: each output pixel is the mean of the four source pixels it
-// covers. Unlike Downsample2 it applies no Gaussian smoothing, so the
-// result is a pure block average — the deterministic, separable reduction
-// the coarse-to-fine tracker uses for both image and height surfaces.
-// Accumulation is in float64; the mean narrows to float32 only at the
-// store. Odd trailing rows/columns are dropped, matching Downsample2's
-// floor(w/2)×floor(h/2) convention.
-func (g *Grid) DownsampleBox2() *Grid {
-	w := g.W / 2
-	h := g.H / 2
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	out := New(w, h)
-	if g.W == 1 || g.H == 1 {
-		// Degenerate strip: fall back to nearest-sample decimation.
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				out.Data[y*w+x] = g.At(2*x, 2*y)
-			}
-		}
-		return out
-	}
-	for y := 0; y < h; y++ {
-		r0 := g.Data[2*y*g.W:]
-		r1 := g.Data[(2*y+1)*g.W:]
-		for x := 0; x < w; x++ {
-			sx := 2 * x
-			s := (float64(r0[sx]) + float64(r0[sx+1]) +
-				float64(r1[sx]) + float64(r1[sx+1])) * 0.25
-			out.Data[y*w+x] = float32(s)
-		}
-	}
-	return out
-}
-
 // Upsample2 returns g bilinearly enlarged to w×h (typically twice the size).
 // Values are scaled by `scale`, which callers use to double disparity
 // estimates when promoting them to the next finer pyramid level.

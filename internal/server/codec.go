@@ -206,19 +206,18 @@ func (s ParamsSpec) Resolve(def core.Params) (core.Params, error) {
 	return p, nil
 }
 
-// PyramidSpec is the wire form of core.PyramidOptions: the coarse-to-fine
-// hypothesis search of /v1/track and /v1/jobs requests. Levels <= 1 (or
-// an absent spec) keeps the exhaustive bit-exact search. Both serving
+// PyramidSpec is the wire form of core.PyramidOptions: Levels > 1 selects
+// the summed-window exhaustive search of /v1/track and /v1/jobs requests
+// (docs/PERFORMANCE.md §9). Levels <= 1 (or an absent spec) keeps the
+// default lane kernel, bit-identical to the reference. Both serving
 // roles — single node and cluster coordinator/worker — resolve the spec
 // through the same code so it is honored or rejected consistently.
 type PyramidSpec struct {
-	Levels       int     `json:"levels"`
-	RefineRadius int     `json:"refine_radius,omitempty"`
-	FallbackFac  float64 `json:"fallback_factor,omitempty"`
+	Levels int `json:"levels"`
 }
 
-// maxPyramidLevels bounds the levels a request may ask for; the driver
-// clamps to what the image size allows anyway, this only rejects
+// maxPyramidLevels bounds the levels a request may ask for; the value
+// beyond selecting the search changes nothing, this only rejects
 // nonsense.
 const maxPyramidLevels = 16
 
@@ -231,17 +230,10 @@ func (s *PyramidSpec) Resolve(p core.Params) (core.PyramidOptions, error) {
 	if s.Levels < 1 || s.Levels > maxPyramidLevels {
 		return core.PyramidOptions{}, fmt.Errorf("server: pyramid levels %d out of range [1, %d]", s.Levels, maxPyramidLevels)
 	}
-	if s.RefineRadius < 0 {
-		return core.PyramidOptions{}, fmt.Errorf("server: negative pyramid refine radius %d", s.RefineRadius)
-	}
 	if s.Levels > 1 && p.SemiFluid() {
 		return core.PyramidOptions{}, fmt.Errorf("server: pyramid search requires the continuous model (nss = 0)")
 	}
-	return core.PyramidOptions{
-		Levels:         s.Levels,
-		RefineRadius:   s.RefineRadius,
-		FallbackFactor: s.FallbackFac,
-	}, nil
+	return core.PyramidOptions{Levels: s.Levels}, nil
 }
 
 // errorBody is the uniform JSON error envelope.

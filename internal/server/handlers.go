@@ -27,8 +27,8 @@ type TrackRequest struct {
 	Synthetic *SyntheticRef `json:"synthetic,omitempty"`
 	Params    ParamsSpec    `json:"params"`
 	Robust    bool          `json:"robust,omitempty"`
-	// Pyramid requests the coarse-to-fine accelerated search (continuous
-	// model only; absent = exhaustive bit-exact search).
+	// Pyramid requests the summed-window exhaustive search (continuous
+	// model only; absent = the default lane kernel, bit-exact).
 	Pyramid *PyramidSpec `json:"pyramid,omitempty"`
 	Format  string       `json:"format,omitempty"` // json (default) | binary
 }
@@ -41,7 +41,7 @@ type JobRequest struct {
 	Synthetic *SyntheticRef `json:"synthetic"`
 	Params    ParamsSpec    `json:"params"`
 	Robust    bool          `json:"robust,omitempty"`
-	// Pyramid requests the coarse-to-fine accelerated search for every
+	// Pyramid requests the summed-window exhaustive search for every
 	// pair of the sequence (continuous model only). The spec is journaled
 	// with the job, so durable restarts and cluster shards resume with
 	// the same search mode.
@@ -130,7 +130,7 @@ func (s *Server) parseTrackRequest(r *http.Request) (trackInput, error) {
 			if err != nil {
 				return in, fmt.Errorf("bad pyramid-levels %q", v)
 			}
-			pspec = &PyramidSpec{Levels: levels, RefineRadius: formInt(r, "pyramid-refine")}
+			pspec = &PyramidSpec{Levels: levels}
 		}
 		pyr, err := pspec.Resolve(in.params)
 		if err != nil {
@@ -245,13 +245,7 @@ func (s *Server) runTrack(ctx context.Context, pair core.Pair, p core.Params, op
 			done <- outcome{err: err} // deadline passed while queued
 			return
 		}
-		var prep *core.Prepared
-		var err error
-		if opt.Pyramid.Enabled() {
-			prep, err = core.PreparePyramid(pair, p, opt.Pyramid.Levels)
-		} else {
-			prep, err = core.Prepare(pair, p)
-		}
+		prep, err := core.Prepare(pair, p)
 		if err != nil {
 			done <- outcome{err: err}
 			return

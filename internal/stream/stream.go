@@ -212,17 +212,16 @@ func StreamCtx(ctx context.Context, src Source, cfg Config, emit func(pair int, 
 	// fall behind, preparation stalls instead of accumulating pairs.
 	retry := cfg.Retry.withDefaults()
 	pr := &producer{
-		src:       src,
-		p:         cfg.Params,
-		pyrLevels: cfg.Options.Pyramid.Levels,
-		gate:      cfg.Gate,
-		retry:     retry,
-		skip:      cfg.Skip,
-		cache:     newLRU(cacheSize),
-		jobs:      jobs,
-		stop:      stop,
-		st:        &st,
-		rng:       rand.New(rand.NewSource(retry.Seed)),
+		src:   src,
+		p:     cfg.Params,
+		gate:  cfg.Gate,
+		retry: retry,
+		skip:  cfg.Skip,
+		cache: newLRU(cacheSize),
+		jobs:  jobs,
+		stop:  stop,
+		st:    &st,
+		rng:   rand.New(rand.NewSource(retry.Seed)),
 	}
 	prodErr := make(chan error, 1)
 	go func() {
@@ -349,20 +348,16 @@ var errStopped = errors.New("stream: stopped")
 // producer runs in its own goroutine; it is the only writer of the cache
 // and of the producer-side counters.
 type producer struct {
-	src Source
-	p   core.Params
-	// pyrLevels > 1 switches frame preparation to PrepareFramePyramid so
-	// each cached FramePrep carries the coarse chain the pyramid tracking
-	// driver refines over (Options.Pyramid).
-	pyrLevels int
-	gate      *core.QualityGate
-	retry     RetryPolicy
-	skip      SkipPolicy
-	cache     *lru
-	jobs      chan<- pairJob
-	stop      <-chan struct{}
-	st        *Stats
-	rng       *rand.Rand
+	src   Source
+	p     core.Params
+	gate  *core.QualityGate
+	retry RetryPolicy
+	skip  SkipPolicy
+	cache *lru
+	jobs  chan<- pairJob
+	stop  <-chan struct{}
+	st    *Stats
+	rng   *rand.Rand
 }
 
 func (pr *producer) run() error {
@@ -511,13 +506,7 @@ func (pr *producer) framePrep(i int, f core.Frame) (*core.FramePrep, error) {
 		pr.st.FitsReused++
 		return fp, nil
 	}
-	var fp *core.FramePrep
-	var err error
-	if pr.pyrLevels > 1 {
-		fp, err = core.PrepareFramePyramid(f, pr.p, pr.pyrLevels)
-	} else {
-		fp, err = core.PrepareFrame(f, pr.p)
-	}
+	fp, err := core.PrepareFrame(f, pr.p)
 	if err != nil {
 		return nil, frameError(i, err)
 	}
