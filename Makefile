@@ -60,14 +60,14 @@ chaos-smoke:
 
 # bench-smoke: short-form kernel microbenchmarks plus the tracking
 # throughput experiment (smabench -only track), gated on bit-identity
-# and a >= 2x serial speedup over the naive reference kernel
+# and a >= 5x median serial speedup over the naive reference kernel
 # (docs/PERFORMANCE.md).
 bench-smoke:
 	sh scripts/bench_smoke.sh
 
 # pyramid-smoke: the summed-window search experiment (smabench -only
 # pyramid), gated on byte-identity with its oracle, >= 99.7% argmin
-# agreement with the lane kernel, a >= 3x speedup at NZS=10, and <= 0.1
+# agreement with the block kernel, a >= 3x speedup at NZS=10, and <= 0.1
 # grid-unit drift at the fixture tracers (docs/PERFORMANCE.md §9).
 pyramid-smoke:
 	sh scripts/pyramid_smoke.sh

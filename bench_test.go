@@ -325,7 +325,7 @@ func BenchmarkSemiMapBuild(b *testing.B) {
 var semiMapSink *core.SemiMap
 
 // BenchmarkPyramidVsFlat compares the summed-window search the pyramid
-// option selects against the lane kernel's exhaustive search over the
+// option selects against the block kernel's exhaustive search over the
 // same ±8 window. Both sides include geometry preparation and run on one
 // worker.
 func BenchmarkPyramidVsFlat(b *testing.B) {

@@ -36,8 +36,8 @@ var experiments = []struct{ Key, Desc string }{
 	{"postproc", "motion-field post-processing extensions (§6)"},
 	{"domains", "ocean/biology/ice application-domain scenes (§1)"},
 	{"sweep", "template-size accuracy vs modeled cost trade-off"},
-	{"track", "hoisted vs naive tracking kernel (BENCH_track.json)"},
-	{"pyramid", "summed-window search vs the lane kernel (BENCH_pyramid.json)"},
+	{"track", "block vs naive tracking kernel (BENCH_track.json)"},
+	{"pyramid", "summed-window search vs the block kernel (BENCH_pyramid.json)"},
 	{"scaling", "strong/weak scaling of the tiled parallel driver (BENCH_scaling.json)"},
 	{"stream", "multi-frame streaming throughput (BENCH_stream.json)"},
 	{"serve", "smaserve HTTP throughput under load (BENCH_serve.json)"},
@@ -253,15 +253,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("Tracking kernel — hoisted vs naive per-hypothesis evaluation")
-		fmt.Printf("  %d×%d semi-fluid pair, %d hypotheses × %d template pixels per tracked pixel\n",
-			r.Size, r.Size, r.Hypotheses, r.TemplatePixels)
-		fmt.Printf("  reference: %.3fs (%.0f px/s, %.0f ns/hyp)\n",
-			r.ReferenceSec, r.PixelsPerSecRef, r.NsPerHypothesisRef)
-		fmt.Printf("  optimized: %.3fs (%.0f px/s, %.0f ns/hyp)   speedup %.2fx\n",
-			r.OptimizedSec, r.PixelsPerSec, r.NsPerHypothesis, r.SpeedupVsReference)
-		fmt.Printf("  parallel (%d workers): %.3fs (%.0f px/s)   speedup %.2fx\n",
-			r.Workers, r.ParallelSec, r.PixelsPerSecParallel, r.SpeedupParallel)
+		fmt.Println("Tracking kernel — block kernel vs naive per-hypothesis evaluation")
+		fmt.Printf("  %d×%d semi-fluid pair, %d hypotheses × %d template pixels per tracked pixel, median of %d interleaved runs\n",
+			r.Size, r.Size, r.Hypotheses, r.TemplatePixels, r.Reps)
+		fmt.Printf("  reference: %.3fs [%.3f, %.3f] (%.0f px/s, %.0f ns/hyp)\n",
+			r.Reference.MedianSec, r.Reference.MinSec, r.Reference.MaxSec, r.PixelsPerSecRef, r.NsPerHypothesisRef)
+		fmt.Printf("  block kernel: %.3fs [%.3f, %.3f] (%.0f px/s, %.0f ns/hyp)   speedup %.2fx\n",
+			r.Optimized.MedianSec, r.Optimized.MinSec, r.Optimized.MaxSec, r.PixelsPerSec, r.NsPerHypothesis, r.SpeedupVsReference)
+		fmt.Printf("  parallel (%d workers): %.3fs [%.3f, %.3f] (%.0f px/s)   speedup %.2fx\n",
+			r.Workers, r.Parallel.MedianSec, r.Parallel.MinSec, r.Parallel.MaxSec, r.PixelsPerSecParallel, r.SpeedupParallel)
 		fmt.Printf("  bit-identical to reference kernel: %v\n", r.BitIdentical)
 		f, err := os.Create(*trackOut)
 		if err != nil {
@@ -280,18 +280,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("Pyramid option — summed-window exhaustive search vs the lane kernel")
+		fmt.Println("Pyramid option — summed-window exhaustive search vs the block kernel")
 		fmt.Printf("  %d×%d continuous-model hurricane pair, %d workers, median of %d runs (%s, %s)\n",
 			r.Size, r.Size, r.Workers, r.Reps, r.Host.CPU, r.Host.GoVersion)
 		fmt.Printf("  %-6s %8s %12s %12s %9s %10s %11s\n",
-			"NZS", "hyp/px", "lane s", "summed s", "speedup", "RMSE px", "agreement")
+			"NZS", "hyp/px", "block s", "summed s", "speedup", "RMSE px", "agreement")
 		for _, pt := range r.Points {
 			fmt.Printf("  %-6d %8d %12.3f %12.3f %8.2fx %10.4f %10.2f%%\n",
 				pt.NZS, pt.Hypotheses, pt.Exhaustive.MedianSec, pt.Summed.MedianSec,
 				pt.Speedup, pt.RMSE, 100*pt.Agreement)
 		}
 		fmt.Printf("  bit-identical to its oracle: %v; lowest argmin agreement %.4f\n", r.BitIdentical, r.MinAgreement)
-		fmt.Printf("  fixture RMSE vs lane kernel: fig5 %.4f px, fig6 %.4f px\n", r.Fig5RMSE, r.Fig6RMSE)
+		fmt.Printf("  fixture RMSE vs block kernel: fig5 %.4f px, fig6 %.4f px\n", r.Fig5RMSE, r.Fig6RMSE)
 		f, err := os.Create(*pyrOut)
 		if err != nil {
 			log.Fatal(err)

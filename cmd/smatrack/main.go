@@ -129,7 +129,7 @@ func main() {
 			epsField = res.Err
 			search := "summed-window search"
 			if *robust {
-				search = "lane kernel (robust)"
+				search = "block kernel (robust)"
 			}
 			fmt.Printf("%s: %d hypotheses over %d pixels\n", search, st.Hypotheses, st.Pixels)
 			break

@@ -57,17 +57,17 @@ func DefaultConfig() *Config {
 	return &Config{
 		KernelFuncs: set(
 			// core tracker inner loop
-			"trackPixel", "searchWindow", "preparePixel",
 			"accumulateA", "accumulateB",
 			"residualSum", "residualSumBounded", "rowResiduals",
 			"solveMotion", "factorMotion", "solveFactored",
 			"symmetrize", "robustRefine",
-			// lane kernel — batch.go (scoreLanes: simdtrack.go's closure)
-			"scoreHypLanes", "scoreLanes",
-			"bLane", "bLaneClamped", "fillLaneBuf",
-			"residualSumBoundedLane", "solveFactoredLanes",
+			// block kernel — block.go
+			"searchTile", "prepareBlock", "buildTermPlanes", "scoreHyp",
+			"bWalk", "residualWalk", "fillBuf", "storeBlock", "fillPadded",
+			// SIMD simulation's lane scorer — simdtrack.go's closure
+			"scoreLanes", "solveFactoredLanes",
 			// summed-window search — summed.go
-			"searchBlock", "blockGeometry", "invertBlock", "scoreBlockHyp",
+			"searchBlock", "invertBlock", "scoreBlockHyp",
 			"slide", "aPlaneValues", "summedA", "invertMotion",
 			"summedEps", "summedTheta",
 			// semi-fluid map — semimap.go

@@ -10,7 +10,7 @@ import (
 // times (512² pixels × up to 81 hypotheses × template pixels); an
 // allocation inside that path turns into GC pressure that dwarfs the
 // arithmetic. Scratch space must be allocated once at tracker
-// construction (see core.newTracker) and reused.
+// construction (see core.newBlockKernel) and reused.
 //
 // The kernel set is Config.KernelFuncs; cmd/smavet's -kernels flag
 // extends it.

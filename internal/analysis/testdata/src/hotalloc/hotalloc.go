@@ -1,14 +1,14 @@
 // Package hotalloc is a smavet analyzer fixture. Lines marked
 // "want-marked hotalloc" must be flagged; everything else must not.
-// searchWindow and trackPixel are in the default kernel set; setup is not.
+// searchTile and bWalk are in the default kernel set; setup is not.
 package hotalloc
 
-func searchWindow(n int) []float64 {
+func searchTile(n int) []float64 {
 	buf := make([]float64, n) // want hotalloc
 	return buf
 }
 
-func trackPixel(buf []float64) []float64 {
+func bWalk(buf []float64) []float64 {
 	buf = append(buf, 1) // want hotalloc
 	p := new(float64)    // want hotalloc
 	_ = p

@@ -8,19 +8,22 @@ import (
 	"sma/internal/synth"
 )
 
-// The lane-width equivalence wall: every lane width and every tile shape
-// must reproduce TrackPreparedReference bit for bit. This file extends
-// kernel_equiv_test.go's contract across the lane widths of the search
-// kernel (batch.go) and the pixel-tile parallel driver (tiles.go); run it
-// under -race to also exercise the scheduler for data races
+// The pixel-batch equivalence wall: the block kernel (block.go) scores
+// one hypothesis for a whole block of pixels from shared term planes, and
+// every batch of pixels — every block shape — and every worker count must
+// reproduce TrackPreparedReference bit for bit. This file extends
+// kernel_equiv_test.go's contract across block shapes; run it under
+// -race to also exercise the scheduler for data races
 // (race_equiv_test.go does).
 
-// batchWidths are the widths the wall pins: one hypothesis per pass,
-// partial batches, the power-of-two sweet spots, and the full lane count.
+// batchWidths are the block sides the wall pins (batch=N runs N×N
+// blocks): single-pixel blocks, where every template reaches across the
+// padded block's edge, then blocks that leave ragged edge blocks on the
+// 20² and 24² scenes.
 var batchWidths = []int{1, 2, 4, 8}
 
-// TestBatchKernelMatchesReference runs the full raster search at every
-// lane width across the equivalence scenes × {continuous, semi-fluid} ×
+// TestBatchKernelMatchesReference runs the full search at every block
+// side across the equivalence scenes × {continuous, semi-fluid} ×
 // {least-squares, robust} and demands bit-identical flow, ε, and motion
 // parameters against the retained naive kernel.
 func TestBatchKernelMatchesReference(t *testing.T) {
@@ -40,7 +43,7 @@ func TestBatchKernelMatchesReference(t *testing.T) {
 				for _, bw := range batchWidths {
 					name := fmt.Sprintf("%s/semi=%v/robust=%v/batch=%d", sc.name, semi, robust, bw)
 					t.Run(name, func(t *testing.T) {
-						got := TrackPrepared(prep, sm, Options{Robust: robust, KeepMotion: true, batchHyps: bw})
+						got := TrackPrepared(prep, sm, Options{Robust: robust, KeepMotion: true, blockW: bw, blockH: bw})
 						requireSameBits(t, "TrackPrepared", got, ref)
 					})
 				}
@@ -49,9 +52,9 @@ func TestBatchKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBatchEarlyExitBitIdentical is TestEarlyExitBitIdentical for the
-// batch path: per-lane incumbent bounds with the ε early exit on must
-// reproduce the exhaustive (no-exit) sweep exactly at every width.
+// TestBatchEarlyExitBitIdentical is TestEarlyExitBitIdentical across
+// block sides: per-pixel incumbent bounds with the ε early exit on must
+// reproduce the exhaustive (no-exit) sweep exactly at every side.
 func TestBatchEarlyExitBitIdentical(t *testing.T) {
 	for _, bw := range batchWidths {
 		for _, semi := range []bool{false, true} {
@@ -66,24 +69,20 @@ func TestBatchEarlyExitBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				sm := BuildSemiMap(prep)
-				opt := Options{batchHyps: bw}
-				on := newTracker(prep, sm, opt)
-				off := newTracker(prep, sm, opt)
-				off.noEarlyExit = true
-				for y := 0; y < prep.H; y++ {
-					for x := 0; x < prep.W; x++ {
-						hx1, hy1, e1, th1 := on.trackPixel(x, y)
-						hx2, hy2, e2, th2 := off.trackPixel(x, y)
-						if hx1 != hx2 || hy1 != hy2 {
-							t.Fatalf("(%d,%d): argmin (%d,%d) with exit, (%d,%d) without",
-								x, y, hx1, hy1, hx2, hy2)
-						}
-						if math.Float64bits(e1) != math.Float64bits(e2) {
-							t.Fatalf("(%d,%d): ε %v with exit, %v without", x, y, e1, e2)
-						}
-						if th1 != th2 {
-							t.Fatalf("(%d,%d): θ differs: %v vs %v", x, y, th1, th2)
-						}
+				on := searchAllBlocks(prep, sm, Options{}, fullWindow(p), bw, false)
+				off := searchAllBlocks(prep, sm, Options{}, fullWindow(p), bw, true)
+				for i := range on {
+					x, y := i%prep.W, i/prep.W
+					a, b := on[i], off[i]
+					if a.hx != b.hx || a.hy != b.hy {
+						t.Fatalf("(%d,%d): argmin (%d,%d) with exit, (%d,%d) without",
+							x, y, a.hx, a.hy, b.hx, b.hy)
+					}
+					if math.Float64bits(a.eps) != math.Float64bits(b.eps) {
+						t.Fatalf("(%d,%d): ε %v with exit, %v without", x, y, a.eps, b.eps)
+					}
+					if a.theta != b.theta {
+						t.Fatalf("(%d,%d): θ differs: %v vs %v", x, y, a.theta, b.theta)
 					}
 				}
 			})
@@ -91,9 +90,9 @@ func TestBatchEarlyExitBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTileParallelBitIdentical sweeps tile shapes × worker counts over
-// the tile-scheduled parallel driver and demands the bits of the serial
-// batch kernel — the scheduling layer must be invisible in the output.
+// TestTileParallelBitIdentical sweeps block shapes × worker counts over
+// the block-scheduled parallel driver and demands the bits of the serial
+// search — the scheduling layer must be invisible in the output.
 func TestTileParallelBitIdentical(t *testing.T) {
 	p := testParams()
 	s := synth.Hurricane(22, 22, 93)
@@ -104,17 +103,17 @@ func TestTileParallelBitIdentical(t *testing.T) {
 	sm := BuildSemiMap(prep)
 	want := TrackPrepared(prep, sm, Options{KeepMotion: true})
 	tiles := []struct{ tw, th int }{
-		{0, 0},   // chooseTileSize default
-		{1, 1},   // degenerate: one pixel per tile
+		{0, 0},   // blockShape default
+		{1, 1},   // degenerate: one pixel per block
 		{5, 3},   // non-square, non-divisor of 22
 		{22, 1},  // row strips (the old fan-out shape)
-		{64, 64}, // single tile larger than the image
+		{64, 64}, // single block larger than the image
 	}
 	for _, tl := range tiles {
 		for _, workers := range []int{1, 2, 3, 8} {
 			name := fmt.Sprintf("tile=%dx%d/workers=%d", tl.tw, tl.th, workers)
 			t.Run(name, func(t *testing.T) {
-				opt := Options{KeepMotion: true, tileW: tl.tw, tileH: tl.th}
+				opt := Options{KeepMotion: true, blockW: tl.tw, blockH: tl.th}
 				got := TrackPreparedParallel(prep, sm, opt, workers)
 				if !got.Flow.Equal(want.Flow) {
 					t.Fatal("flow differs from serial kernel")
@@ -132,16 +131,19 @@ func TestTileParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchWidthClamped pins effectiveBatch's clamping: 0 means the full
-// lane count, negatives and overwide requests clamp into [1, BatchLanes],
-// and every clamped width still matches the reference (spot check).
+// TestBatchWidthClamped pins blockShape's resolution of the block
+// options: a side ≤ 0 means the default side (and a height ≤ 0 the
+// width), a side beyond the image is clipped to it, and every resolved
+// shape still matches the reference (spot check).
 func TestBatchWidthClamped(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, 8}, {-3, 1}, {1, 1}, {5, 5}, {8, 8}, {9, 8}, {100, 8},
+	cases := []struct{ w, h, wantW, wantH int }{
+		{0, 0, blockSide, blockSide}, {-3, 0, blockSide, blockSide}, {1, 0, 1, 1},
+		{5, 0, 5, 5}, {5, 3, 5, 3}, {5, -2, 5, 5}, {100, 0, 16, 16}, {100, 7, 16, 7},
 	}
 	for _, c := range cases {
-		if got := effectiveBatch(Options{batchHyps: c.in}); got != c.want {
-			t.Fatalf("effectiveBatch(%d) = %d, want %d", c.in, got, c.want)
+		bw, bh := blockShape(Options{blockW: c.w, blockH: c.h}, 16, 16, 1)
+		if bw != c.wantW || bh != c.wantH {
+			t.Fatalf("blockShape(%d, %d) = %d×%d, want %d×%d", c.w, c.h, bw, bh, c.wantW, c.wantH)
 		}
 	}
 	s := synth.Hurricane(16, 16, 7)
@@ -151,9 +153,9 @@ func TestBatchWidthClamped(t *testing.T) {
 	}
 	ref := TrackPreparedReference(prep, nil, Options{})
 	for _, bw := range []int{-1, 3, 100} {
-		got := TrackPrepared(prep, nil, Options{batchHyps: bw})
+		got := TrackPrepared(prep, nil, Options{blockW: bw})
 		if !got.Flow.Equal(ref.Flow) || !got.Err.Equal(ref.Err) {
-			t.Fatalf("batchHyps=%d: output differs from reference", bw)
+			t.Fatalf("blockW=%d: output differs from reference", bw)
 		}
 	}
 }

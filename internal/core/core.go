@@ -96,6 +96,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: NST = %d, need >= 1 when the semi-fluid model is enabled", p.NST)
 	case p.NZTX < 0 || p.NZTY < 0 || p.NZSX < 0 || p.NZSY < 0:
 		return fmt.Errorf("core: rectangular window overrides must be non-negative")
+	case p.NZS > math.MaxInt8 || p.NZSX > math.MaxInt8 || p.NZSY > math.MaxInt8:
+		// Bounds the request size; every flow component |h + δ| then stays
+		// within 2·127 = 254, which a stored int16 flow holds exactly.
+		return fmt.Errorf("core: search radii NZS/NZSX/NZSY = %d/%d/%d, need <= %d", p.NZS, p.NZSX, p.NZSY, math.MaxInt8)
 	}
 	return nil
 }

@@ -31,6 +31,9 @@ func TestParamsValidate(t *testing.T) {
 		{NS: 1, NZS: 1, NZT: 1, NSS: -1},
 		{NS: 1, NZS: 1, NZT: 1, NSS: 1, NST: 0},
 		{NS: 1, NZS: 1, NZT: 1, NSS: 128, NST: 1}, // δ is stored as int8
+		{NS: 1, NZS: 128, NZT: 1},                 // flows are stored as int16
+		{NS: 1, NZS: 1, NZT: 1, NZSX: 128},
+		{NS: 1, NZS: 1, NZT: 1, NZSY: 128},
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {
@@ -39,6 +42,16 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if err := testParams().Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// The bounds are inclusive: a ±127 search with a ±127 δ is the
+	// widest flow component, 254.
+	for _, p := range []Params{
+		{NS: 1, NZS: 127, NZT: 1, NSS: 127, NST: 1},
+		{NS: 1, NZS: 1, NZT: 1, NZSX: 127, NZSY: 127},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
 	}
 }
 

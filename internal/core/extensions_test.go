@@ -300,9 +300,9 @@ func TestSearchWindowOffsetsSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTracker(prep, nil, Options{})
-	hx, hy, _, _ := tr.searchWindow(16, 16, hypWindow{lox: 3, hix: 5, loy: -1, hiy: 1})
-	if hx != 4 || hy != 0 {
+	k := newBlockKernel(prep, nil, Options{}, padNormals(prep), windowOrder(hypWindow{lox: 3, hix: 5, loy: -1, hiy: 1}), 1, 1)
+	k.searchTile(nil, tileRect{X0: 16, Y0: 16, X1: 17, Y1: 17})
+	if hx, hy := k.best[0].hx, k.best[0].hy; hx != 4 || hy != 0 {
 		t.Fatalf("offset window search found (%d,%d), want (4,0)", hx, hy)
 	}
 }

@@ -2,14 +2,12 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"testing"
 
 	"sma/internal/synth"
 )
 
-// Kernel microbenchmarks: optimized (hoisted) vs reference (naive) paths.
+// Kernel microbenchmarks: the block kernel vs the reference (naive) path.
 // The eval.TrackThroughputExperiment measures the same contrast end to end
 // and records it in BENCH_track.json; these isolate the per-call costs.
 
@@ -32,74 +30,36 @@ func BenchmarkScoreReference(b *testing.B) {
 	}
 }
 
-func BenchmarkPreparePixel(b *testing.B) {
+// BenchmarkPrepareBlock times the hypothesis-invariant half of one
+// block: the padded geometry and each pixel's factored A.
+func BenchmarkPrepareBlock(b *testing.B) {
 	prep, sm := benchPrep(b, testParams())
-	tr := newTracker(prep, sm, Options{})
+	k := newBlockKernel(prep, sm, Options{}, padNormals(prep), windowOrder(fullWindow(prep.P)), blockSide, blockSide)
+	t := tileRect{X0: 8, Y0: 8, X1: 8 + blockSide, Y1: 8 + blockSide}
+	k.searchTile(nil, t)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.preparePixel(16, 16)
+		k.prepareBlock(t)
 	}
 }
 
-func BenchmarkTrackPixel(b *testing.B) {
+// BenchmarkSearchTile times the whole search of one interior block — the
+// prepare half plus every hypothesis's term planes and per-pixel scoring
+// — per model and per option.
+func BenchmarkSearchTile(b *testing.B) {
 	run := func(b *testing.B, p Params, opt Options) {
 		prep, sm := benchPrep(b, p)
-		tr := newTracker(prep, sm, opt)
+		k := newBlockKernel(prep, sm, opt, padNormals(prep), windowOrder(fullWindow(p)), blockSide, blockSide)
+		t := tileRect{X0: 8, Y0: 8, X1: 8 + blockSide, Y1: 8 + blockSide}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tr.trackPixel(16, 16)
+			k.searchTile(nil, t)
 		}
 	}
 	b.Run("continuous", func(b *testing.B) { run(b, contParams(), Options{}) })
 	b.Run("semifluid", func(b *testing.B) { run(b, testParams(), Options{}) })
 	b.Run("semifluid-robust", func(b *testing.B) { run(b, testParams(), Options{Robust: true}) })
-	b.Run("reference", func(b *testing.B) {
-		prep, sm := benchPrep(b, testParams())
-		tr := newTracker(prep, sm, Options{})
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr.trackPixelReference(16, 16)
-		}
-	})
-}
-
-// BenchmarkScoreHypLanes isolates one scoreHypLanes call at each width.
-// The b-pass runs per lane, so the width shares only the LU replay and
-// the call overhead between lanes.
-func BenchmarkScoreHypLanes(b *testing.B) {
-	prep, sm := benchPrep(b, testParams())
-	for _, bw := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("width%d", bw), func(b *testing.B) {
-			tr := newTracker(prep, sm, Options{batchHyps: bw})
-			tr.preparePixel(16, 16)
-			lhx := make([]int, bw)
-			lhy := make([]int, bw)
-			for l := 0; l < bw; l++ {
-				lhx[l] = l%3 - 1
-				lhy[l] = l/3 - 1
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				best := incumbent{eps: math.Inf(1)}
-				tr.scoreHypLanes(16, 16, lhx, lhy, false, &best)
-			}
-		})
-	}
-}
-
-// BenchmarkTrackPixelBatch sweeps the lane width over the full
-// per-pixel search (prepare + lane sweep).
-func BenchmarkTrackPixelBatch(b *testing.B) {
-	prep, sm := benchPrep(b, testParams())
-	for _, bw := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("width%d", bw), func(b *testing.B) {
-			tr := newTracker(prep, sm, Options{batchHyps: bw})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr.trackPixel(16, 16)
-			}
-		})
-	}
 }
 
 func BenchmarkTrackPrepared(b *testing.B) {

@@ -11,8 +11,8 @@ import (
 	"sma/internal/synth"
 )
 
-// This file locks the hoisted kernel (preparePixel + scoreHypLanes +
-// factored solves + ε early exit) to the retained naive kernel in reference.go.
+// This file locks the block kernel (factor-once A, term planes, factored
+// solves, ε early exit) to the retained naive kernel in reference.go.
 // Every comparison is bitwise: the optimization contract is exact
 // equivalence, not numerical closeness.
 
@@ -134,23 +134,20 @@ func TestEarlyExitBitIdentical(t *testing.T) {
 					}
 					sm := BuildSemiMap(prep)
 					opt := Options{Robust: robust}
-					on := newTracker(prep, sm, opt)
-					off := newTracker(prep, sm, opt)
-					off.noEarlyExit = true
-					for y := 0; y < prep.H; y++ {
-						for x := 0; x < prep.W; x++ {
-							hx1, hy1, e1, th1 := on.trackPixel(x, y)
-							hx2, hy2, e2, th2 := off.trackPixel(x, y)
-							if hx1 != hx2 || hy1 != hy2 {
-								t.Fatalf("(%d,%d): argmin (%d,%d) with exit, (%d,%d) without",
-									x, y, hx1, hy1, hx2, hy2)
-							}
-							if math.Float64bits(e1) != math.Float64bits(e2) {
-								t.Fatalf("(%d,%d): ε %v with exit, %v without", x, y, e1, e2)
-							}
-							if th1 != th2 {
-								t.Fatalf("(%d,%d): θ differs: %v vs %v", x, y, th1, th2)
-							}
+					on := searchAllBlocks(prep, sm, opt, fullWindow(p), blockSide, false)
+					off := searchAllBlocks(prep, sm, opt, fullWindow(p), blockSide, true)
+					for i := range on {
+						x, y := i%prep.W, i/prep.W
+						a, b := on[i], off[i]
+						if a.hx != b.hx || a.hy != b.hy {
+							t.Fatalf("(%d,%d): argmin (%d,%d) with exit, (%d,%d) without",
+								x, y, a.hx, a.hy, b.hx, b.hy)
+						}
+						if math.Float64bits(a.eps) != math.Float64bits(b.eps) {
+							t.Fatalf("(%d,%d): ε %v with exit, %v without", x, y, a.eps, b.eps)
+						}
+						if a.theta != b.theta {
+							t.Fatalf("(%d,%d): θ differs: %v vs %v", x, y, a.theta, b.theta)
 						}
 					}
 				})

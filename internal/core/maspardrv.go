@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"sma/internal/maspar"
@@ -191,42 +191,18 @@ func TrackMasPar(m *maspar.Machine, pair Pair, p Params, opt Options, scheme mas
 	}
 	layers := mp.Layers()
 
-	// Functional execution, organized layer by layer exactly as the SIMD
-	// machine schedules it. Per-pixel arithmetic is shared with the
-	// sequential driver, so results match it bit for bit. HostWorkers
-	// splits each layer's PE sweep across goroutines (pixels are
-	// independent, so the worker count cannot change results).
+	// Functional execution. The machine schedule (memory layers, fetches,
+	// segments) is charged by ModelRun above; the per-pixel results it
+	// produces are those of the search kernel, which computes every pixel
+	// independently of the order pixels are visited in, so the host runs
+	// the block kernel on HostWorkers goroutines and matches the
+	// sequential driver bit for bit at any worker count.
 	sm := BuildSemiMap(prep)
-	res := newResult(prep.W, prep.H, opt.KeepMotion)
-	nproc := m.Cfg.NProc()
 	workers := opt.HostWorkers
 	if workers < 1 {
 		workers = 1
 	}
-	peSpan := (nproc + workers - 1) / workers
-	nrm := padNormals(prep)
-	for l := 0; l < layers; l++ {
-		var wg sync.WaitGroup
-		for w0 := 0; w0 < nproc; w0 += peSpan {
-			w1 := w0 + peSpan
-			if w1 > nproc {
-				w1 = nproc
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				t := newTrackerOn(prep, sm, opt, nrm)
-				for pe := lo; pe < hi; pe++ {
-					x, y := mp.Invert(pe, l)
-					if x >= prep.W || y >= prep.H {
-						continue
-					}
-					hx, hy, eps, theta := t.trackPixel(x, y)
-					res.set(x, y, hx, hy, eps, theta)
-				}
-			}(w0, w1)
-		}
-		wg.Wait()
-	}
+	//smavet:allow errdiscard,ctxflow -- TrackMasPar takes no ctx: a deliberate uncancellable root, so the error is impossible
+	res, _ := trackBlocks(context.Background(), prep, sm, opt, fullWindow(prep.P), workers)
 	return &MasParResult{Result: res, Stages: st, Cost: m.Cost, Plan: plan, Layers: layers}, nil
 }

@@ -9,10 +9,11 @@ import (
 	"sma/internal/synth"
 )
 
-// This file pins the lane kernel's padded-plane reads to the reference
+// This file pins the block kernel's padded-plane reads to the reference
 // kernel's clamped ones where they differ most: on grids so small that
-// every lane is a border lane, with hypotheses inside, at and beyond the
-// padded reach, and with semi-fluid lanes at the NSS margin.
+// every template crosses the border, with hypotheses inside, at and
+// beyond the padded reach, and with semi-fluid hypotheses at the NSS
+// margin.
 
 // sameF64 reports whether a and b have the same bits; any two NaNs match
 // (see requireSameBits).
@@ -31,7 +32,7 @@ type refScore struct {
 // kernel, keyed by offset.
 func refScores(ref *tracker, x, y int, win hypWindow) map[[2]int]refScore {
 	out := map[[2]int]refScore{}
-	n := len(ref.tmpl)
+	n := len(ref.buf) / bufStride
 	for hy := win.loy; hy <= win.hiy; hy++ {
 		for hx := win.lox; hx <= win.hix; hx++ {
 			eps, th := ref.scoreReference(x, y, hx, hy)
@@ -45,7 +46,7 @@ func refScores(ref *tracker, x, y int, win hypWindow) map[[2]int]refScore {
 	return out
 }
 
-// refSearch is searchWindow over precomputed reference scores: the
+// refSearch is the windowed search over precomputed reference scores: the
 // anchor (zero clamped into win) accepted first, then win in raster
 // order under strict-< acceptance, then the tracked pixel's own
 // semi-fluid δ.
@@ -69,13 +70,14 @@ func refSearch(sm *SemiMap, scores map[[2]int]refScore, x, y int, win hypWindow)
 	return hx, hy, best
 }
 
-// TestKernelPadBorderLanes compares scoreHypLanes, lane by lane, and
-// searchWindow, in full batches, with the reference kernel bit for bit.
-// Each lane is checked for its ε, θ and stored right-hand sides over
-// every hypothesis within the padded reach plus one, at every pixel of
-// 9×7, 1×N, N×1 and 3×3 grids, for Fcont, Fsemi and Robust, on trackers
-// reading the padded planes and, without Robust, the unpadded ones
-// (where every border lane takes the clamped path).
+// TestKernelPadBorderLanes compares the block kernel, one hypothesis at
+// a time and over whole windows, with the reference kernel bit for bit.
+// Each hypothesis, scored alone on the 1×1 block of a pixel, is checked
+// for its ε, θ and term-plane right-hand sides over every hypothesis
+// within the padded reach plus one, at every pixel of 9×7, 1×N, N×1 and
+// 3×3 grids, for Fcont, Fsemi and Robust, on kernels reading the padded
+// planes and, without Robust, the unpadded ones (where every border
+// hypothesis reads through the clamp).
 func TestKernelPadBorderLanes(t *testing.T) {
 	grids := [][2]int{{9, 7}, {1, 11}, {11, 1}, {3, 3}}
 	for _, g := range grids {
@@ -95,17 +97,17 @@ func TestKernelPadBorderLanes(t *testing.T) {
 					sm := BuildSemiMap(prep)
 					opt := Options{Robust: robust}
 					ref := newTracker(prep, sm, opt)
-					padded := newTracker(prep, sm, opt)
-					trackers := []*tracker{padded}
+					padded := padNormals(prep)
+					planes := []*normalPlanes{padded}
 					if !robust {
-						// Robust changes only what follows the b-pass, so
-						// the all-clamped unpadded b-pass is checked without it.
-						trackers = append(trackers, newTrackerOn(prep, sm, opt, padNormalsBy(prep.G1, 0, 0)))
+						// Robust changes only what follows the b-walk, so
+						// the all-clamped unpadded planes are checked without it.
+						planes = append(planes, padNormalsBy(prep.G1, 0, 0))
 					}
 					// e reaches one hypothesis beyond the pad on each side.
 					// Robust scoring is costly, so there the window leaves
 					// the pad along x only.
-					e := maxInt(padded.nrm.padX, padded.nrm.padY) + 1
+					e := maxInt(padded.padX, padded.padY) + 1
 					beyond := hypWindow{-e, e, -e, e}
 					if robust {
 						beyond.loy, beyond.hiy = -p.SearchRY(), p.SearchRY()
@@ -113,18 +115,26 @@ func TestKernelPadBorderLanes(t *testing.T) {
 					for y := 0; y < prep.H; y++ {
 						for x := 0; x < prep.W; x++ {
 							scores := refScores(ref, x, y, beyond)
-							for _, tr := range trackers {
-								checkLanes(t, tr, scores, x, y, beyond)
+							for _, nrm := range planes {
+								checkHyps(t, prep, sm, opt, nrm, scores, x, y, beyond)
 								for _, win := range []hypWindow{fullWindow(p), beyond} {
-									hx, hy, eps, th := tr.searchWindow(x, y, win)
-									rhx, rhy, rs := refSearch(sm, scores, x, y, win)
-									if hx != rhx || hy != rhy || !sameF64(eps, rs.eps) {
-										t.Fatalf("(%d,%d) window %v: (%d,%d) ε=%v, reference (%d,%d) ε=%v",
-											x, y, win, hx, hy, eps, rhx, rhy, rs.eps)
+									k := newBlockKernel(prep, sm, opt, nrm, windowOrder(win), 1, 1)
+									k.searchTile(nil, tileRect{X0: x, Y0: y, X1: x + 1, Y1: y + 1})
+									best := k.best[0]
+									hx, hy := best.hx, best.hy
+									if sm != nil {
+										dx, dy := sm.Delta(x, y, hx, hy)
+										hx += dx
+										hy += dy
 									}
-									for i := range th {
-										if !sameF64(th[i], rs.theta[i]) {
-											t.Fatalf("(%d,%d) window %v: θ %v, reference %v", x, y, win, th, rs.theta)
+									rhx, rhy, rs := refSearch(sm, scores, x, y, win)
+									if hx != rhx || hy != rhy || !sameF64(best.eps, rs.eps) {
+										t.Fatalf("(%d,%d) window %v: (%d,%d) ε=%v, reference (%d,%d) ε=%v",
+											x, y, win, hx, hy, best.eps, rhx, rhy, rs.eps)
+									}
+									for i := range best.theta {
+										if !sameF64(best.theta[i], rs.theta[i]) {
+											t.Fatalf("(%d,%d) window %v: θ %v, reference %v", x, y, win, best.theta, rs.theta)
 										}
 									}
 								}
@@ -137,15 +147,16 @@ func TestKernelPadBorderLanes(t *testing.T) {
 	}
 }
 
-// checkLanes scores every hypothesis of win at (x, y) as a lone anchor
-// lane and demands the reference kernel's ε, θ and right-hand sides.
-func checkLanes(t *testing.T, tr *tracker, scores map[[2]int]refScore, x, y int, win hypWindow) {
+// checkHyps scores every hypothesis of win at (x, y) alone — the anchor
+// of a one-hypothesis search on the 1×1 block — and demands the reference
+// kernel's ε, θ and, from the term planes, right-hand sides.
+func checkHyps(t *testing.T, prep *Prepared, sm *SemiMap, opt Options, nrm *normalPlanes, scores map[[2]int]refScore, x, y int, win hypWindow) {
 	t.Helper()
-	tr.preparePixel(x, y)
 	for hy := win.loy; hy <= win.hiy; hy++ {
 		for hx := win.lox; hx <= win.hix; hx++ {
-			var best incumbent
-			tr.scoreHypLanes(x, y, []int{hx}, []int{hy}, true, &best)
+			k := newBlockKernel(prep, sm, opt, nrm, [][2]int{{hx, hy}}, 1, 1)
+			k.searchTile(nil, tileRect{X0: x, Y0: y, X1: x + 1, Y1: y + 1})
+			best := k.best[0]
 			want := scores[[2]int{hx, hy}]
 			if !sameF64(best.eps, want.eps) {
 				t.Fatalf("(%d,%d) h=(%d,%d): ε %v, reference %v", x, y, hx, hy, best.eps, want.eps)
@@ -155,11 +166,13 @@ func checkLanes(t *testing.T, tr *tracker, scores map[[2]int]refScore, x, y int,
 					t.Fatalf("(%d,%d) h=(%d,%d): θ %v, reference %v", x, y, hx, hy, best.theta, want.theta)
 				}
 			}
-			for k, r := range want.rhs {
+			// The 1×1 block's padded block is exactly the template.
+			for i, r := range want.rhs {
+				got := [3]float64{k.rt[i].r0, k.rt[i].r1, k.rt[i].r2}
 				for c := range r {
-					if !sameF64(tr.laneRHS[k][c], r[c]) {
+					if !sameF64(got[c], r[c]) {
 						t.Fatalf("(%d,%d) h=(%d,%d): template pixel %d rhs %d = %v, reference %v",
-							x, y, hx, hy, k, c, tr.laneRHS[k][c], r[c])
+							x, y, hx, hy, i, c, got[c], r[c])
 					}
 				}
 			}
@@ -194,11 +207,12 @@ func TestKernelPaddedNormalsMatchAt(t *testing.T) {
 	}
 }
 
-// TestKernelSearchWindowZeroAllocs pins the per-pixel search allocation-
-// free on a warmed tracker at the serving, Luis and GOES-9 parameters:
-// the padded planes are built with the tracker, never per pixel.
+// TestKernelSearchWindowZeroAllocs pins the block search allocation-free
+// on a warmed kernel at the serving, Luis and GOES-9 parameters, on a
+// corner, an interior and a ragged edge block: the padded normals and
+// every scratch plane are built with the kernel, never per block.
 func TestKernelSearchWindowZeroAllocs(t *testing.T) {
-	s := synth.Hurricane(32, 32, 7)
+	s := synth.Hurricane(40, 40, 7)
 	pair := Monocular(s.Frame(0), s.Frame(1))
 	for _, tc := range []struct {
 		name string
@@ -209,12 +223,11 @@ func TestKernelSearchWindowZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := newTracker(prep, BuildSemiMap(prep), Options{})
-			full := fullWindow(tc.p)
-			for _, xy := range [][2]int{{16, 16}, {0, 0}, {31, 5}} {
-				tr.searchWindow(xy[0], xy[1], full)
-				if a := testing.AllocsPerRun(5, func() { tr.searchWindow(xy[0], xy[1], full) }); a != 0 {
-					t.Fatalf("searchWindow(%d,%d) allocates %v times per call", xy[0], xy[1], a)
+			k := newBlockKernel(prep, BuildSemiMap(prep), Options{}, padNormals(prep), windowOrder(fullWindow(tc.p)), blockSide, blockSide)
+			for _, tile := range []tileRect{{0, 0, 16, 16}, {16, 16, 32, 32}, {32, 0, 40, 16}} {
+				k.searchTile(nil, tile)
+				if a := testing.AllocsPerRun(3, func() { k.searchTile(nil, tile) }); a != 0 {
+					t.Fatalf("searchTile(%v) allocates %v times per block", tile, a)
 				}
 			}
 		})

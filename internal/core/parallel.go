@@ -3,16 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 )
 
 // TrackPreparedParallel runs the hypothesis search on already-prepared
-// geometry with worker goroutines claiming pixel tiles off a
-// work-stealing index (0 workers = GOMAXPROCS; tile size from
-// chooseTileSize). Tiles are disjoint and the inputs read-only, so the
-// result is bit-identical to TrackPrepared at every worker count and
-// tile size — the property the streaming pipeline's parallel mode
-// relies on.
+// geometry with worker goroutines claiming blocks off a work-stealing
+// index (0 workers = GOMAXPROCS; block shape from blockShape). Blocks
+// are disjoint and the inputs read-only, so the result is bit-identical
+// to TrackPrepared at every worker count and block shape — the property
+// the streaming pipeline's parallel mode relies on.
 func TrackPreparedParallel(prep *Prepared, sm *SemiMap, opt Options, workers int) *Result {
 	//smavet:allow errdiscard,ctxflow -- non-ctx compatibility wrapper: a deliberate uncancellable root, so the error is impossible
 	res, _ := TrackPreparedParallelCtx(context.Background(), prep, sm, opt, workers)
@@ -20,11 +18,11 @@ func TrackPreparedParallel(prep *Prepared, sm *SemiMap, opt Options, workers int
 }
 
 // TrackPreparedParallelCtx is TrackPreparedParallel with cooperative
-// cancellation: when ctx is cancelled mid-search no further tile rows
-// start, workers finish at most their current row each (forEachTileRow
-// polls ctx before every row), and the call returns (nil, ctx.Err()).
+// cancellation: ctx is polled between the hypotheses of every block, so
+// when ctx is cancelled mid-search each worker finishes at most the
+// hypothesis it is scoring, and the call returns (nil, ctx.Err()).
 // Completed runs are bit-identical to TrackPrepared at every worker
-// count and tile size — this is the cancellation point a serving
+// count and block shape — this is the cancellation point a serving
 // deadline threads down to.
 func TrackPreparedParallelCtx(ctx context.Context, prep *Prepared, sm *SemiMap, opt Options, workers int) (*Result, error) {
 	if ctx == nil {
@@ -32,7 +30,7 @@ func TrackPreparedParallelCtx(ctx context.Context, prep *Prepared, sm *SemiMap, 
 	}
 	if opt.Pyramid.Enabled() {
 		// The summed-window search (summed.go). Continuous model only,
-		// so sm is always nil there. Robust stays on the lane kernel
+		// so sm is always nil there. Robust stays on the block kernel
 		// below (see TrackPyramidPreparedCtx).
 		if sm != nil {
 			return nil, fmt.Errorf("core: pyramid search requires the continuous model (NSS = 0)")
@@ -42,37 +40,5 @@ func TrackPreparedParallelCtx(ctx context.Context, prep *Prepared, sm *SemiMap, 
 			return res, err
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	w, h := prep.W, prep.H
-	tw, th := opt.tileW, opt.tileH
-	if side := chooseTileSize(prep.P, w, h, workers); tw <= 0 {
-		tw = side
-		if th <= 0 {
-			th = side
-		}
-	} else if th <= 0 {
-		th = tw
-	}
-	// The padded after-frame normals are built once and read by every
-	// worker; each worker owns a tracker (scratch buffers are not
-	// shared) and pixels are written to disjoint result cells, so any
-	// pixel→worker assignment yields the same bits.
-	full := fullWindow(prep.P)
-	res := newResult(w, h, opt.KeepMotion)
-	nrm := padNormals(prep)
-	err := forEachTileRow(ctx, newTileGrid(w, h, tw, th), workers, func() func(t tileRect, y int) {
-		t := newTrackerOn(prep, sm, opt, nrm)
-		return func(tile tileRect, y int) {
-			for x := tile.X0; x < tile.X1; x++ {
-				hx, hy, eps, theta := t.searchWindow(x, y, full)
-				res.set(x, y, hx, hy, eps, theta)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return trackBlocks(ctx, prep, sm, opt, fullWindow(prep.P), workers)
 }

@@ -11,7 +11,7 @@ import (
 // name and its wire form so existing callers and requests keep working.
 
 // PyramidOptions selects the search. The zero value (Levels <= 1) keeps
-// the lane kernel, bit-identical to TrackPreparedReference like every
+// the block kernel, bit-identical to TrackPreparedReference like every
 // other default.
 type PyramidOptions struct {
 	// Levels > 1 selects the summed-window exhaustive search; which
@@ -39,9 +39,9 @@ type PyramidStats struct {
 // reports its work. With Pyramid enabled it is the summed-window
 // exhaustive search: byte-identical to TrackSummedReference at every
 // worker count, and in argmin agreement with TrackPrepared up to float
-// rounding (the window sums reassociate the lane kernel's template
+// rounding (the window sums reassociate the block kernel's template
 // sums). Otherwise, and when Robust is set, it is
-// TrackPreparedParallelCtx's lane kernel, which is exhaustive too: the
+// TrackPreparedParallelCtx's block kernel, which is exhaustive too: the
 // Huber refinement re-weights per hypothesis from per-pixel residuals,
 // which no window sum expresses. Continuous model only.
 func TrackPyramidPreparedCtx(ctx context.Context, prep *Prepared, opt Options, workers int) (*Result, *PyramidStats, error) {

@@ -11,8 +11,8 @@ import (
 // TestParallelDriversBitIdenticalUnderRace is the enforcement half of the
 // paper's equivalence claim ("the parallel algorithm obtained the same
 // result as the sequential implementation"): both goroutine drivers —
-// TrackPreparedParallel's tile-stealing workers and TrackMasPar's per-layer
-// PE-span workers — must be bit-identical to TrackSequential for every
+// TrackPreparedParallel's block-stealing workers and TrackMasPar's
+// HostWorkers — must be bit-identical to TrackSequential for every
 // worker count, including GOMAXPROCS. The suite runs under `make race`, so any
 // unsynchronized write the smavet goroutinecapture check missed is also
 // caught dynamically here.

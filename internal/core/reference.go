@@ -9,16 +9,17 @@ import (
 // This file retains the naive per-hypothesis kernel — the direct
 // transcription of the paper's cost model, which re-accumulates and
 // re-eliminates the full 6×6 normal equations for every hypothesis — as
-// the oracle for the optimized search in track.go and batch.go. The two
-// are bit-identical by construction (the optimized kernel only hoists
-// hypothesis-invariant arithmetic, scores hypotheses in lanes and stops
-// residual sums that provably cannot win); the conformance tests assert
-// it at every lane width, and the benchmark trajectory
+// the oracle for the block kernel (block.go). The two are bit-identical
+// by construction (the block kernel only hoists hypothesis-invariant
+// arithmetic, computes each template pixel's b-pass terms once for every
+// template covering it, and stops residual sums that provably cannot
+// win); the conformance tests assert it at every block shape and worker
+// count, and the benchmark trajectory
 // (eval.TrackThroughputExperiment → BENCH_track.json) measures the
 // speedup against this path.
 //
-// The reference stays deliberately scalar: one hypothesis per pass, no
-// lanes, no early exit, and its own search loop.
+// The reference stays deliberately scalar: one pixel and one hypothesis
+// per pass, no shared terms, no early exit, and its own search loop.
 
 // scoreReference evaluates ε(x, y; x+hx, y+hy) by rebuilding and
 // eliminating the full normal equations for this single hypothesis.
@@ -76,9 +77,10 @@ func (t *tracker) scoreReference(x, y, hx, hy int) (eps float64, theta la.Vec6) 
 	return eps, theta
 }
 
-// trackPixelReference is trackPixel on the naive kernel: the same
-// search order and tie-breaking (the zero hypothesis accepted first,
-// unconditionally), with every hypothesis fully evaluated.
+// trackPixelReference is the exhaustive per-pixel search on the naive
+// kernel: the block kernel's search order and tie-breaking (the zero
+// hypothesis accepted first, unconditionally, then raster order under
+// strict <), with every hypothesis fully evaluated.
 func (t *tracker) trackPixelReference(x, y int) (hx, hy int, eps float64, theta la.Vec6) {
 	p := t.prep.P
 	srx := p.SearchRX()

@@ -1,10 +1,13 @@
 package core
 
+import "context"
+
 // TrackSequential runs the SMA algorithm exactly as the paper's
 // "sequential (un-optimized) version ... used to form a baseline for
 // comparing the correctness of the parallel algorithm results": prepare
 // geometry, precompute the semi-fluid template mapping, then run the full
-// hypothesis search pixel by pixel in raster order.
+// hypothesis search on one worker — bit-identical to the reference
+// kernel's pixel-by-pixel raster loop (TrackPreparedReference).
 func TrackSequential(pair Pair, p Params, opt Options) (*Result, error) {
 	prep, err := Prepare(pair, p)
 	if err != nil {
@@ -16,17 +19,10 @@ func TrackSequential(pair Pair, p Params, opt Options) (*Result, error) {
 
 // TrackPrepared runs the hypothesis search on already-prepared geometry,
 // letting callers stage (and time) preparation separately. It is the
-// serial raster loop: one tracker, pixels in scan order, over normals
-// padded once for the call.
+// block kernel on one worker.
 func TrackPrepared(prep *Prepared, sm *SemiMap, opt Options) *Result {
-	res := newResult(prep.W, prep.H, opt.KeepMotion)
-	t := newTracker(prep, sm, opt)
-	for y := 0; y < prep.H; y++ {
-		for x := 0; x < prep.W; x++ {
-			hx, hy, eps, theta := t.trackPixel(x, y)
-			res.set(x, y, hx, hy, eps, theta)
-		}
-	}
+	//smavet:allow errdiscard,ctxflow -- non-ctx serial entry point: a deliberate uncancellable root, so the error is impossible
+	res, _ := trackBlocks(context.Background(), prep, sm, opt, fullWindow(prep.P), 1)
 	return res
 }
 
@@ -77,12 +73,12 @@ func CountOps(p Params, fitPasses int) OpCounts {
 
 // ScoreOnce evaluates a single zero-offset correspondence hypothesis at
 // (x, y) with the continuous mapping — the microbenchmark kernel behind
-// the paper's Figure 4 (per-correspondence time vs z-template size). It
-// reads the unpadded normals: padding them would cost more than the one
-// hypothesis, and a template that crosses the border takes the clamped
-// path instead.
+// the paper's Figure 4 (per-correspondence time vs z-template size) — as
+// the block kernel on the 1×1 block {(x, y)}. It reads the unpadded
+// normals: padding them would cost more than the one hypothesis, and a
+// template that crosses the border reads through the clamp instead.
 func ScoreOnce(prep *Prepared, x, y int) float64 {
-	t := newTrackerOn(prep, nil, Options{}, padNormalsBy(prep.G1, 0, 0))
-	_, _, eps, _ := t.searchWindow(x, y, hypWindow{})
-	return eps
+	k := newBlockKernel(prep, nil, Options{}, padNormalsBy(prep.G1, 0, 0), windowOrder(hypWindow{}), 1, 1)
+	k.searchTile(nil, tileRect{X0: x, Y0: y, X1: x + 1, Y1: y + 1})
+	return k.best[0].eps
 }

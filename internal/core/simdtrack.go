@@ -90,8 +90,11 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 	srx := p.SearchRX()
 	sry := p.SearchRY()
 	ntp := (2*trx + 1) * (2*try + 1)
-	tmpl := make([]tmplPix, ntp)
-	lrhs := make([][3]float64, ntp*la.BatchLanes)
+	// tmpl holds the gathered template geometry in reference.go's buffer
+	// layout; lane l's copy, with its right-hand sides, lives in
+	// lbuf[l*ntp*bufStride:], where residualSumBounded reads it.
+	tmpl := make([]float64, ntp*bufStride)
+	lbuf := make([]float64, ntp*bufStride*la.BatchLanes)
 	for l := 0; l < mp.Layers(); l++ {
 		for pe := 0; pe < nproc; pe++ {
 			x, y := mp.Invert(pe, l)
@@ -103,7 +106,7 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 			// Hypothesis-invariant pass: the gathered before-geometry and
 			// the normal-equation matrix depend only on (x, y), so cache
 			// the template invariants, accumulate A and factor it once —
-			// the same hoisting the host tracker's preparePixel performs.
+			// the same hoisting the block kernel's prepareBlock performs.
 			var a la.Mat6
 			k := 0
 			for dy := -try; dy <= try; dy++ {
@@ -114,29 +117,27 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 					w0 := 1 / float64(eN.At(x, y, dx, dy))
 					w1 := 1 / float64(gN.At(x, y, dx, dy))
 					accumulateA(&a, zx, zy, w0, w1)
-					tmpl[k] = tmplPix{zx: zx, zy: zy, scale: scale, w0: w0, w1: w1}
+					s := tmpl[k*bufStride:][:bufStride]
+					s[bufZx], s[bufZy], s[bufScale], s[bufW0], s[bufW1] = zx, zy, scale, w0, w1
 					k++
 				}
 			}
 			symmetrize(&a)
 			var mf motionFactor
 			mf.factorMotion(&a)
-			// Lockstep sweep in lanes, as scoreHypLanes does it: the
-			// gathered template invariants are loaded once per pixel and
-			// feed up to la.BatchLanes hypotheses' b accumulations; lanes
-			// fold into the incumbent in order, and with anchor set lane 0
-			// is the zero hypothesis, accepted unconditionally.
+			// Lockstep sweep in lanes: the gathered template invariants
+			// are loaded once per pixel and feed up to la.BatchLanes
+			// hypotheses' b accumulations; lanes fold into the incumbent
+			// in order, and with anchor set lane 0 is the zero
+			// hypothesis, accepted unconditionally.
 			scoreLanes := func(lhx, lhy []int, anchor bool) {
 				L := len(lhx)
 				var bb la.Vec6Lanes
 				k := 0
 				for dy := -try; dy <= try; dy++ {
 					for dx := -trx; dx <= trx; dx++ {
-						zx := tmpl[k].zx
-						zy := tmpl[k].zy
-						scale := tmpl[k].scale
-						w0 := tmpl[k].w0
-						w1 := tmpl[k].w1
+						g := tmpl[k*bufStride:][:bufStride]
+						zx, zy, scale, w0, w1 := g[bufZx], g[bufZy], g[bufScale], g[bufW0], g[bufW1]
 						for l := 0; l < L; l++ {
 							ni := float64(niN.At(x, y, dx+lhx[l], dy+lhy[l]))
 							nj := float64(njN.At(x, y, dx+lhx[l], dy+lhy[l]))
@@ -152,7 +153,9 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 							bb[5][l] += w1 * -rhs1
 							bb[0][l] += rhs2
 							bb[3][l] += rhs2
-							lrhs[l*ntp+k] = [3]float64{rhs0, rhs1, rhs2}
+							lb := lbuf[(l*ntp+k)*bufStride:][:bufStride]
+							copy(lb, g[:bufR0])
+							lb[bufR0], lb[bufR1], lb[bufR2] = rhs0, rhs1, rhs2
 						}
 						k++
 					}
@@ -165,7 +168,8 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 					if first {
 						bound = math.Inf(1)
 					}
-					if e, pruned := residualSumBoundedLane(tmpl, lrhs[l*ntp:(l+1)*ntp], &theta, bound); first || (!pruned && e < bestE) {
+					lb := lbuf[l*ntp*bufStride:][:ntp*bufStride]
+					if e, pruned := residualSumBounded(lb, &theta, bound); first || (!pruned && e < bestE) {
 						bestE = e
 						bestHX, bestHY = lhx[l], lhy[l]
 					}
@@ -198,4 +202,17 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 		}
 	}
 	return res, nil
+}
+
+// solveFactoredLanes solves the first n lanes of bs against the stored
+// factorization(s), mirroring solveFactored's branch structure: every
+// lane is bit-identical to a scalar solveFactored of that lane's b.
+func (mf *motionFactor) solveFactoredLanes(bs *la.Vec6Lanes, n int) la.Vec6Lanes {
+	if mf.ok {
+		return la.SolveFactored6Lanes(&mf.fac, bs, n)
+	}
+	if mf.ridgeOK {
+		return la.SolveFactored6Lanes(&mf.ridge, bs, n)
+	}
+	return la.Vec6Lanes{}
 }

@@ -29,7 +29,7 @@ import (
 // along each padded plane row, then a vertical one down the columns of
 // row sums, which a ring keeps for the last 2·NZT+1 rows.
 //
-// Exactness contract: the running sums reassociate the lane kernel's
+// Exactness contract: the running sums reassociate the block kernel's
 // raster-order template sums, so this search is not bit-identical to
 // TrackPreparedReference (argmin agreement is tested instead). It is
 // bit-identical to its own oracle, TrackSummedReference, which builds
@@ -67,7 +67,7 @@ const aPlanes = 12
 // trackSummed runs the summed-window exhaustive search on workers
 // goroutines (0 = GOMAXPROCS) that claim blocks off forEachTile's
 // work-stealing index; ctx is polled between hypotheses. It ignores
-// opt.Robust, which TrackPyramidPreparedCtx routes to the lane kernel.
+// opt.Robust, which TrackPyramidPreparedCtx routes to the block kernel.
 func trackSummed(ctx context.Context, prep *Prepared, opt Options, workers int) (*Result, error) {
 	if err := summedFinite(prep); err != nil {
 		return nil, err
@@ -81,7 +81,7 @@ func trackSummed(ctx context.Context, prep *Prepared, opt Options, workers int) 
 	}
 	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	nrm := padNormals(prep)
-	order := summedOrder(prep.P)
+	order := windowOrder(fullWindow(prep.P))
 	done := ctx.Done()
 	err := forEachTile(ctx, g, workers, func() func(t tileRect) bool {
 		k := newSummedKernel(prep, nrm, order, opt.KeepMotion)
@@ -91,23 +91,6 @@ func trackSummed(ctx context.Context, prep *Prepared, opt Options, workers int) 
 		return nil, err
 	}
 	return res, nil
-}
-
-// summedOrder is the hypothesis visit order: the anchor (0, 0) first, then
-// the ±NZS window in raster order — the reference search's order, so the
-// tie rule (anchor unconditionally, then strict <) breaks ties alike.
-func summedOrder(p Params) [][2]int {
-	sx, sy := p.SearchRX(), p.SearchRY()
-	order := make([][2]int, 0, p.Hypotheses())
-	order = append(order, [2]int{0, 0})
-	for dy := -sy; dy <= sy; dy++ {
-		for dx := -sx; dx <= sx; dx++ {
-			if dx != 0 || dy != 0 {
-				order = append(order, [2]int{dx, dy})
-			}
-		}
-	}
-	return order
 }
 
 // summedFinite rejects geometry a running sum would smear. A running sum
@@ -295,9 +278,7 @@ type summedKernel struct {
 	keep   bool
 	rx, ry int
 
-	// zx, zy, sc, w0, w1 are the geometry of the padded block — the block
-	// plus the template reach, with grid.At's clamp — row-major.
-	zx, zy, sc, w0, w1 []float64
+	geom blockGeom
 	// m holds each block pixel's packed M (invertMotion).
 	m [][21]float64
 	// The per-pixel incumbent: ε, hypothesis, and (KeepMotion only) b.
@@ -314,10 +295,9 @@ func newSummedKernel(prep *Prepared, nrm *normalPlanes, order [][2]int, keep boo
 	bw, bh := minInt(summedBlock, prep.W), minInt(summedBlock, prep.H)
 	gw, gh := bw+2*rx, bh+2*ry
 	k := &summedKernel{prep: prep, nrm: nrm, order: order, keep: keep, rx: rx, ry: ry,
-		zx: make([]float64, gw*gh), zy: make([]float64, gw*gh), sc: make([]float64, gw*gh),
-		w0: make([]float64, gw*gh), w1: make([]float64, gw*gh),
-		m:   make([][21]float64, bw*bh),
-		eps: make([]float64, bw*bh), hx: make([]int32, bw*bh), hy: make([]int32, bw*bh),
+		geom: newBlockGeom(gw * gh),
+		m:    make([][21]float64, bw*bh),
+		eps:  make([]float64, bw*bh), hx: make([]int32, bw*bh), hy: make([]int32, bw*bh),
 		sl: newSlider(aPlanes, gw, bw, 2*rx+1, 2*ry+1)}
 	if keep {
 		k.bwin = make([]la.Vec6, bw*bh)
@@ -330,7 +310,7 @@ func newSummedKernel(prep *Prepared, nrm *normalPlanes, order [][2]int, keep boo
 func (k *summedKernel) searchBlock(done <-chan struct{}, t tileRect, res *Result) bool {
 	bw, bh := t.X1-t.X0, t.Y1-t.Y0
 	gw, gh := bw+2*k.rx, bh+2*k.ry
-	k.blockGeometry(t, gw, gh)
+	k.geom.fillPadded(k.prep.G0, t.X0-k.rx, t.Y0-k.ry, gw, gh)
 	k.invertBlock(gw, gh)
 	for n, h := range k.order {
 		select {
@@ -353,25 +333,6 @@ func (k *summedKernel) searchBlock(done <-chan struct{}, t tileRect, res *Result
 	return true
 }
 
-// blockGeometry fills the padded block's template-pixel geometry with the
-// lane kernel's arithmetic (preparePixel).
-func (k *summedKernel) blockGeometry(t tileRect, gw, gh int) {
-	g0 := k.prep.G0
-	for r := 0; r < gh; r++ {
-		py := t.Y0 - k.ry + r
-		for c := 0; c < gw; c++ {
-			px := t.X0 - k.rx + c
-			o := r*gw + c
-			zx := float64(g0.Zx.At(px, py))
-			zy := float64(g0.Zy.At(px, py))
-			k.zx[o], k.zy[o] = zx, zy
-			k.sc[o] = math.Sqrt(1 + zx*zx + zy*zy)
-			k.w0[o] = 1 / float64(g0.E.At(px, py))
-			k.w1[o] = 1 / float64(g0.G.At(px, py))
-		}
-	}
-}
-
 // invertBlock box-sums A's planes over the block and stores each pixel's M.
 func (k *summedKernel) invertBlock(gw, gh int) {
 	s := &k.sl
@@ -381,7 +342,7 @@ func (k *summedKernel) invertBlock(gw, gh int) {
 	for r := 0; r < gh; r++ {
 		for c := 0; c < gw; c++ {
 			o := r*gw + c
-			v := aPlaneValues(k.zx[o], k.zy[o], k.w0[o], k.w1[o])
+			v := aPlaneValues(k.geom.zx[o], k.geom.zy[o], k.geom.w0[o], k.geom.w1[o])
 			for p, x := range v {
 				s.in[p*gw+c] = x
 			}
@@ -417,8 +378,8 @@ func (k *summedKernel) scoreBlockHyp(t tileRect, hx, hy int, first bool, gw, gh 
 	o := (t.Y0-k.ry+hy+nrm.padY)*nrm.stride + t.X0 - k.rx + hx + nrm.padX
 	for r := 0; r < gh; r++ {
 		g := r * gw
-		zx, zy, sc := k.zx[g:][:gw], k.zy[g:][:gw], k.sc[g:][:gw]
-		w0, w1 := k.w0[g:][:gw], k.w1[g:][:gw]
+		zx, zy, sc := k.geom.zx[g:][:gw], k.geom.zy[g:][:gw], k.geom.sc[g:][:gw]
+		w0, w1 := k.geom.w0[g:][:gw], k.geom.w1[g:][:gw]
 		ni, nj, nk := nrm.ni[o:][:gw], nrm.nj[o:][:gw], nrm.nk[o:][:gw]
 		for c := range zx {
 			r0 := sc[c]*float64(ni[c]) + zx[c]

@@ -17,7 +17,7 @@ import (
 // (TrackSummedReference) on border-dominated, rectangular, multi-block
 // and ridge-path inputs; independence of the worker count;
 // cancellation; the refusal of non-finite geometry; and Robust's route
-// to the lane kernel. Argmin agreement with the reference kernel is
+// to the block kernel. Argmin agreement with the reference kernel is
 // TestPyramidAccuracyVsExhaustiveOnFixtures (pyramid_accel_test.go).
 
 // summedOpt selects the summed-window search.
@@ -188,11 +188,11 @@ func TestSummedRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestSummedRobustRunsLaneKernel: the Huber refinement re-weights per
+// TestSummedRobustRunsBlockKernel: the Huber refinement re-weights per
 // hypothesis from per-pixel residuals, which no window sum expresses, so
-// the pyramid option with Robust runs the lane kernel — the same bits as
+// the pyramid option with Robust runs the block kernel — the same bits as
 // a Robust track without the option, on both entry points.
-func TestSummedRobustRunsLaneKernel(t *testing.T) {
+func TestSummedRobustRunsBlockKernel(t *testing.T) {
 	prep := summedPrep(t, 16, 12, 15, contParams())
 	want, err := TrackPreparedParallelCtx(context.Background(), prep, nil, Options{Robust: true}, 1)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestSummedRobustRunsLaneKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Flow.Equal(want.Flow) || !got.Err.Equal(want.Err) {
-		t.Fatal("robust pyramid track differs from the robust lane kernel")
+		t.Fatal("robust pyramid track differs from the robust block kernel")
 	}
 	if st.Hypotheses != int64(prep.W*prep.H*prep.P.Hypotheses()) {
 		t.Fatalf("stats %+v, want the exhaustive count", st)
@@ -215,6 +215,6 @@ func TestSummedRobustRunsLaneKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Flow.Equal(want.Flow) || !got.Err.Equal(want.Err) {
-		t.Fatal("robust pyramid track via TrackPreparedParallelCtx differs from the robust lane kernel")
+		t.Fatal("robust pyramid track via TrackPreparedParallelCtx differs from the robust block kernel")
 	}
 }

@@ -7,17 +7,16 @@ import (
 	"sync/atomic"
 )
 
-// Pixel-tile work partitioning for the parallel tracking driver. The
-// image is cut into fixed-size rectangular tiles which workers claim
-// through a single atomic work-stealing index — a claimed tile is
-// processed row by row, so context cancellation keeps the old row
-// granularity: after cancel every worker finishes at most the row it is
-// on. Tiles replace the per-row channel fan-out because a channel
-// rendezvous per row cost more than a short row's work at small sizes
-// (the size-64 regression in BENCH_track.json), while an atomic add per
-// tile amortizes scheduling over tileW×tileH pixels and square-ish tiles
-// keep the normals a pixel's search touches resident in cache across the
-// tile's rows (model in docs/PERFORMANCE.md §7).
+// Pixel-tile work partitioning for the parallel drivers. The image is
+// cut into fixed-size rectangular tiles which workers claim through a
+// single atomic work-stealing index: the search kernels claim whole
+// tiles (their blocks, forEachTile), the semi-fluid map build claims
+// tiles row by row (forEachTileRow), so its cancellation keeps row
+// granularity — after cancel every worker finishes at most the row it is
+// on. Tiles replace a per-row channel fan-out because a channel
+// rendezvous per row cost more than a short row's work at small sizes,
+// while an atomic add per tile amortizes scheduling over TW×TH pixels
+// (model in docs/PERFORMANCE.md §7).
 
 const (
 	// tileL2Budget is the per-core cache footprint a tile's working set

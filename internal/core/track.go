@@ -23,18 +23,15 @@ type Options struct {
 	// independent of the worker count.
 	HostWorkers int
 	// Pyramid selects the summed-window exhaustive search (summed.go)
-	// in the parallel driver. The zero value keeps the lane kernel —
+	// in the parallel driver. The zero value keeps the block kernel —
 	// bit-exact against the reference — like every other default.
 	// Continuous model only.
 	Pyramid PyramidOptions
 
-	// batchHyps is the lane width of the search kernel (0 = la.BatchLanes,
-	// clamped into [1, la.BatchLanes]); tileW/tileH fix the parallel
-	// driver's tile shape (0 = chooseTileSize). Both are pure scheduling
-	// — every setting is bit-identical — and only the in-package
-	// equivalence tests set them.
-	batchHyps    int
-	tileW, tileH int
+	// blockW/blockH fix the default search's block shape (0 = the
+	// default, see blockShape). Pure scheduling — every shape is
+	// bit-identical — and only the in-package equivalence tests set them.
+	blockW, blockH int
 }
 
 // tracker scores correspondence hypotheses for single pixels.
@@ -58,50 +55,19 @@ type Options struct {
 // Cost structure of the search: L (and hence the normal-equation matrix A)
 // depends only on the template pixels of the tracked pixel, not on the
 // hypothesis offset — only the right-hand side b does, through the
-// after-motion normals at q = p + h (+ δ). The optimized kernel therefore
-// runs one A-pass per tracked pixel (preparePixel: cache {zx, zy, |n0|,
-// 1/E, 1/G} per template pixel, accumulate A, factor it once) and one
-// b-pass per batch of hypotheses (scoreHypLanes: accumulate b, forward/
-// back-substitute on the stored factorization, sum residuals with an
-// early exit against the best ε so far). Every step replays the reference
-// kernel's arithmetic sequence, so results are bit-identical to it (see
-// reference.go and the golden conformance suite).
+// after-motion normals at q = p + h (+ δ). The default search (block.go)
+// therefore factors A once per tracked pixel and builds b from term
+// planes shared by every template covering a pixel. tracker is the
+// retained naive kernel that re-derives everything per hypothesis
+// (reference.go); the block kernel is bit-identical to it.
 type tracker struct {
 	prep *Prepared
 	sm   *SemiMap
 	opt  Options
 
-	// nrm holds the after-frame normals the b-pass reads, padded by the
-	// kernel's reach; it is shared read-only between the trackers of one
-	// driver call.
-	nrm *normalPlanes
-
-	// tmpl caches the hypothesis-invariant quantities of every template
-	// pixel, in the reference kernel's raster order; preparePixel writes
-	// it once per tracked pixel.
-	tmpl []tmplPix
-
 	// buf holds one hypothesis's full template (bufStride values per
-	// pixel) where the reference kernel and the Huber refinement need
-	// it. Like every scratch buffer here it is sized once at
-	// construction, so the per-pixel kernel never allocates.
+	// pixel), sized once at construction.
 	buf []float64
-
-	// mf is the factored normal-equation matrix of the current pixel.
-	mf motionFactor
-
-	// nlanes is the number of hypotheses scoreHypLanes scores per pass.
-	// Fixed at construction.
-	nlanes int
-
-	// laneRHS holds each lane's per-template-pixel right-hand sides:
-	// lane l's template occupies [l*len(tmpl), (l+1)*len(tmpl)), so the
-	// residual sum reads one lane contiguously.
-	laneRHS [][3]float64
-
-	// noEarlyExit disables the ε early exit (test hook: the argmin must be
-	// bit-identical with the exit on and off).
-	noEarlyExit bool
 }
 
 // buf slot layout: the template geometry, then one hypothesis's
@@ -119,74 +85,12 @@ const (
 	bufStride = 8
 )
 
-// newTracker builds a tracker over freshly padded after-frame normals.
-// Drivers that run several trackers share one padding through
-// newTrackerOn.
+// newTracker builds a reference-kernel tracker with its scratch buffer
+// pre-sized for the template window.
 func newTracker(prep *Prepared, sm *SemiMap, opt Options) *tracker {
-	return newTrackerOn(prep, sm, opt, padNormals(prep))
-}
-
-// newTrackerOn builds a tracker reading the normal planes nrm, with its
-// scratch buffers pre-sized for the template window, keeping the
-// per-pixel search allocation-free.
-func newTrackerOn(prep *Prepared, sm *SemiMap, opt Options, nrm *normalPlanes) *tracker {
 	p := prep.P
 	n := (2*p.TemplateRX() + 1) * (2*p.TemplateRY() + 1)
-	return &tracker{prep: prep, sm: sm, opt: opt, nrm: nrm,
-		tmpl:    make([]tmplPix, n),
-		buf:     make([]float64, n*bufStride),
-		nlanes:  effectiveBatch(opt),
-		laneRHS: make([][3]float64, n*la.BatchLanes)}
-}
-
-// effectiveBatch resolves Options.batchHyps to the lane width the
-// tracker will run: 0 means the full width, anything below 1 scores one
-// hypothesis per pass, anything above la.BatchLanes is clamped to it.
-func effectiveBatch(opt Options) int {
-	b := opt.batchHyps
-	if b == 0 {
-		b = la.BatchLanes
-	}
-	if b < 1 {
-		b = 1
-	}
-	if b > la.BatchLanes {
-		b = la.BatchLanes
-	}
-	return b
-}
-
-// preparePixel runs the hypothesis-invariant half of the kernel for
-// tracked pixel (x, y): it caches the template-pixel geometry and
-// accumulateB's coefficient products in tmpl, accumulates the
-// normal-equation matrix A, and factors it (with the same ridge fallback
-// solveMotion applies) so every hypothesis of the ensuing search solves
-// by substitution only.
-func (t *tracker) preparePixel(x, y int) {
-	p := t.prep.P
-	rx := p.TemplateRX()
-	ry := p.TemplateRY()
-
-	g0 := t.prep.G0
-	var a la.Mat6
-	k := 0
-	for dy := -ry; dy <= ry; dy++ {
-		for dx := -rx; dx <= rx; dx++ {
-			px := x + dx
-			py := y + dy
-			zx := float64(g0.Zx.At(px, py))
-			zy := float64(g0.Zy.At(px, py))
-			scale := math.Sqrt(1 + zx*zx + zy*zy)
-			w0 := 1 / float64(g0.E.At(px, py))
-			w1 := 1 / float64(g0.G.At(px, py))
-			accumulateA(&a, zx, zy, w0, w1)
-			t.tmpl[k] = tmplPix{zx: zx, zy: zy, scale: scale, w0: w0, w1: w1,
-				w0zy: w0 * zy, w0nzx: w0 * -zx, w1nzy: w1 * -zy, w1zx: w1 * zx}
-			k++
-		}
-	}
-	symmetrize(&a)
-	t.mf.factorMotion(&a)
+	return &tracker{prep: prep, sm: sm, opt: opt, buf: make([]float64, n*bufStride)}
 }
 
 // accumulateA adds one template pixel's contribution to the
@@ -413,63 +317,4 @@ type hypWindow struct{ lox, hix, loy, hiy int }
 // fullWindow is the exhaustive ±NZS search window of p.
 func fullWindow(p Params) hypWindow {
 	return hypWindow{-p.SearchRX(), p.SearchRX(), -p.SearchRY(), p.SearchRY()}
-}
-
-// trackPixel runs the exhaustive hypothesis search for one pixel.
-func (t *tracker) trackPixel(x, y int) (hx, hy int, eps float64, theta la.Vec6) {
-	return t.searchWindow(x, y, fullWindow(t.prep.P))
-}
-
-// searchWindow is the per-pixel hypothesis search — the argmin of ε the
-// paper's MP-2 runs in lockstep on every PE — over the window win. The
-// lane-kernel drivers search through it: trackPixel and the tiled driver
-// for the exhaustive window, ScoreOnce for the single zero hypothesis.
-//
-// The anchor hypothesis — zero displacement clamped into the window — is
-// scored first and accepted unconditionally, even when its ε is NaN; the
-// rest of the window follows in raster order under strict-< acceptance,
-// so ties break toward the anchor, then scan order. Hypotheses reach
-// scoreHypLanes in batches of nlanes, the anchor as lane 0 of the first
-// batch; batching changes memory traffic, never the visit order or the
-// arithmetic. The hypothesis-invariant work (template geometry, matrix
-// accumulation and factorization) runs once per pixel, here.
-//
-// Under the semi-fluid model the reported correspondence is the winning
-// hypothesis plus the tracked pixel's own semi-fluid adjustment,
-// h + δ(x, y, h): Fsemi (eq. 9) maps every template pixel individually,
-// and the tracked pixel's after-motion location is where its own
-// discriminant patch re-matched. (Without this, any hypothesis within
-// ±NSS of the truth scores a near-identical ε — the per-pixel freedom
-// absorbs the offset — and the argmin would be ambiguous.)
-func (t *tracker) searchWindow(x, y int, win hypWindow) (hx, hy int, eps float64, theta la.Vec6) {
-	t.preparePixel(x, y)
-	ax := clampInt(0, win.lox, win.hix)
-	ay := clampInt(0, win.loy, win.hiy)
-	var best incumbent
-	var lhx, lhy [la.BatchLanes]int
-	lhx[0], lhy[0] = ax, ay
-	n := 1
-	anchor := true
-	for dy := win.loy; dy <= win.hiy; dy++ {
-		for dx := win.lox; dx <= win.hix; dx++ {
-			if dx == ax && dy == ay {
-				continue
-			}
-			if n == t.nlanes {
-				t.scoreHypLanes(x, y, lhx[:n], lhy[:n], anchor, &best)
-				anchor = false
-				n = 0
-			}
-			lhx[n], lhy[n] = dx, dy
-			n++
-		}
-	}
-	t.scoreHypLanes(x, y, lhx[:n], lhy[:n], anchor, &best)
-	hx, hy = best.hx, best.hy
-	if t.sm != nil {
-		dx, dy := t.sm.Delta(x, y, hx, hy)
-		hx += dx
-		hy += dy
-	}
-	return hx, hy, best.eps, best.theta
 }

@@ -33,10 +33,10 @@ func newTiming(secs []float64) Timing {
 }
 
 // PyramidPoint is one NZS sample of the pyramid option's trajectory: the
-// same prepared continuous-model pair searched exhaustively by the lane
+// same prepared continuous-model pair searched exhaustively by the block
 // kernel and by the summed-window search the option selects, timed
 // without preparation, with the summed-window field scored against the
-// lane kernel's.
+// block kernel's.
 type PyramidPoint struct {
 	NZS int `json:"nzs"`
 	// Hypotheses is the (2·NZS+1)² per-pixel count both searches evaluate.
@@ -46,7 +46,7 @@ type PyramidPoint struct {
 	// Speedup is the ratio of the two median times.
 	Speedup float64 `json:"speedup"`
 	// RMSE is measured at the scene's wind-barb tracer pixels against the
-	// lane kernel's field (grid units); Agreement is the fraction of all
+	// block kernel's field (grid units); Agreement is the fraction of all
 	// pixels whose argmin displacement matches exactly.
 	RMSE      float64 `json:"rmse"`
 	Agreement float64 `json:"argmin_agreement"`
@@ -67,10 +67,10 @@ type PyramidResult struct {
 	// oracle, core.TrackSummedReference, byte for byte at every NZS and
 	// on both fixtures; the experiment errors if it does not.
 	BitIdentical bool `json:"bit_identical"`
-	// MinAgreement is the lowest argmin agreement with the lane kernel
+	// MinAgreement is the lowest argmin agreement with the block kernel
 	// over the sweep and the two fixtures.
 	MinAgreement float64 `json:"min_argmin_agreement"`
-	// Fig5RMSE / Fig6RMSE score the summed-window search against the lane
+	// Fig5RMSE / Fig6RMSE score the summed-window search against the block
 	// kernel at the wind-barb tracers of the two accuracy fixtures
 	// (hurricane and thunderstorm scenes), in grid units.
 	Fig5RMSE float64 `json:"fig5_rmse"`
@@ -82,7 +82,7 @@ type PyramidResult struct {
 }
 
 // PyramidExperiment measures the summed-window search (Options.Pyramid)
-// against the lane kernel's exhaustive search on a size×size
+// against the block kernel's exhaustive search on a size×size
 // continuous-model hurricane pair across NZS ∈ {2, 5, 10, 20}, timing
 // each PyramidReps times, interleaved. It doubles as a conformance check:
 // it errors unless the summed-window search is byte-identical to its
@@ -139,7 +139,7 @@ func PyramidExperiment(ctx context.Context, size, workers int, seed int64) (Pyra
 	}
 
 	// Figure 5/6 fixture accuracy: the hurricane and thunderstorm scenes
-	// the accuracy experiments score, summed-window vs lane kernel at the
+	// the accuracy experiments score, summed-window vs block kernel at the
 	// barbs.
 	var err error
 	if out.Fig5RMSE, err = out.fixture(ctx, synth.Hurricane(64, 64, 7), 3, workers); err != nil {
@@ -168,7 +168,7 @@ func (r *PyramidResult) checkOracle(prep *core.Prepared, res *core.Result) error
 }
 
 // fixture tracks one fixture scene with the summed-window search and the
-// lane kernel, checks the former against its oracle, folds the argmin
+// block kernel, checks the former against its oracle, folds the argmin
 // agreement into MinAgreement and returns the barb-point RMSE.
 func (r *PyramidResult) fixture(ctx context.Context, scene *synth.Scene, nzs, workers int) (float64, error) {
 	pair := core.Monocular(scene.Frame(0), scene.Frame(1))

@@ -11,24 +11,34 @@ import (
 	"sma/internal/synth"
 )
 
+// TrackReps is how many times TrackThroughputExperiment times each
+// kernel; the runs interleave (reference, serial, parallel, then again),
+// and the BENCH file records the median and the spread.
+const TrackReps = 5
+
 // TrackThroughput is one tracking-kernel trajectory point: the same
 // prepared hurricane pair tracked with the retained naive kernel (rebuild
 // and re-eliminate the 6×6 normal equations for every hypothesis, sum
-// every residual to the end) and with the hoisted kernel of track.go
-// (factor A once per pixel, cache the template invariants, early-exit the
-// ε sum against the incumbent best). The two are bit-identical — the
-// point errors otherwise — so the speedup is pure kernel restructuring.
+// every residual to the end) and with the block kernel of block.go
+// (factor A once per pixel, build each hypothesis's b-pass terms once per
+// block, early-exit the ε sum against the incumbent best). The two are
+// bit-identical — the point errors otherwise — so the speedup is pure
+// kernel restructuring.
 type TrackThroughput struct {
-	Name           string  `json:"name"`
-	Size           int     `json:"size"`
-	Workers        int     `json:"workers"`
-	Hypotheses     int     `json:"hypotheses_per_pixel"`
-	TemplatePixels int     `json:"template_pixels"`
-	PixelsTracked  int64   `json:"pixels_tracked"`
-	ReferenceSec   float64 `json:"reference_sec"`
-	OptimizedSec   float64 `json:"optimized_sec"`
-	ParallelSec    float64 `json:"parallel_sec"`
-	// PixelsPerSec rates the serial optimized kernel; the reference and
+	Name           string `json:"name"`
+	Size           int    `json:"size"`
+	Seed           int64  `json:"seed"`
+	Workers        int    `json:"workers"`
+	Reps           int    `json:"reps"`
+	Host           Host   `json:"host"`
+	Hypotheses     int    `json:"hypotheses_per_pixel"`
+	TemplatePixels int    `json:"template_pixels"`
+	PixelsTracked  int64  `json:"pixels_tracked"`
+	Reference      Timing `json:"reference"`
+	Optimized      Timing `json:"optimized"`
+	Parallel       Timing `json:"parallel"`
+	// The rates and ratios below come from the median times.
+	// PixelsPerSec rates the serial block kernel; the reference and
 	// parallel figures bracket it from below and above.
 	PixelsPerSec         float64 `json:"pixels_per_sec"`
 	PixelsPerSecRef      float64 `json:"pixels_per_sec_reference"`
@@ -37,25 +47,21 @@ type TrackThroughput struct {
 	NsPerHypothesisRef   float64 `json:"ns_per_hypothesis_reference"`
 	SpeedupVsReference   float64 `json:"speedup_vs_reference"`
 	SpeedupParallel      float64 `json:"speedup_parallel_vs_reference"`
-	// GoMaxProcs records the cores actually available to the run: on a
-	// single-core host the parallel figures cannot beat serial no matter
-	// how the scheduler behaves, so the smoke gates condition on it.
-	GoMaxProcs int `json:"gomaxprocs"`
 	// ParallelEfficiency is per-worker efficiency of the parallel driver
-	// against the serial optimized kernel: (optimized_sec / parallel_sec)
-	// / workers. 1.0 is perfect scaling; the row fan-out this PR replaced
-	// sat well below 1 even at workers=1 (pure scheduling overhead).
+	// against the serial kernel: (optimized / parallel) / workers. 1.0 is
+	// perfect scaling; on a host with fewer cores than workers it
+	// measures oversubscription, not the scheduler (Host.GOMAXPROCS).
 	ParallelEfficiency float64 `json:"parallel_efficiency"`
 	BitIdentical       bool    `json:"bit_identical"`
 }
 
-// TrackThroughputExperiment measures the hoisted tracking kernel against
-// the naive reference on a size×size semi-fluid hurricane pair at
-// ScaledParams. The returned point doubles as a conformance check: it
-// errors if the optimized motion fields are not bit-identical to the
-// reference kernel's.
+// TrackThroughputExperiment measures the block kernel against the naive
+// reference on a size×size semi-fluid hurricane pair at ScaledParams,
+// TrackReps interleaved times each. The returned point doubles as a
+// conformance check: it errors if any run's motion fields are not
+// bit-identical to the reference kernel's.
 func TrackThroughputExperiment(size, workers int, seed int64) (TrackThroughput, error) {
-	out := TrackThroughput{Name: "track_throughput", Size: size}
+	out := TrackThroughput{Name: "track_throughput", Size: size, Seed: seed, Reps: TrackReps, Host: HostInfo()}
 	if size < 8 {
 		return out, fmt.Errorf("eval: size %d too small for the template+search footprint", size)
 	}
@@ -63,11 +69,10 @@ func TrackThroughputExperiment(size, workers int, seed int64) (TrackThroughput, 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out.Workers = workers
-	out.GoMaxProcs = runtime.GOMAXPROCS(0)
 
 	p := core.ScaledParams()
 	out.Hypotheses = p.Hypotheses()
-	out.TemplatePixels = (2*p.TemplateRX() + 1) * (2*p.TemplateRY() + 1)
+	out.TemplatePixels = p.TemplatePixels()
 
 	scene := synth.Hurricane(size, size, seed)
 	prep, err := core.Prepare(core.Monocular(scene.Frame(0), scene.Frame(1)), p)
@@ -79,41 +84,40 @@ func TrackThroughputExperiment(size, workers int, seed int64) (TrackThroughput, 
 	out.PixelsTracked = pixels
 	hyps := float64(pixels) * float64(out.Hypotheses)
 
-	t0 := time.Now()
-	ref := core.TrackPreparedReference(prep, sm, core.Options{})
-	out.ReferenceSec = time.Since(t0).Seconds()
-
-	t1 := time.Now()
-	opt := core.TrackPrepared(prep, sm, core.Options{})
-	out.OptimizedSec = time.Since(t1).Seconds()
-
-	t2 := time.Now()
-	par := core.TrackPreparedParallel(prep, sm, core.Options{}, workers)
-	out.ParallelSec = time.Since(t2).Seconds()
-
-	if out.OptimizedSec > 0 {
-		out.PixelsPerSec = float64(pixels) / out.OptimizedSec
-		out.NsPerHypothesis = out.OptimizedSec * 1e9 / hyps
+	timed := func(secs *[]float64, run func() *core.Result) *core.Result {
+		t0 := time.Now()
+		res := run()
+		*secs = append(*secs, time.Since(t0).Seconds())
+		return res
 	}
-	if out.ReferenceSec > 0 {
-		out.PixelsPerSecRef = float64(pixels) / out.ReferenceSec
-		out.NsPerHypothesisRef = out.ReferenceSec * 1e9 / hyps
+	var refSec, optSec, parSec []float64
+	out.BitIdentical = true
+	for rep := 0; rep < TrackReps; rep++ {
+		ref := timed(&refSec, func() *core.Result { return core.TrackPreparedReference(prep, sm, core.Options{}) })
+		opt := timed(&optSec, func() *core.Result { return core.TrackPrepared(prep, sm, core.Options{}) })
+		par := timed(&parSec, func() *core.Result { return core.TrackPreparedParallel(prep, sm, core.Options{}, workers) })
+		out.BitIdentical = out.BitIdentical && opt.Flow.Equal(ref.Flow) && opt.Err.Equal(ref.Err) &&
+			par.Flow.Equal(ref.Flow) && par.Err.Equal(ref.Err)
 	}
-	if out.ParallelSec > 0 {
-		out.PixelsPerSecParallel = float64(pixels) / out.ParallelSec
-	}
-	if out.OptimizedSec > 0 {
-		out.SpeedupVsReference = out.ReferenceSec / out.OptimizedSec
-	}
-	if out.ParallelSec > 0 {
-		out.SpeedupParallel = out.ReferenceSec / out.ParallelSec
-		out.ParallelEfficiency = out.OptimizedSec / out.ParallelSec / float64(workers)
-	}
-
-	out.BitIdentical = opt.Flow.Equal(ref.Flow) && opt.Err.Equal(ref.Err) &&
-		par.Flow.Equal(ref.Flow) && par.Err.Equal(ref.Err)
+	out.Reference, out.Optimized, out.Parallel = newTiming(refSec), newTiming(optSec), newTiming(parSec)
 	if !out.BitIdentical {
-		return out, fmt.Errorf("eval: optimized kernel is not bit-identical to the reference kernel")
+		return out, fmt.Errorf("eval: block kernel is not bit-identical to the reference kernel")
+	}
+
+	ref, opt, par := out.Reference.MedianSec, out.Optimized.MedianSec, out.Parallel.MedianSec
+	if opt > 0 {
+		out.PixelsPerSec = float64(pixels) / opt
+		out.NsPerHypothesis = opt * 1e9 / hyps
+		out.SpeedupVsReference = ref / opt
+	}
+	if ref > 0 {
+		out.PixelsPerSecRef = float64(pixels) / ref
+		out.NsPerHypothesisRef = ref * 1e9 / hyps
+	}
+	if par > 0 {
+		out.PixelsPerSecParallel = float64(pixels) / par
+		out.SpeedupParallel = ref / par
+		out.ParallelEfficiency = opt / par / float64(workers)
 	}
 	return out, nil
 }

@@ -209,7 +209,7 @@ func (s ParamsSpec) Resolve(def core.Params) (core.Params, error) {
 // PyramidSpec is the wire form of core.PyramidOptions: Levels > 1 selects
 // the summed-window exhaustive search of /v1/track and /v1/jobs requests
 // (docs/PERFORMANCE.md §9). Levels <= 1 (or an absent spec) keeps the
-// default lane kernel, bit-identical to the reference. Both serving
+// default block kernel, bit-identical to the reference. Both serving
 // roles — single node and cluster coordinator/worker — resolve the spec
 // through the same code so it is honored or rejected consistently.
 type PyramidSpec struct {

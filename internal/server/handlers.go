@@ -28,7 +28,7 @@ type TrackRequest struct {
 	Params    ParamsSpec    `json:"params"`
 	Robust    bool          `json:"robust,omitempty"`
 	// Pyramid requests the summed-window exhaustive search (continuous
-	// model only; absent = the default lane kernel, bit-exact).
+	// model only; absent = the default block kernel, bit-exact).
 	Pyramid *PyramidSpec `json:"pyramid,omitempty"`
 	Format  string       `json:"format,omitempty"` // json (default) | binary
 }

@@ -131,7 +131,7 @@ func TestJobPyramidSpec(t *testing.T) {
 
 // TestTrackPyramidRobust: robust with a pyramid spec is served, not
 // refused. The Huber refinement has no window-sum form, so the field is
-// the robust lane kernel's, bit for bit; a job with both options
+// the robust block kernel's, bit for bit; a job with both options
 // completes every pair.
 func TestTrackPyramidRobust(t *testing.T) {
 	_, ts := testServer(t, Config{})
@@ -180,7 +180,7 @@ func TestTrackPyramidRobust(t *testing.T) {
 		t.Fatalf("reconstructing flow: %v", err)
 	}
 	if !flow.U.Equal(want.Flow.U) || !flow.V.Equal(want.Flow.V) || !eps.Equal(want.Err) {
-		t.Fatal("served robust pyramid field differs from the robust lane kernel")
+		t.Fatal("served robust pyramid field differs from the robust block kernel")
 	}
 
 	const frames = 3

@@ -293,7 +293,7 @@ func (s *Server) handleTrackSVG(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusNotFound, "unknown or expired track id")
 		return
 	}
-	opt := viz.QuiverOptions{Background: tr.Background}
+	var opt viz.QuiverOptions
 	if step, err := strconv.Atoi(r.URL.Query().Get("step")); err == nil && step > 0 {
 		opt.Step = step
 	}
@@ -301,7 +301,7 @@ func (s *Server) handleTrackSVG(w http.ResponseWriter, r *http.Request) {
 		opt.Scale = scale
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	if err := viz.WriteQuiverSVG(w, tr.Flow, opt); err != nil {
+	if err := tr.WriteSVG(w, opt); err != nil {
 		s.cfg.Logf("smaserve: svg render: %v", err)
 	}
 }
@@ -316,7 +316,11 @@ func (s *Server) storeTrack(res *core.Result, bg *grid.Grid, p core.Params) (str
 	if err != nil {
 		return "", err
 	}
-	s.store.Put(id, &TrackResult{ID: id, Flow: res.Flow, Background: bg, Params: p, Created: time.Now()})
+	tr, err := newTrackResult(id, res.Flow, bg, p)
+	if err != nil {
+		return "", err
+	}
+	s.store.Put(id, tr)
 	return id, nil
 }
 

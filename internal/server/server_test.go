@@ -161,6 +161,7 @@ func TestTrackRejectsBadRequests(t *testing.T) {
 		{"too big", `{"synthetic":{"size":256}}`, http.StatusBadRequest},
 		{"bad params", `{"synthetic":{"size":16},"params":{"nss":-1}}`, http.StatusBadRequest},
 		{"nss beyond int8", `{"synthetic":{"size":16},"params":{"nss":128}}`, http.StatusBadRequest},
+		{"nzs beyond int8", `{"synthetic":{"size":16},"params":{"nzs":128}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

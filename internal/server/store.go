@@ -6,6 +6,8 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"sma/internal/core"
 	"sma/internal/grid"
 	"sma/internal/stream"
+	"sma/internal/viz"
 )
 
 // newID returns a 16-hex-char random identifier for tracks and jobs.
@@ -24,30 +27,66 @@ func newID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// TrackResult is a stored synchronous tracking outcome: the flow plus the
-// first input frame, kept so GET /v1/track/{id}/svg can render vectors
-// over the imagery they were tracked on. It keeps only what that render
-// reads — not the residual plane, which the POST response already
-// carried.
+// TrackResult is a stored synchronous tracking outcome, kept so GET
+// /v1/track/{id}/svg can render vectors over the imagery they were
+// tracked on. It keeps only what that render draws, in the smallest form
+// that draws the same bytes: the flow as int16 planes (core flows are
+// integer offsets h + δ, and Params.Validate bounds them to ±254) and
+// the first input frame as its 16 gray levels (viz.GrayLevels) — not the
+// residual plane, which the POST response already carried.
 type TrackResult struct {
 	ID         string
-	Flow       *grid.VectorField
-	Background *grid.Grid
+	W, H       int
+	U, V       []int16 // flow components, row-major
+	Background []byte  // viz.GrayLevels of the first frame
 	Params     core.Params
 	Created    time.Time
 }
 
+// newTrackResult packs a tracked flow and its background frame into the
+// stored form. It fails on a flow component int16 cannot hold exactly.
+func newTrackResult(id string, f *grid.VectorField, bg *grid.Grid, p core.Params) (*TrackResult, error) {
+	u, err := int16Plane(f.U)
+	if err != nil {
+		return nil, err
+	}
+	v, err := int16Plane(f.V)
+	if err != nil {
+		return nil, err
+	}
+	w, h := f.Bounds()
+	return &TrackResult{ID: id, W: w, H: h, U: u, V: v, Background: viz.GrayLevels(bg), Params: p, Created: time.Now()}, nil
+}
+
+// int16Plane converts an integer-valued plane to int16, exactly.
+func int16Plane(g *grid.Grid) ([]int16, error) {
+	out := make([]int16, len(g.Data))
+	for i, x := range g.Data {
+		if x < math.MinInt16 || x > math.MaxInt16 || x != float32(int16(x)) {
+			return nil, fmt.Errorf("server: flow component %v at %d is not an int16", x, i)
+		}
+		out[i] = int16(x)
+	}
+	return out, nil
+}
+
+// WriteSVG renders the stored track — the same bytes viz.WriteQuiverSVG
+// draws for the tracked flow over the full first frame. opt's Background
+// fields are ignored.
+func (t *TrackResult) WriteSVG(w io.Writer, opt viz.QuiverOptions) error {
+	f := grid.NewVectorField(t.W, t.H)
+	for i := range t.U {
+		f.U.Data[i], f.V.Data[i] = float32(t.U[i]), float32(t.V[i])
+	}
+	opt.Background, opt.BackgroundLevels = nil, t.Background
+	return viz.WriteQuiverSVG(w, f, opt)
+}
+
 // SizeBytes reports the result's resident footprint for the store's byte
-// cap: two float32 flow planes plus the retained background frame.
+// cap: two int16 flow planes plus one gray-level byte per pixel.
 func (t *TrackResult) SizeBytes() int64 {
 	var n int64 = 256 // struct + map-entry overhead, order of magnitude
-	if t.Flow != nil {
-		n += 4 * int64(len(t.Flow.U.Data)+len(t.Flow.V.Data))
-	}
-	if t.Background != nil {
-		n += 4 * int64(len(t.Background.Data))
-	}
-	return n
+	return n + 2*int64(len(t.U)+len(t.V)) + int64(len(t.Background))
 }
 
 // JobStatus is a job lifecycle state.

@@ -1,10 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
+
+	"sma/internal/core"
+	"sma/internal/grid"
+	"sma/internal/synth"
+	"sma/internal/viz"
 )
 
 // fatEntry is a test value with a declared footprint.
@@ -182,5 +189,61 @@ func TestMemStoreDeleteRacesSweep(t *testing.T) {
 	}
 	if b := st.Bytes(); b != 0 {
 		t.Fatalf("byte ledger reads %d after full delete, want 0", b)
+	}
+}
+
+// TestTrackResultSVGMatchesGridRendering: the stored form of a track —
+// int16 flow planes and the background's gray levels — renders the very
+// SVG bytes the tracked flow draws over the full first frame, for
+// integer, fractional, NaN-containing and flat backgrounds and for flow
+// components up to the ±254 bound, at default and custom render options.
+func TestTrackResultSVGMatchesGridRendering(t *testing.T) {
+	const w, h = 23, 17
+	frame := synth.Hurricane(w, h, 9).Frame(0)
+	integer := frame.Clone()
+	for i, v := range integer.Data {
+		integer.Data[i] = float32(math.Round(float64(v)))
+	}
+	withNaN := frame.Clone()
+	withNaN.Set(3, 4, float32(math.NaN()))
+	withNaN.Set(20, 16, float32(math.NaN()))
+	flat := grid.New(w, h)
+	flat.Fill(42)
+	flow := grid.NewVectorField(w, h)
+	for i := range flow.U.Data {
+		flow.U.Data[i] = float32(i%509 - 254)
+		flow.V.Data[i] = float32((i*7)%5 - 2)
+	}
+	for _, bg := range []struct {
+		name string
+		g    *grid.Grid
+	}{{"integer", integer}, {"fractional", frame}, {"nan", withNaN}, {"flat", flat}} {
+		t.Run(bg.name, func(t *testing.T) {
+			tr, err := newTrackResult("id", flow, bg.g, core.ScaledParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := tr.SizeBytes(), int64(256+5*w*h); got != want {
+				t.Fatalf("SizeBytes = %d, want %d", got, want)
+			}
+			for _, opt := range []viz.QuiverOptions{{}, {Step: 3, Scale: 0.5, MinMagnitude: 1}} {
+				var got, want bytes.Buffer
+				if err := tr.WriteSVG(&got, opt); err != nil {
+					t.Fatal(err)
+				}
+				gridOpt := opt
+				gridOpt.Background = bg.g
+				if err := viz.WriteQuiverSVG(&want, flow, gridOpt); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("stored-form SVG (%d B) differs from the grid rendering (%d B)", got.Len(), want.Len())
+				}
+			}
+		})
+	}
+	flow.U.Data[5] = 0.5
+	if _, err := newTrackResult("id", flow, frame, core.ScaledParams()); err == nil {
+		t.Fatal("a fractional flow component was stored lossily")
 	}
 }

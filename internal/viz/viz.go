@@ -23,6 +23,10 @@ type QuiverOptions struct {
 	CellSize float64
 	// Background optionally renders the intensity image under the vectors.
 	Background *grid.Grid
+	// BackgroundLevels, when set, is a background already quantized by
+	// GrayLevels — one level per field pixel, row-major — and is drawn in
+	// place of Background, with the same bytes.
+	BackgroundLevels []byte
 	// MinMagnitude suppresses arrows below this displacement (default 0.25).
 	MinMagnitude float64
 }
@@ -50,7 +54,11 @@ func WriteQuiverSVG(w io.Writer, f *grid.VectorField, opt QuiverOptions) error {
 		W, H, W, H); err != nil {
 		return err
 	}
-	if opt.Background != nil {
+	if opt.BackgroundLevels != nil {
+		if err := writeLevels(w, opt.BackgroundLevels, fw, fh, opt.CellSize); err != nil {
+			return err
+		}
+	} else if opt.Background != nil {
 		if err := writeBackground(w, opt.Background, opt.CellSize); err != nil {
 			return err
 		}
@@ -92,20 +100,25 @@ func WriteQuiverSVG(w io.Writer, f *grid.VectorField, opt QuiverOptions) error {
 // merging horizontal runs of equal quantized intensity to keep the SVG
 // compact.
 func writeBackground(w io.Writer, g *grid.Grid, cell float64) error {
-	min, max := g.MinMax()
-	span := max - min
-	if span == 0 {
-		span = 1
+	return writeLevels(w, GrayLevels(g), g.W, g.H, cell)
+}
+
+// writeLevels emits a w×h image of GrayLevels levels as writeBackground
+// describes.
+func writeLevels(out io.Writer, levels []byte, w, h int, cell float64) error {
+	if len(levels) != w*h {
+		return fmt.Errorf("viz: %d background levels for a %dx%d field", len(levels), w, h)
 	}
-	for y := 0; y < g.H; y++ {
+	for y := 0; y < h; y++ {
+		row := levels[y*w:][:w]
 		x := 0
-		for x < g.W {
-			q := quant(g.AtUnchecked(x, y), min, span)
+		for x < w {
 			run := 1
-			for x+run < g.W && quant(g.AtUnchecked(x+run, y), min, span) == q {
+			for x+run < w && row[x+run] == row[x] {
 				run++
 			}
-			if _, err := fmt.Fprintf(w,
+			q := row[x] * 17
+			if _, err := fmt.Fprintf(out,
 				`<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="#%02x%02x%02x"/>`+"\n",
 				float64(x)*cell, float64(y)*cell, float64(run)*cell, cell, q, q, q); err != nil {
 				return err
@@ -116,6 +129,22 @@ func writeBackground(w io.Writer, g *grid.Grid, cell float64) error {
 	return nil
 }
 
+// GrayLevels quantizes g into the 16 gray levels (0…15, one byte per
+// pixel, row-major) a background is drawn with, linearly between g's
+// finite extremes.
+func GrayLevels(g *grid.Grid) []byte {
+	min, max := g.MinMax()
+	span := max - min
+	if span == 0 {
+		span = 1
+	}
+	levels := make([]byte, len(g.Data))
+	for i, v := range g.Data {
+		levels[i] = quant(v, min, span)
+	}
+	return levels
+}
+
 // quant maps an intensity to one of 16 gray levels.
 func quant(v, min, span float32) byte {
 	q := int((v - min) / span * 15)
@@ -124,7 +153,7 @@ func quant(v, min, span float32) byte {
 	} else if q > 15 {
 		q = 15
 	}
-	return byte(q * 17)
+	return byte(q)
 }
 
 // WriteQuiverSVGFile writes the rendering to a file.

@@ -1,17 +1,20 @@
 #!/bin/sh
 # bench-smoke: the tracking-kernel performance gate (docs/PERFORMANCE.md).
 # Runs the kernel microbenchmarks in short form, then the
-# eval.TrackThroughputExperiment via smabench, and fails if the hoisted
-# kernel is not bit-identical to the retained naive kernel or its serial
-# speedup falls below the 2x floor the trajectory promises.
+# eval.TrackThroughputExperiment via smabench, and fails if the block
+# kernel is not bit-identical to the retained naive kernel or its median
+# serial speedup falls below the floor.
 set -eu
 
 SIZE="${BENCH_SMOKE_SIZE:-48}"
 OUT="${BENCH_SMOKE_OUT:-/tmp/BENCH_track.json}"
-MIN_SPEEDUP="${BENCH_SMOKE_MIN_SPEEDUP:-2.2}"
+# The floor sits below the 7.7-8.7x medians five runs of this gate
+# measured at size 48 on a 2-vCPU Xeon (docs/PERFORMANCE.md §6); the
+# previous kernel was gated at 2.2x.
+MIN_SPEEDUP=5.0
 
 echo "== kernel microbenchmarks (short)"
-go test -run '^$' -bench 'BenchmarkScoreHyp|BenchmarkScoreReference|BenchmarkPreparePixel|BenchmarkTrackPixel' \
+go test -run '^$' -bench 'BenchmarkScoreReference|BenchmarkPrepareBlock|BenchmarkSearchTile' \
     -benchtime 50ms ./internal/core
 go test -run '^$' -bench 'BenchmarkFactoredSolve' -benchtime 50ms ./internal/la
 

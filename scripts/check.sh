@@ -48,8 +48,9 @@ go test -race -run 'Golden|Stream|TrackStats|PrepareFrame' \
     ./internal/core ./internal/stream ./internal/sequence || fail=1
 
 # The search-kernel equivalence wall and tile-scheduler properties
-# (docs/PERFORMANCE.md §6–7, §9): every lane width and tile shape
-# bit-identical to the reference, the early exit invisible, the
+# (docs/PERFORMANCE.md §6–7, §9): the block kernel's differential table,
+# every block shape and worker count bit-identical to the reference, the
+# early exit invisible, the
 # summed-window search byte-identical to its oracle at every worker
 # count, in argmin agreement with the reference and cancellable, the
 # work-stealing scheduler leak- and race-free, the semi-fluid map
@@ -57,7 +58,7 @@ go test -race -run 'Golden|Stream|TrackStats|PrepareFrame' \
 # cancellable mid-build — run by name under the race detector so a -run
 # filter above can never silently drop them.
 echo "== search kernel + tile scheduler (-race)"
-go test -race -run 'Kernel|EarlyExit|Batch|Tile|Summed|PyramidAccuracy|Lanes|SemiMap' \
+go test -race -run 'Kernel|Block|EarlyExit|Batch|Tile|Summed|PyramidAccuracy|Lanes|SemiMap' \
     ./internal/core ./internal/la || fail=1
 
 # The robustness lock (docs/ROBUSTNESS.md): fault injection, degraded-
@@ -69,8 +70,9 @@ go test -race -run 'Fault|Degraded|Chaos|Skip|Retry|FrameError|Pool|TTL|Expired|
     ./internal/stream ./internal/server ./internal/ingest ./internal/grid || fail=1
 
 # The tracking-kernel performance gate (docs/PERFORMANCE.md): short
-# microbenchmarks plus the reference-vs-optimized throughput experiment,
-# failing on any bitwise divergence or a speedup below 2x.
+# microbenchmarks plus the reference-vs-block-kernel throughput
+# experiment, failing on any bitwise divergence or a median speedup
+# below bench_smoke.sh's floor.
 echo "== bench smoke"
 sh scripts/bench_smoke.sh || fail=1
 
@@ -81,7 +83,7 @@ echo "== scaling smoke"
 sh scripts/scaling_smoke.sh || fail=1
 
 # The pyramid-option gate (docs/PERFORMANCE.md §9): the summed-window
-# search must stay byte-identical to its oracle, agree with the lane
+# search must stay byte-identical to its oracle, agree with the block
 # kernel's argmin on >= 99.7% of pixels, beat it 3x at NZS=10, and hold
 # the fixture fields within 0.1 grid units.
 echo "== pyramid smoke"

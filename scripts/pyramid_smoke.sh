@@ -2,9 +2,9 @@
 # pyramid-smoke: the pyramid option's gate (docs/PERFORMANCE.md §9).
 # Runs eval.PyramidExperiment via smabench and fails if the summed-window
 # search is not byte-identical to its oracle, if its argmin agrees with
-# the lane kernel's on fewer than 99.7% of pixels anywhere in the sweep
-# or on the fixtures, if its speedup over the lane kernel at NZS=10 falls
-# below 3x, or if its field drifts from the lane kernel's by more than
+# the block kernel's on fewer than 99.7% of pixels anywhere in the sweep
+# or on the fixtures, if its speedup over the block kernel at NZS=10 falls
+# below 3x, or if its field drifts from the block kernel's by more than
 # 0.1 grid units at the fixture tracers.
 set -eu
 
