@@ -64,8 +64,6 @@ func DefaultConfig() *Config {
 			// block kernel — block.go
 			"searchTile", "prepareBlock", "buildTermPlanes", "scoreHyp",
 			"bWalk", "residualWalk", "fillBuf", "storeBlock", "fillPadded",
-			// SIMD simulation's lane scorer — simdtrack.go's closure
-			"scoreLanes", "solveFactoredLanes",
 			// summed-window search — summed.go
 			"searchBlock", "invertBlock", "scoreBlockHyp",
 			"slide", "aPlaneValues", "summedA", "invertMotion",
@@ -79,7 +77,7 @@ func DefaultConfig() *Config {
 			"Fit",
 			// linear algebra per-elimination path
 			"Solve6", "Cholesky6", "AccumulateNormal",
-			"Factor6", "SolveFactored6", "SolveFactored6Lanes",
+			"Factor6", "SolveFactored6",
 		),
 		NarrowSinks: set(
 			"Set", "Fill", "SetScalar", "AddScalar", "MulScalar", "Broadcast",

@@ -1,15 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"sma/internal/fault"
@@ -116,7 +110,7 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
 
-	topo, err := fetchClusterView(ctx, opt.URL)
+	topo, err := fetchClusterView(ctx, opt)
 	if err != nil {
 		return res, fmt.Errorf("chaos: cluster topology: %w", err)
 	}
@@ -128,7 +122,7 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 	shards := len(makeShards(opt.Frames-1, topo.ShardPairs))
 	res.Shards = shards
 
-	before, err := scrapeChaosCounters(ctx, opt.URL)
+	before, err := opt.client().Counters(ctx)
 	if err != nil {
 		return res, fmt.Errorf("chaos: baseline metrics scrape: %w", err)
 	}
@@ -144,7 +138,7 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 	if clean.Status != server.JobDone {
 		return res, fmt.Errorf("chaos: clean job finished %q: %s", clean.Status, clean.Error)
 	}
-	cleanBytes, err := fetchResultBytes(ctx, opt.URL, clean.ID)
+	cleanBytes, err := opt.client().Result(ctx, clean.ID)
 	if err != nil {
 		return res, fmt.Errorf("chaos: clean result stream: %w", err)
 	}
@@ -183,7 +177,7 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 		}
 	}
 
-	after, err := scrapeChaosCounters(ctx, opt.URL)
+	after, err := opt.client().Counters(ctx)
 	if err != nil {
 		return res, fmt.Errorf("chaos: final metrics scrape: %w", err)
 	}
@@ -203,7 +197,7 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 		case <-ctx.Done():
 			return res, ctx.Err()
 		}
-		if after, err = scrapeChaosCounters(ctx, opt.URL); err == nil {
+		if after, err = opt.client().Counters(ctx); err == nil {
 			res.GoroutinesAfter = int(after["smaserve_goroutines"])
 		}
 	}
@@ -224,7 +218,7 @@ func runKillRound(ctx context.Context, opt ChaosOptions, res *ChaosResult,
 	if opt.KillMidJob {
 		// Timing-dependent: submit, then kill. Bounded assertions only —
 		// the job must still finish done with every pair bit-identical.
-		id, err := submitClusterJob(ctx, opt, req)
+		id, err := opt.client().Submit(ctx, req, nil)
 		if err != nil {
 			return fmt.Errorf("chaos: kill round submit: %w", err)
 		}
@@ -233,8 +227,8 @@ func runKillRound(ctx context.Context, opt ChaosOptions, res *ChaosResult,
 			return fmt.Errorf("chaos: kill hook: %w", err)
 		}
 		res.KilledNode = node
-		view, err := awaitClusterJob(ctx, opt, id)
-		if err != nil {
+		var view JobView
+		if err := opt.client().Await(ctx, id, &view); err != nil {
 			return fmt.Errorf("chaos: kill round: %w", err)
 		}
 		if view.Status != server.JobDone {
@@ -259,7 +253,7 @@ func runKillRound(ctx context.Context, opt ChaosOptions, res *ChaosResult,
 	res.KilledNode = node
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		topo, err := fetchClusterView(ctx, opt.URL)
+		topo, err := fetchClusterView(ctx, opt)
 		if err != nil {
 			return fmt.Errorf("chaos: polling topology after kill: %w", err)
 		}
@@ -336,7 +330,7 @@ func verifyClusterResult(ctx context.Context, violate func(string, ...any),
 			return 0
 		}
 	}
-	got, err := fetchResultBytes(ctx, opt.URL, view.ID)
+	got, err := opt.client().Result(ctx, view.ID)
 	if err != nil {
 		violate("%s: result stream: %v", label, err)
 		return 0
@@ -358,135 +352,21 @@ func specFromPlan(p *fault.ClusterPlan) *FaultSpec {
 	return spec
 }
 
-// submitClusterJob posts one job and returns its ID without waiting.
-func submitClusterJob(ctx context.Context, opt ChaosOptions, req JobRequest) (string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, opt.URL+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		return "", err
-	}
-	var view JobView
-	if err := decodeChaosBody(resp, http.StatusAccepted, &view); err != nil {
-		return "", err
-	}
-	return view.ID, nil
-}
-
-// awaitClusterJob polls a job to a terminal status.
-func awaitClusterJob(ctx context.Context, opt ChaosOptions, id string) (JobView, error) {
-	var view JobView
-	for {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, opt.URL+"/v1/jobs/"+id, nil)
-		if err != nil {
-			return view, err
-		}
-		resp, err := http.DefaultClient.Do(hreq)
-		if err != nil {
-			return view, err
-		}
-		if err := decodeChaosBody(resp, http.StatusOK, &view); err != nil {
-			return view, err
-		}
-		switch view.Status {
-		case server.JobDone, server.JobFailed, server.JobCancelled:
-			return view, nil
-		}
-		select {
-		case <-time.After(opt.PollInterval):
-		case <-ctx.Done():
-			return view, ctx.Err()
-		}
-	}
+// client is the job client the drill drives the coordinator with.
+func (o ChaosOptions) client() server.JobClient {
+	return server.JobClient{URL: o.URL, Poll: o.PollInterval}
 }
 
 // runClusterChaosJob submits one job and polls it to a terminal status.
 func runClusterChaosJob(ctx context.Context, opt ChaosOptions, req JobRequest) (JobView, error) {
-	id, err := submitClusterJob(ctx, opt, req)
-	if err != nil {
-		return JobView{}, err
-	}
-	return awaitClusterJob(ctx, opt, id)
-}
-
-// fetchResultBytes downloads a finished job's merged SMP1 stream.
-func fetchResultBytes(ctx context.Context, url, id string) ([]byte, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/jobs/"+id+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) //smavet:allow errdiscard -- error-path diagnostics only
-		return nil, fmt.Errorf("result stream: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// fetchClusterView reads GET /v1/cluster.
-func fetchClusterView(ctx context.Context, url string) (ClusterView, error) {
-	var view ClusterView
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/cluster", nil)
-	if err != nil {
-		return view, err
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		return view, err
-	}
-	err = decodeChaosBody(resp, http.StatusOK, &view)
+	var view JobView
+	err := opt.client().Run(ctx, req, &view)
 	return view, err
 }
 
-func decodeChaosBody(resp *http.Response, wantCode int, v any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != wantCode {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) //smavet:allow errdiscard -- error-path diagnostics only
-		return fmt.Errorf("HTTP %d (want %d): %s", resp.StatusCode, wantCode, bytes.TrimSpace(b))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// scrapeChaosCounters fetches /metrics and parses every single-value
-// smaserve_* family (labeled families and histograms skipped).
-func scrapeChaosCounters(ctx context.Context, url string) (map[string]int64, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics scrape: HTTP %d", resp.StatusCode)
-	}
-	out := make(map[string]int64)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "smaserve_") || strings.ContainsRune(line, '{') {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		if n, err := strconv.ParseFloat(strings.TrimSpace(val), 64); err == nil {
-			out[name] = int64(n)
-		}
-	}
-	return out, sc.Err()
+// fetchClusterView reads GET /v1/cluster.
+func fetchClusterView(ctx context.Context, opt ChaosOptions) (ClusterView, error) {
+	var view ClusterView
+	err := opt.client().Get(ctx, "/v1/cluster", &view)
+	return view, err
 }

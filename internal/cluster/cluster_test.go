@@ -63,62 +63,27 @@ func testCoordinator(t *testing.T, urls []string, shardPairs int) (*Coordinator,
 
 func createClusterJob(t *testing.T, url string, req JobRequest) JobView {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/jobs", "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("job create status %d: %s", resp.StatusCode, body)
-	}
 	var view JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatal(err)
+	if _, err := (server.JobClient{URL: url}).Submit(context.Background(), req, &view); err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
 	}
 	return view
 }
 
 func waitClusterJob(t *testing.T, url, id string, timeout time.Duration) JobView {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(url + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var view JobView
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if view.Status == server.JobDone || view.Status == server.JobFailed || view.Status == server.JobCancelled {
-			return view
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", id, view.Status)
-		}
-		time.Sleep(50 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	var view JobView
+	if err := (server.JobClient{URL: url, Poll: 50 * time.Millisecond}).Await(ctx, id, &view); err != nil {
+		t.Fatalf("job %s (last seen %q): %v", id, view.Status, err)
 	}
+	return view
 }
 
 func fetchResult(t *testing.T, url, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("result status %d: %s", resp.StatusCode, body)
-	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := (server.JobClient{URL: url}).Result(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

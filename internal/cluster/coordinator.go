@@ -2,14 +2,11 @@ package cluster
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,6 +100,7 @@ type Coordinator struct {
 	store   server.ResultStore
 	jl      *server.JobLog
 	fstore  *server.FileStore
+	jobs    *server.JobPlane // reads, cancels and recovery over the three above
 	metrics *Metrics
 	mux     *http.ServeMux
 	client  *http.Client
@@ -163,13 +161,14 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.metrics.workers = c.reg.Len
 	c.metrics.aliveCount = c.reg.AliveCount
+	c.jobs = &server.JobPlane{Store: c.store, Log: c.jl, Fields: c.fstore, Transition: c.metrics.JobTransition, Logf: cfg.Logf}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", c.handleJobCreate)
-	mux.HandleFunc("GET /v1/jobs", c.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", c.handleJobResult)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobCancel)
+	mux.HandleFunc("GET /v1/jobs", c.jobs.HandleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", c.jobs.HandleGet)
+	mux.HandleFunc("GET /v1/jobs/{id}/result", c.jobs.HandleResult)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", c.jobs.HandleCancel)
 	mux.HandleFunc("POST /v1/track", c.handleTrackProxy)
 	mux.HandleFunc("GET /v1/cluster", c.handleCluster)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -236,14 +235,6 @@ func (c *Coordinator) httpError(w http.ResponseWriter, code int, msg string) {
 	httpError(w, code, msg)
 }
 
-func newJobID() (string, error) {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("cluster: id generation: %w", err)
-	}
-	return hex.EncodeToString(b[:]), nil
-}
-
 func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
@@ -308,7 +299,7 @@ func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	release := func() { <-c.jobSlots }
 
-	id, err := newJobID()
+	id, err := server.NewID()
 	if err != nil {
 		release()
 		c.httpError(w, http.StatusInternalServerError, err.Error())
@@ -317,13 +308,13 @@ func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	// Like single-node jobs, a cluster job outlives the submitting
 	// request; DELETE /v1/jobs/{id} is the cancellation surface.
 	jobCtx, jobCancel := context.WithCancel(context.WithoutCancel(r.Context()))
-	job := newClusterJob(id, frames, jobCancel)
+	job := newClusterJob(server.NewJob(id, frames, true, jobCancel))
 	if c.jl != nil {
 		// The spec must be durable before the job is acknowledged: a crash
 		// after the 202 must find the job in the journal. The injected
 		// cluster_fault plan is deliberately not journaled — a resumed job
 		// re-dispatches under real liveness only (docs/ROBUSTNESS.md).
-		if err := c.jl.Spec(id, &req.JobRequest, frames, job.created); err != nil {
+		if err := c.jl.Spec(id, &req.JobRequest, frames, job.View().Created); err != nil {
 			jobCancel()
 			release()
 			c.httpError(w, http.StatusInternalServerError, fmt.Sprintf("journaling job spec: %v", err))
@@ -334,114 +325,13 @@ func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	c.metrics.JobTransition("created")
 	c.wg.Add(1)
 	go c.runJob(jobCtx, job, req, plan, nil, release)
-
-	w.Header().Set("Location", "/v1/jobs/"+id)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	if err := json.NewEncoder(w).Encode(job.View()); err != nil {
-		c.cfg.Logf("smaserve: writing cluster job response: %v", err)
-	}
+	c.jobs.Accepted(w, job)
 }
 
 func (c *Coordinator) rejectSaturated(w http.ResponseWriter) {
 	c.metrics.Rejected()
 	w.Header().Set("Retry-After", "1")
 	c.httpError(w, http.StatusServiceUnavailable, "coordinator job slots full; retry later")
-}
-
-func (c *Coordinator) getJob(w http.ResponseWriter, r *http.Request) *clusterJob {
-	v, ok := c.store.Get(r.PathValue("id"))
-	job, isJob := v.(*clusterJob)
-	if !ok || !isJob {
-		c.httpError(w, http.StatusNotFound, "unknown or expired job id")
-		return nil
-	}
-	return job
-}
-
-// handleJobList mirrors the single-node GET /v1/jobs rows so operators
-// point one dashboard at either role — and see what recovery brought
-// back after a coordinator restart.
-func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
-	view := server.JobListView{Jobs: []server.JobListEntry{}}
-	now := time.Now()
-	c.store.Range(func(id string, v any) bool {
-		job, isJob := v.(*clusterJob)
-		if !isJob {
-			return true
-		}
-		jv := job.View()
-		view.Jobs = append(view.Jobs, server.JobListEntry{
-			ID:         jv.ID,
-			Status:     jv.Status,
-			Frames:     jv.Frames,
-			PairsDone:  len(jv.Pairs),
-			PairsTotal: jv.Frames - 1,
-			AgeSec:     now.Sub(jv.Created).Seconds(),
-			Recovered:  jv.Recovered,
-		})
-		return true
-	})
-	sort.Slice(view.Jobs, func(i, k int) bool {
-		if view.Jobs[i].AgeSec != view.Jobs[k].AgeSec {
-			return view.Jobs[i].AgeSec < view.Jobs[k].AgeSec
-		}
-		return view.Jobs[i].ID < view.Jobs[k].ID
-	})
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(view); err != nil {
-		c.cfg.Logf("smaserve: writing cluster job list: %v", err)
-	}
-}
-
-func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	job := c.getJob(w, r)
-	if job == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(job.View()); err != nil {
-		c.cfg.Logf("smaserve: writing cluster job view: %v", err)
-	}
-}
-
-// handleJobResult streams the merged SMP1 output — the byte-identity
-// surface compared against a single-node smaserve's result stream.
-func (c *Coordinator) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	job := c.getJob(w, r)
-	if job == nil {
-		return
-	}
-	status, fields, onDisk, dropped := job.resultSnapshot()
-	if status != server.JobDone && status != server.JobFailed {
-		c.httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; result stream available once finished", status))
-		return
-	}
-	if len(onDisk) > 0 {
-		if err := c.fstore.LoadFields(job.ID, fields, onDisk); err != nil {
-			c.httpError(w, http.StatusInternalServerError, fmt.Sprintf("reading retained fields: %v", err))
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := server.WritePairStream(w, fields, dropped); err != nil {
-		c.cfg.Logf("smaserve: streaming cluster job result %s: %v", job.ID, err)
-	}
-}
-
-func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	job := c.getJob(w, r)
-	if job == nil {
-		return
-	}
-	if !job.Cancel() {
-		c.httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; nothing to cancel", job.View().Status))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(job.View()); err != nil {
-		c.cfg.Logf("smaserve: writing cluster job view: %v", err)
-	}
 }
 
 // handleTrackProxy forwards a synchronous track to the next alive worker

@@ -29,7 +29,7 @@ const sameNodeRetries = 2
 func (c *Coordinator) runJob(ctx context.Context, job *clusterJob, req JobRequest, plan *fault.ClusterPlan, skip map[int]bool, jobDone func()) {
 	defer c.wg.Done()
 	defer jobDone()
-	shards := makeShards(job.frames-1, c.cfg.ShardPairs)
+	shards := makeShards(req.Synthetic.Frames-1, c.cfg.ShardPairs)
 	job.start(len(shards))
 	c.metrics.JobTransition(string(server.JobRunning))
 
@@ -159,7 +159,7 @@ func (c *Coordinator) checkpointShard(job *clusterJob, k, node int, sh shardRang
 			c.cfg.Logf("smaserve: persisting field %s/%d: %v (shard %d will re-run on recovery)", job.ID, rec.Pair, err, k)
 			return
 		}
-		job.spill(rec.Pair)
+		job.Spill(rec.Pair)
 	}
 	for _, rec := range recs {
 		sum := server.PairSummary{Pair: rec.Pair, Status: rec.Status, Error: rec.Cause}

@@ -10,81 +10,16 @@ import (
 // Recover replays the coordinator's journal, restores terminal jobs into
 // the store, resumes interrupted jobs by re-dispatching only their
 // unfinished shards, sweeps orphaned field directories, and compacts the
-// journal. Call once, after New and before serving traffic (workers need
-// not be alive yet — resumed dispatches walk the registry like any
-// other). A no-op without Config.DataDir.
+// journal (server.JobPlane.Recover). Call once, after New and before
+// serving traffic (workers need not be alive yet — resumed dispatches
+// walk the registry like any other). A no-op without Config.DataDir.
 func (c *Coordinator) Recover(ctx context.Context) (server.RecoveryStats, error) {
-	var rs server.RecoveryStats
-	if c.jl == nil {
-		return rs, nil
+	restore := func(r *server.RecoveredJob) server.JobEntry {
+		job := newClusterJob(c.jobs.Restored(r, true))
+		job.shards = len(r.Shards)
+		return job
 	}
-	recs, jst, err := c.jl.Replay()
-	rs.Journal = jst
-	if err != nil {
-		return rs, err
-	}
-	// Compact before resubmitting: resumed jobs append new checkpoints
-	// concurrently, and Compact must not race them.
-	if err := c.jl.Compact(recs); err != nil {
-		return rs, err
-	}
-
-	live := map[string]bool{}
-	var resume []*server.RecoveredJob
-	for _, r := range recs {
-		live[r.ID] = true
-		if r.Ended {
-			c.restoreJob(r)
-			rs.Restored++
-			continue
-		}
-		resume = append(resume, r)
-	}
-	n, err := c.fstore.SweepOrphans(func(id string) bool { return live[id] })
-	rs.OrphanDirs = n
-	if err != nil {
-		c.cfg.Logf("smaserve: cluster recovery orphan sweep: %v", err)
-	}
-	for _, r := range resume {
-		if err := c.resumeJob(ctx, r); err != nil {
-			c.cfg.Logf("smaserve: resuming cluster job %s: %v", r.ID, err)
-			continue
-		}
-		rs.Resumed++
-	}
-	return rs, nil
-}
-
-// restoreJob rebuilds a terminal cluster job from its journal state and
-// persisted fields and puts it back in the store.
-func (c *Coordinator) restoreJob(r *server.RecoveredJob) {
-	if r.Frames < 2 {
-		c.cfg.Logf("smaserve: cluster job %s unrestorable (frames=%d)", r.ID, r.Frames)
-		return
-	}
-	job := newClusterJob(r.ID, r.Frames, nil)
-	job.status = r.Status
-	job.created, job.started, job.finished = r.Created, r.Created, r.Created
-	job.stats = r.Stats
-	job.errMsg = r.ErrMsg
-	job.pairs = append([]server.PairSummary(nil), r.Pairs...)
-	job.shards = len(r.Shards)
-	job.recovered = "restored"
-	for _, ps := range r.Pairs {
-		if ps.Status != server.PairOK || ps.Pair < 0 || ps.Pair >= len(job.fields) {
-			continue
-		}
-		b, ok, err := c.fstore.Field(r.ID, ps.Pair)
-		if err != nil || !ok {
-			// The checkpoint said this field was durable; its absence means
-			// disk damage outside the journal's control. Surface loudly.
-			c.cfg.Logf("smaserve: cluster job %s pair %d: checkpointed field missing (ok=%v err=%v)", r.ID, ps.Pair, ok, err)
-			continue
-		}
-		job.fields[ps.Pair] = b
-	}
-	c.store.Put(r.ID, job)
-	c.metrics.JobTransition("restored")
+	return c.jobs.Recover(ctx, restore, c.resumeJob)
 }
 
 // resumeJob resubmits an interrupted cluster job: shards whose
@@ -107,9 +42,7 @@ func (c *Coordinator) resumeJob(ctx context.Context, r *server.RecoveredJob) err
 	}
 
 	jobCtx, jobCancel := context.WithCancel(context.WithoutCancel(ctx))
-	job := newClusterJob(r.ID, r.Frames, jobCancel)
-	job.created = r.Created
-	job.recovered = "resumed"
+	job := newClusterJob(server.ResumedJob(r, true, jobCancel))
 	skip := map[int]bool{}
 	for k, cp := range r.Shards {
 		if k < 0 || k >= len(shards) || shards[k].Lo != cp.Lo || shards[k].Hi != cp.Hi {
@@ -118,30 +51,20 @@ func (c *Coordinator) resumeJob(ctx context.Context, r *server.RecoveredJob) err
 			continue
 		}
 		pairs := make([]server.PairSummary, 0, cp.Hi-cp.Lo)
-		fields := map[int][]byte{}
-		complete := true
 		for p := cp.Lo; p < cp.Hi; p++ {
-			ps, have := byPair[p]
-			if !have {
-				complete = false
-				break
+			if ps, have := byPair[p]; have {
+				pairs = append(pairs, ps)
 			}
-			if ps.Status == server.PairOK {
-				b, ok, err := c.fstore.Field(r.ID, p)
-				if err != nil || !ok {
-					c.cfg.Logf("smaserve: cluster job %s pair %d: checkpointed field missing (ok=%v err=%v); re-running shard %d", r.ID, p, ok, err, k)
-					complete = false
-					break
-				}
-				fields[p] = b
-			}
-			pairs = append(pairs, ps)
 		}
-		if !complete {
+		if len(pairs) < cp.Hi-cp.Lo {
+			continue
+		}
+		if missing := c.jobs.MissingFields(r.ID, pairs); len(missing) > 0 {
+			c.cfg.Logf("smaserve: cluster job %s: re-running shard %d", r.ID, k)
 			continue
 		}
 		skip[k] = true
-		job.restoreShard(pairs, fields, cp.Stats)
+		job.restoreShard(pairs, cp.Stats)
 	}
 
 	c.store.Put(r.ID, job)

@@ -266,18 +266,71 @@ func TestClusterDurableJobSpillsFields(t *testing.T) {
 	if done := waitClusterJob(t, ts.URL, view.ID, 60*time.Second); done.Status != server.JobDone {
 		t.Fatalf("job finished %s: %s", done.Status, done.Error)
 	}
+	// Each field is larger than the size bound below, so the bound holds
+	// only if every field left memory; the result check then proves each
+	// spilled field was marked on disk and reads back.
 	v, _ := c.store.Get(view.ID)
 	job := v.(*clusterJob)
-	job.mu.Lock()
-	for p, f := range job.fields {
-		if f != nil || p >= len(job.onDisk) || !job.onDisk[p] {
-			job.mu.Unlock()
-			t.Fatalf("pair %d not spilled to disk (%d bytes in memory)", p, len(f))
-		}
-	}
-	job.mu.Unlock()
 	if sz := job.SizeBytes(); sz > 1024 {
 		t.Fatalf("finished durable job charged %d bytes, want index overhead only", sz)
 	}
 	assertClusterResult(t, ref, fetchResult(t, ts.URL, view.ID))
+}
+
+// TestClusterDurableRestoreUnderByteCap: a finished cluster job whose
+// merged fields are bigger than the store's byte cap survives a
+// coordinator restart with its result bytes intact; the restore keeps
+// its fields on disk instead of charging them to the store.
+func TestClusterDurableRestoreUnderByteCap(t *testing.T) {
+	urls := []string{testWorkerNode(t).URL, testWorkerNode(t).URL}
+	dir := t.TempDir()
+	open := func() (*Coordinator, *httptest.Server, server.RecoveryStats) {
+		t.Helper()
+		c, err := New(Config{
+			Workers:        urls,
+			ShardPairs:     2,
+			DataDir:        dir,
+			MaxStoredBytes: 8 << 10,
+			HealthInterval: 100 * time.Millisecond,
+			RetryDelay:     5 * time.Millisecond,
+			Logf:           func(string, ...any) {},
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		rs, err := c.Recover(context.Background())
+		if err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		c.Start(context.Background())
+		return c, httptest.NewServer(c.Handler()), rs
+	}
+	c1, ts1, _ := open()
+	ref := server.SyntheticRef{Scene: "hurricane", Size: 32, Seed: 23, Frames: 4}
+	req := JobRequest{}
+	req.Synthetic = &ref
+	view := createClusterJob(t, ts1.URL, req)
+	if done := waitClusterJob(t, ts1.URL, view.ID, 60*time.Second); done.Status != server.JobDone {
+		t.Fatalf("job finished %s: %s", done.Status, done.Error)
+	}
+	before := fetchResult(t, ts1.URL, view.ID)
+	if len(before) <= 8<<10 {
+		t.Fatalf("result stream is %d bytes; the test needs fields larger than the cap", len(before))
+	}
+	shutdownCoordinator(t, c1, ts1)
+
+	for restart := 1; restart <= 2; restart++ {
+		c, ts, rs := open()
+		if rs.Restored != 1 {
+			t.Fatalf("restart %d: recovery stats = %+v, want the job restored", restart, rs)
+		}
+		got := waitClusterJob(t, ts.URL, view.ID, time.Second)
+		if got.Recovered != "restored" || got.Status != server.JobDone {
+			t.Fatalf("restart %d: restored view: status %s recovered %q", restart, got.Status, got.Recovered)
+		}
+		if after := fetchResult(t, ts.URL, view.ID); !bytes.Equal(before, after) {
+			t.Fatalf("restart %d: restored cluster result differs from the pre-restart bytes", restart)
+		}
+		shutdownCoordinator(t, c, ts)
+	}
 }

@@ -89,12 +89,10 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 	try := p.TemplateRY()
 	srx := p.SearchRX()
 	sry := p.SearchRY()
-	ntp := (2*trx + 1) * (2*try + 1)
-	// tmpl holds the gathered template geometry in reference.go's buffer
-	// layout; lane l's copy, with its right-hand sides, lives in
-	// lbuf[l*ntp*bufStride:], where residualSumBounded reads it.
-	tmpl := make([]float64, ntp*bufStride)
-	lbuf := make([]float64, ntp*bufStride*la.BatchLanes)
+	// buf holds the gathered template geometry in reference.go's buffer
+	// layout, plus the right-hand sides of the hypothesis being scored,
+	// where residualSumBounded reads them.
+	buf := make([]float64, (2*trx+1)*(2*try+1)*bufStride)
 	for l := 0; l < mp.Layers(); l++ {
 		for pe := 0; pe < nproc; pe++ {
 			x, y := mp.Invert(pe, l)
@@ -117,7 +115,7 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 					w0 := 1 / float64(eN.At(x, y, dx, dy))
 					w1 := 1 / float64(gN.At(x, y, dx, dy))
 					accumulateA(&a, zx, zy, w0, w1)
-					s := tmpl[k*bufStride:][:bufStride]
+					s := buf[k*bufStride:][:bufStride]
 					s[bufZx], s[bufZy], s[bufScale], s[bufW0], s[bufW1] = zx, zy, scale, w0, w1
 					k++
 				}
@@ -125,74 +123,42 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 			symmetrize(&a)
 			var mf motionFactor
 			mf.factorMotion(&a)
-			// Lockstep sweep in lanes: the gathered template invariants
-			// are loaded once per pixel and feed up to la.BatchLanes
-			// hypotheses' b accumulations; lanes fold into the incumbent
-			// in order, and with anchor set lane 0 is the zero
-			// hypothesis, accepted unconditionally.
-			scoreLanes := func(lhx, lhy []int, anchor bool) {
-				L := len(lhx)
-				var bb la.Vec6Lanes
+			// Lockstep sweep: each hypothesis is scored from the gathered
+			// data alone and folded into the incumbent; with first set it
+			// is the zero hypothesis, accepted unconditionally.
+			score := func(hx, hy int, first bool) {
+				var b la.Vec6
 				k := 0
 				for dy := -try; dy <= try; dy++ {
 					for dx := -trx; dx <= trx; dx++ {
-						g := tmpl[k*bufStride:][:bufStride]
-						zx, zy, scale, w0, w1 := g[bufZx], g[bufZy], g[bufScale], g[bufW0], g[bufW1]
-						for l := 0; l < L; l++ {
-							ni := float64(niN.At(x, y, dx+lhx[l], dy+lhy[l]))
-							nj := float64(njN.At(x, y, dx+lhx[l], dy+lhy[l]))
-							nk := float64(nkN.At(x, y, dx+lhx[l], dy+lhy[l]))
-							rhs0 := scale*ni + zx
-							rhs1 := scale*nj + zy
-							rhs2 := scale*nk - 1
-							bb[2][l] += w0 * zy * rhs0
-							bb[3][l] += w0 * -zx * rhs0
-							bb[4][l] += w0 * -rhs0
-							bb[0][l] += w1 * -zy * rhs1
-							bb[1][l] += w1 * zx * rhs1
-							bb[5][l] += w1 * -rhs1
-							bb[0][l] += rhs2
-							bb[3][l] += rhs2
-							lb := lbuf[(l*ntp+k)*bufStride:][:bufStride]
-							copy(lb, g[:bufR0])
-							lb[bufR0], lb[bufR1], lb[bufR2] = rhs0, rhs1, rhs2
-						}
+						g := buf[k*bufStride:][:bufStride]
+						zx, zy, scale := g[bufZx], g[bufZy], g[bufScale]
+						ni := float64(niN.At(x, y, dx+hx, dy+hy))
+						nj := float64(njN.At(x, y, dx+hx, dy+hy))
+						nk := float64(nkN.At(x, y, dx+hx, dy+hy))
+						g[bufR0], g[bufR1], g[bufR2] = scale*ni+zx, scale*nj+zy, scale*nk-1
+						accumulateB(&b, zx, zy, g[bufR0], g[bufR1], g[bufR2], g[bufW0], g[bufW1])
 						k++
 					}
 				}
-				thetas := mf.solveFactoredLanes(&bb, L)
-				for l := 0; l < L; l++ {
-					theta := thetas.Vec(l)
-					first := anchor && l == 0
-					bound := bestE
-					if first {
-						bound = math.Inf(1)
-					}
-					lb := lbuf[l*ntp*bufStride:][:ntp*bufStride]
-					if e, pruned := residualSumBounded(lb, &theta, bound); first || (!pruned && e < bestE) {
-						bestE = e
-						bestHX, bestHY = lhx[l], lhy[l]
-					}
+				theta := mf.solveFactored(&b)
+				bound := bestE
+				if first {
+					bound = math.Inf(1)
+				}
+				if e, pruned := residualSumBounded(buf, &theta, bound); first || (!pruned && e < bestE) {
+					bestE = e
+					bestHX, bestHY = hx, hy
 				}
 			}
-			var lhx, lhy [la.BatchLanes]int
-			nb := 1 // lane 0 is the anchor, (0, 0)
-			anchor := true
+			score(0, 0, true)
 			for hy := -sry; hy <= sry; hy++ {
 				for hx := -srx; hx <= srx; hx++ {
-					if hx == 0 && hy == 0 {
-						continue
+					if hx != 0 || hy != 0 {
+						score(hx, hy, false)
 					}
-					if nb == la.BatchLanes {
-						scoreLanes(lhx[:nb], lhy[:nb], anchor)
-						anchor = false
-						nb = 0
-					}
-					lhx[nb], lhy[nb] = hx, hy
-					nb++
 				}
 			}
-			scoreLanes(lhx[:nb], lhy[:nb], anchor)
 			res.set(x, y, bestHX, bestHY, bestE, la.Vec6{})
 		}
 		// SIMD instruction charges for this layer's hypothesis sweep.
@@ -202,17 +168,4 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 		}
 	}
 	return res, nil
-}
-
-// solveFactoredLanes solves the first n lanes of bs against the stored
-// factorization(s), mirroring solveFactored's branch structure: every
-// lane is bit-identical to a scalar solveFactored of that lane's b.
-func (mf *motionFactor) solveFactoredLanes(bs *la.Vec6Lanes, n int) la.Vec6Lanes {
-	if mf.ok {
-		return la.SolveFactored6Lanes(&mf.fac, bs, n)
-	}
-	if mf.ridgeOK {
-		return la.SolveFactored6Lanes(&mf.ridge, bs, n)
-	}
-	return la.Vec6Lanes{}
 }

@@ -178,12 +178,10 @@ func runClusterRung(ctx context.Context, opt ClusterScalingOptions, workers int)
 		co.Shutdown(sctx) //smavet:allow errdiscard -- teardown of a drained coordinator
 	}()
 
-	req, err := json.Marshal(cluster.JobRequest{JobRequest: server.JobRequest{
+	req := cluster.JobRequest{JobRequest: server.JobRequest{
 		Synthetic: &server.SyntheticRef{Scene: "hurricane", Size: opt.Size, Seed: opt.Seed, Frames: opt.Frames},
-	}})
-	if err != nil {
-		return rung, nil, err
-	}
+	}}
+	client := server.JobClient{URL: ts.URL}
 
 	var (
 		jobSecs []float64
@@ -192,8 +190,8 @@ func runClusterRung(ctx context.Context, opt ClusterScalingOptions, workers int)
 	start := time.Now()
 	for j := 0; j < opt.Jobs; j++ {
 		t0 := time.Now()
-		view, err := runClusterJobHTTP(ctx, ts.URL, req)
-		if err != nil {
+		var view cluster.JobView
+		if err := client.Run(ctx, req, &view); err != nil {
 			return rung, nil, fmt.Errorf("job %d: %w", j, err)
 		}
 		if view.Status != server.JobDone {
@@ -215,15 +213,7 @@ func runClusterRung(ctx context.Context, opt ClusterScalingOptions, workers int)
 	rung.JobP50Sec = jobSecs[len(jobSecs)/2]
 	rung.JobMaxSec = jobSecs[len(jobSecs)-1]
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + lastID + "/result")
-	if err != nil {
-		return rung, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return rung, nil, fmt.Errorf("result stream: HTTP %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := client.Result(ctx, lastID)
 	return rung, data, err
 }
 
@@ -311,54 +301,6 @@ func awaitPortFile(ctx context.Context, path string) (int, error) {
 			return 0, ctx.Err()
 		}
 	}
-}
-
-// runClusterJobHTTP submits one job and polls it to a terminal status.
-func runClusterJobHTTP(ctx context.Context, base string, body []byte) (cluster.JobView, error) {
-	var view cluster.JobView
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return view, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return view, err
-	}
-	if err := decodeEvalBody(resp, http.StatusAccepted, &view); err != nil {
-		return view, err
-	}
-	for {
-		greq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+view.ID, nil)
-		if err != nil {
-			return view, err
-		}
-		resp, err := http.DefaultClient.Do(greq)
-		if err != nil {
-			return view, err
-		}
-		if err := decodeEvalBody(resp, http.StatusOK, &view); err != nil {
-			return view, err
-		}
-		switch view.Status {
-		case server.JobDone, server.JobFailed, server.JobCancelled:
-			return view, nil
-		}
-		select {
-		case <-time.After(25 * time.Millisecond):
-		case <-ctx.Done():
-			return view, ctx.Err()
-		}
-	}
-}
-
-func decodeEvalBody(resp *http.Response, wantCode int, v any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != wantCode {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) //smavet:allow errdiscard -- error-path diagnostics only
-		return fmt.Errorf("HTTP %d (want %d): %s", resp.StatusCode, wantCode, bytes.TrimSpace(b))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // offlineReferenceStream renders the job's expected merged SMP1 stream

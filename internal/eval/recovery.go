@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -128,13 +127,10 @@ func RecoveryExperiment(ctx context.Context, opt RecoveryOptions) (Recovery, err
 		return out, err
 	}
 	ref := server.SyntheticRef{Scene: "hurricane", Size: opt.Size, Seed: opt.Seed, Frames: opt.Frames}
-	body, err := clusterJobBody(ref)
-	if err != nil {
-		killProcess(cmd)
-		return out, err
-	}
+	req := cluster.JobRequest{}
+	req.Synthetic = &ref
 	t0 := time.Now()
-	id, err := submitClusterJob(ctx, url, body)
+	id, err := (server.JobClient{URL: url}).Submit(ctx, req, nil)
 	if err != nil {
 		killProcess(cmd)
 		return out, fmt.Errorf("eval: submitting the crash-phase job: %w", err)
@@ -151,9 +147,10 @@ func RecoveryExperiment(ctx context.Context, opt RecoveryOptions) (Recovery, err
 		return out, err
 	}
 	defer killProcess(cmd)
+	client := server.JobClient{URL: url}
 	t1 := time.Now()
-	view, err := pollClusterJob(ctx, url, id)
-	if err != nil {
+	var view cluster.JobView
+	if err := client.Await(ctx, id, &view); err != nil {
 		return out, fmt.Errorf("eval: polling the resumed job: %w", err)
 	}
 	out.ResumeSec = time.Since(t1).Seconds()
@@ -175,7 +172,7 @@ func RecoveryExperiment(ctx context.Context, opt RecoveryOptions) (Recovery, err
 		violate("resumed job tracked %d pairs, want %d", view.Stats.PairsTracked, opt.Frames-1)
 	}
 
-	got, err := fetchClusterResult(ctx, url, id)
+	got, err := client.Result(ctx, id)
 	if err != nil {
 		return out, fmt.Errorf("eval: fetching the resumed result: %w", err)
 	}
@@ -238,76 +235,6 @@ func killProcess(cmd *exec.Cmd) {
 		cmd.Process.Signal(syscall.SIGKILL) //smavet:allow errdiscard -- best-effort teardown
 		cmd.Wait()                          //smavet:allow errdiscard -- exit status irrelevant at teardown
 	}
-}
-
-// clusterJobBody marshals a plain cluster job for the given reference.
-func clusterJobBody(ref server.SyntheticRef) ([]byte, error) {
-	req := cluster.JobRequest{}
-	req.Synthetic = &ref
-	return json.Marshal(req)
-}
-
-// submitClusterJob POSTs a job and returns its id without polling.
-func submitClusterJob(ctx context.Context, base string, body []byte) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	var view cluster.JobView
-	if err := decodeEvalBody(resp, http.StatusAccepted, &view); err != nil {
-		return "", err
-	}
-	return view.ID, nil
-}
-
-// pollClusterJob polls one job id to a terminal status.
-func pollClusterJob(ctx context.Context, base, id string) (cluster.JobView, error) {
-	var view cluster.JobView
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id, nil)
-		if err != nil {
-			return view, err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return view, err
-		}
-		if err := decodeEvalBody(resp, http.StatusOK, &view); err != nil {
-			return view, err
-		}
-		switch view.Status {
-		case server.JobDone, server.JobFailed, server.JobCancelled:
-			return view, nil
-		}
-		select {
-		case <-time.After(25 * time.Millisecond):
-		case <-ctx.Done():
-			return view, ctx.Err()
-		}
-	}
-}
-
-// fetchClusterResult downloads a finished job's merged SMP1 stream.
-func fetchClusterResult(ctx context.Context, base, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) //smavet:allow errdiscard -- error-path diagnostics only
-		return nil, fmt.Errorf("result stream: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // WriteJSON writes the trajectory point as indented JSON.

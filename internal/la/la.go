@@ -308,66 +308,6 @@ func SolveFactored6(f *Factored6, b *Vec6) (x Vec6) {
 	return x
 }
 
-// BatchLanes is the lane width of the batched substitution kernel: the
-// SMA tracker scores up to BatchLanes correspondence hypotheses per
-// batch and solves their right-hand sides together, in
-// structure-of-arrays form so the per-component inner loops run over a
-// contiguous [BatchLanes]float64 stripe.
-const BatchLanes = 8
-
-// Vec6Lanes is a structure-of-arrays bundle of up to BatchLanes
-// right-hand sides (or solutions): component i of lane l lives at [i][l].
-// Lane stripes are contiguous, so lane-inner loops are stride-1 — the
-// layout a vectorizing compiler wants and the one that amortizes each
-// LU-element load across every lane of a batch.
-type Vec6Lanes [6][BatchLanes]float64
-
-// Vec returns lane l as a plain Vec6.
-func (v *Vec6Lanes) Vec(l int) Vec6 {
-	return Vec6{v[0][l], v[1][l], v[2][l], v[3][l], v[4][l], v[5][l]}
-}
-
-// SolveFactored6Lanes solves A·x = b for the first n lanes of bs against
-// one factorization from Factor6, returning the solutions lane-aligned.
-// bs is clobbered, like SolveFactored6's b. Lanes are fully independent:
-// every lane undergoes exactly the row swaps, forward updates and back
-// substitutions SolveFactored6 would apply to it alone — the multipliers
-// and pivots depend only on A — so each returned lane is bit-identical
-// to SolveFactored6(f, lane). Batching only amortizes the factorization
-// loads (each LU element is read once per batch instead of once per
-// hypothesis) and exposes stride-1 lane loops.
-func SolveFactored6Lanes(f *Factored6, bs *Vec6Lanes, n int) (xs Vec6Lanes) {
-	for col := 0; col < 6; col++ {
-		if p := int(f.Piv[col]); p != col {
-			for l := 0; l < n; l++ {
-				bs[col][l], bs[p][l] = bs[p][l], bs[col][l]
-			}
-		}
-	}
-	for col := 0; col < 6; col++ {
-		for r := col + 1; r < 6; r++ {
-			m := f.LU[r][col]
-			if m == 0 {
-				continue
-			}
-			for l := 0; l < n; l++ {
-				bs[r][l] -= m * bs[col][l]
-			}
-		}
-	}
-	for i := 5; i >= 0; i-- {
-		d := f.LU[i][i]
-		for l := 0; l < n; l++ {
-			s := bs[i][l]
-			for j := i + 1; j < 6; j++ {
-				s -= f.LU[i][j] * xs[j][l]
-			}
-			xs[i][l] = s / d
-		}
-	}
-	return xs
-}
-
 // AccumulateNormal adds the rank-1 least-squares contribution of one
 // observation row to the normal equations: A += w·rowᵀrow, b += w·rhs·row.
 // This is how both surface fitting and the motion-parameter solve build

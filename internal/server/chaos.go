@@ -1,15 +1,8 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -98,15 +91,16 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
 
-	before, err := scrapeCounters(ctx, opt.URL)
+	client := JobClient{URL: opt.URL, Poll: opt.PollInterval}
+	before, err := client.Counters(ctx)
 	if err != nil {
 		return res, fmt.Errorf("chaos: baseline metrics scrape: %w", err)
 	}
 	res.GoroutinesBefore = int(before["smaserve_goroutines"])
 
 	ref := &SyntheticRef{Scene: opt.Scene, Size: opt.Size, Seed: opt.Seed, Frames: opt.Frames}
-	clean, err := runChaosJob(ctx, opt, JobRequest{Synthetic: ref})
-	if err != nil {
+	var clean JobView
+	if err := client.Run(ctx, JobRequest{Synthetic: ref}, &clean); err != nil {
 		return res, fmt.Errorf("chaos: clean reference job: %w", err)
 	}
 	if clean.Status != JobDone {
@@ -131,8 +125,8 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 		wantPairsSkipped += e.PairsSkipped
 		wantGaps += e.Gaps
 
-		view, err := runChaosJob(ctx, opt, JobRequest{Synthetic: ref, Fault: spec})
-		if err != nil {
+		var view JobView
+		if err := client.Run(ctx, JobRequest{Synthetic: ref, Fault: spec}, &view); err != nil {
 			return res, fmt.Errorf("chaos: round %d: %w", round, err)
 		}
 		wantStatus := JobDone
@@ -178,7 +172,7 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 		res.PairsSkipped += st.PairsSkipped
 	}
 
-	after, err := scrapeCounters(ctx, opt.URL)
+	after, err := client.Counters(ctx)
 	if err != nil {
 		return res, fmt.Errorf("chaos: final metrics scrape: %w", err)
 	}
@@ -211,96 +205,9 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 		case <-ctx.Done():
 			return res, ctx.Err()
 		}
-		if after, err = scrapeCounters(ctx, opt.URL); err == nil {
+		if after, err = client.Counters(ctx); err == nil {
 			res.GoroutinesAfter = int(after["smaserve_goroutines"])
 		}
 	}
 	return res, nil
-}
-
-// runChaosJob submits one job and polls it to a terminal status.
-func runChaosJob(ctx context.Context, opt ChaosOptions, req JobRequest) (JobView, error) {
-	var view JobView
-	body, err := json.Marshal(req)
-	if err != nil {
-		return view, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, opt.URL+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return view, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		return view, err
-	}
-	err = decodeJSONBody(resp, http.StatusAccepted, &view)
-	if err != nil {
-		return view, err
-	}
-	for {
-		greq, err := http.NewRequestWithContext(ctx, http.MethodGet, opt.URL+"/v1/jobs/"+view.ID, nil)
-		if err != nil {
-			return view, err
-		}
-		resp, err := http.DefaultClient.Do(greq)
-		if err != nil {
-			return view, err
-		}
-		if err := decodeJSONBody(resp, http.StatusOK, &view); err != nil {
-			return view, err
-		}
-		switch view.Status {
-		case JobDone, JobFailed, JobCancelled:
-			return view, nil
-		}
-		select {
-		case <-time.After(opt.PollInterval):
-		case <-ctx.Done():
-			return view, ctx.Err()
-		}
-	}
-}
-
-func decodeJSONBody(resp *http.Response, wantCode int, v any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != wantCode {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) //smavet:allow errdiscard -- error-path diagnostics only
-		return fmt.Errorf("HTTP %d (want %d): %s", resp.StatusCode, wantCode, bytes.TrimSpace(b))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// scrapeCounters fetches /metrics and parses every single-value
-// smaserve_* family into a name → value map (histograms and labeled
-// families are skipped; the chaos checks only need the plain ones).
-func scrapeCounters(ctx context.Context, url string) (map[string]int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics scrape: HTTP %d", resp.StatusCode)
-	}
-	out := make(map[string]int64)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "smaserve_") || strings.ContainsRune(line, '{') {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		if n, err := strconv.ParseFloat(strings.TrimSpace(val), 64); err == nil {
-			out[name] = int64(n)
-		}
-	}
-	return out, sc.Err()
 }

@@ -332,112 +332,19 @@ func Open(cfg Config) (*Server, error) {
 	}
 	cfg.Store = fs
 	s := New(cfg)
-	s.jlog = jl
-	s.fstore = fs
+	s.jlog, s.jobs.Log = jl, jl
+	s.fstore, s.jobs.Fields = fs, fs
 	srv.Store(s)
 	return s, nil
 }
 
-// RecoveryStats summarizes what Recover rebuilt.
-type RecoveryStats struct {
-	// Restored jobs were terminal in the journal and are retrievable again.
-	Restored int `json:"restored"`
-	// Resumed jobs were mid-flight (or drain-pending) and were resubmitted
-	// from their last checkpointed pair.
-	Resumed int `json:"resumed"`
-	// OrphanDirs is how many on-disk field directories had no live job.
-	OrphanDirs int `json:"orphan_dirs"`
-	// Journal carries the WAL repair stats (torn tails, corruption).
-	Journal journal.ReplayStats `json:"journal"`
-}
-
 // Recover replays the journal, restores terminal jobs into the store,
 // resumes interrupted jobs from their last checkpointed pair, sweeps
-// orphaned field directories, and compacts the journal. Call once,
-// after Open and before serving traffic. ctx parents the resumed jobs'
-// lifetimes exactly as a submitting request would.
+// orphaned field directories, and compacts the journal (JobPlane.Recover).
+// Call once, after Open and before serving traffic.
 func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
-	var rs RecoveryStats
-	if s.jlog == nil {
-		return rs, nil
-	}
-	recs, jst, err := s.jlog.Replay()
-	rs.Journal = jst
-	if err != nil {
-		return rs, err
-	}
-	// Compact before resubmitting: resumed jobs append new checkpoints
-	// concurrently, and Compact must not race them.
-	if err := s.jlog.Compact(recs); err != nil {
-		return rs, err
-	}
-
-	live := map[string]bool{}
-	var resume []*RecoveredJob
-	for _, r := range recs {
-		live[r.ID] = true
-		if r.Ended {
-			s.restoreJob(r)
-			rs.Restored++
-			continue
-		}
-		resume = append(resume, r)
-	}
-	n, err := s.fstore.SweepOrphans(func(id string) bool { return live[id] })
-	rs.OrphanDirs = n
-	if err != nil {
-		s.cfg.Logf("smaserve: recovery orphan sweep: %v", err)
-	}
-	for _, r := range resume {
-		if err := s.resumeJob(ctx, r); err != nil {
-			s.cfg.Logf("smaserve: resuming job %s: %v", r.ID, err)
-			continue
-		}
-		rs.Resumed++
-	}
-	return rs, nil
-}
-
-// restoreJob rebuilds a terminal job from its journal state and field
-// files and puts it back in the store.
-func (s *Server) restoreJob(r *RecoveredJob) {
-	job := &Job{
-		ID:        r.ID,
-		status:    r.Status,
-		created:   r.Created,
-		started:   r.Created,
-		finished:  r.Created,
-		frames:    r.Frames,
-		stats:     r.Stats,
-		pairs:     append([]PairSummary(nil), r.Pairs...),
-		errMsg:    r.ErrMsg,
-		recovered: "restored",
-	}
-	if r.Req.Retain {
-		job.retain = true
-		job.fields = s.loadFields(r.ID, r.Frames, r.Pairs)
-	}
-	s.store.Put(r.ID, job)
-	s.metrics.JobTransition("restored")
-}
-
-// loadFields reads the persisted SMF1 bytes of the given ok pairs.
-func (s *Server) loadFields(id string, frames int, pairs []PairSummary) [][]byte {
-	fields := make([][]byte, frames-1)
-	for _, ps := range pairs {
-		if ps.Status != PairOK || ps.Pair < 0 || ps.Pair >= len(fields) {
-			continue
-		}
-		b, ok, err := s.fstore.Field(id, ps.Pair)
-		if err != nil || !ok {
-			// The checkpoint said this field was durable; its absence means
-			// disk damage outside the journal's control. Surface loudly.
-			s.cfg.Logf("smaserve: job %s pair %d: checkpointed field missing (ok=%v err=%v)", id, ps.Pair, ok, err)
-			continue
-		}
-		fields[ps.Pair] = b
-	}
-	return fields
+	restore := func(r *RecoveredJob) JobEntry { return s.jobs.Restored(r, r.Req.Retain) }
+	return s.jobs.Recover(ctx, restore, s.resumeJob)
 }
 
 // resumeJob resubmits an interrupted job from its last checkpointed
@@ -491,16 +398,9 @@ func (s *Server) resumeJob(ctx context.Context, r *RecoveredJob) error {
 	}
 
 	jobCtx, jobCancel := context.WithCancel(context.WithoutCancel(ctx))
-	job := &Job{
-		ID:         r.ID,
-		status:     JobQueued,
-		created:    r.Created,
-		frames:     r.Frames,
-		pairs:      append([]PairSummary(nil), prefix...),
-		cancel:     jobCancel,
-		recovered:  "resumed",
-		pairOffset: firstMissing,
-	}
+	job := ResumedJob(r, r.Req.Retain, jobCancel)
+	job.pairOffset = firstMissing
+	s.jobs.reseat(job, prefix)
 	// Synthesized prefix stats: the resumed run's pipeline stats cover
 	// only the remaining window; these counters re-add the checkpointed
 	// prefix so the finished job's totals match an uninterrupted run
@@ -515,10 +415,6 @@ func (s *Server) resumeJob(ctx context.Context, r *RecoveredJob) error {
 		default:
 			job.prefix.PairsFailed++
 		}
-	}
-	if r.Req.Retain {
-		job.retain = true
-		job.fields = s.loadFields(r.ID, r.Frames, prefix)
 	}
 	// Re-resolve the journaled pyramid spec so a resumed job searches in
 	// exactly the mode the original request was accepted with.

@@ -55,15 +55,7 @@ func referenceField(t *testing.T, ref SyntheticRef, pair int) []byte {
 // fetchResult downloads and returns a job's raw SMP1 result stream.
 func fetchResult(t *testing.T, url, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result status = %d", resp.StatusCode)
-	}
-	b, err := io.ReadAll(resp.Body)
+	b, err := (JobClient{URL: url}).Result(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,5 +312,49 @@ func TestDurableJobSpillsFields(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("result with a lost field answered %d, want 500", resp.StatusCode)
+	}
+}
+
+// TestDurableRestoreUnderByteCap: a retained job whose fields are bigger
+// than the store's byte cap survives a restart. A durable job is charged
+// index memory only while it runs; restoring it must keep its fields on
+// disk too, or the restored job is evicted the moment it is stored and
+// its journal state and fields are deleted with it.
+func TestDurableRestoreUnderByteCap(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, MaxStoredBytes: 8 << 10}
+	s1, ts1, _ := openDurable(t, dir, cfg)
+	ref := SyntheticRef{Scene: "hurricane", Size: 32, Seed: 11, Frames: 4}
+	view := createJob(t, ts1.URL, JobRequest{Synthetic: &ref, Retain: true})
+	waitForJob(t, ts1.URL, view.ID, JobDone, 30*time.Second)
+	before := fetchResult(t, ts1.URL, view.ID)
+	if len(before) <= 8<<10 {
+		t.Fatalf("result stream is %d bytes; the test needs fields larger than the cap", len(before))
+	}
+	ts1.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	// Two restarts: the first restore must not delete the job, so the
+	// second finds it in the journal again.
+	for restart := 1; restart <= 2; restart++ {
+		s, ts, rs := openDurable(t, dir, cfg)
+		if rs.Restored != 1 {
+			t.Fatalf("restart %d: recovery stats = %+v, want the job restored", restart, rs)
+		}
+		got := waitForJob(t, ts.URL, view.ID, JobDone, time.Second)
+		if got.Recovered != "restored" {
+			t.Fatalf("restart %d: recovered = %q, want restored", restart, got.Recovered)
+		}
+		if after := fetchResult(t, ts.URL, view.ID); !bytes.Equal(before, after) {
+			t.Fatalf("restart %d: restored result stream differs from the pre-restart bytes", restart)
+		}
+		ts.Close()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("restart %d: shutdown: %v", restart, err)
+		}
 	}
 }

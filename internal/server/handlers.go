@@ -9,7 +9,6 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -335,7 +334,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	id, err := newID()
+	id, err := NewID()
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -345,11 +344,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	// values survive but a client disconnect cannot kill a queued job
 	// (DELETE /v1/jobs/{id} is the cancellation surface).
 	jobCtx, jobCancel := context.WithCancel(context.WithoutCancel(r.Context()))
-	job := &Job{ID: id, status: JobQueued, created: time.Now(), frames: frames, cancel: jobCancel}
-	if req.Retain {
-		job.retain = true
-		job.fields = make([][]byte, frames-1)
-	}
+	job := NewJob(id, frames, req.Retain, jobCancel)
 	opt := core.Options{Robust: req.Robust, Pyramid: pyr}
 
 	// The spec must be durable before the job is acknowledged: a crash
@@ -379,12 +374,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.store.Put(id, job)
 	s.metrics.JobTransition("created")
-	w.Header().Set("Location", "/v1/jobs/"+id)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	if err := writeJSON(w, job.View()); err != nil {
-		s.cfg.Logf("smaserve: writing job response: %v", err)
-	}
+	s.jobs.Accepted(w, job)
 }
 
 // runJob executes one multi-frame job on the streaming pipeline inside a
@@ -396,18 +386,17 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 	stopWatch := context.AfterFunc(poolCtx, cancel)
 	defer stopWatch()
 
-	job.mu.Lock()
 	if err := ctx.Err(); err != nil {
 		// Cancelled while queued. A shutdown drain is not a user decision:
-		// checkpoint the job as pending so recovery resumes it, instead of
-		// silently abandoning queued work the way SIGTERM used to.
+		// checkpoint the job as pending (it stays queued) so recovery
+		// resumes it, instead of silently abandoning queued work the way
+		// SIGTERM used to.
 		if s.draining.Load() && s.jlog != nil {
-			job.status = JobQueued
-			job.mu.Unlock()
 			s.jlog.Pending(job.ID)
 			s.metrics.JobTransition("pending")
 			return
 		}
+		job.mu.Lock()
 		job.status = JobCancelled
 		job.finished = time.Now()
 		job.mu.Unlock()
@@ -417,9 +406,7 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 		}
 		return
 	}
-	job.status = JobRunning
-	job.started = time.Now()
-	job.mu.Unlock()
+	job.Start()
 
 	st, err := stream.StreamCtx(ctx, src, stream.Config{
 		Params:     p,
@@ -446,9 +433,7 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 				status = PairSkipped
 			}
 			ps := PairSummary{Pair: pair, Status: status, Error: cause.Error()}
-			job.mu.Lock()
-			job.pairs = append(job.pairs, ps)
-			job.mu.Unlock()
+			job.AddPair(ps, nil)
 			if s.jlog != nil {
 				s.jlog.Pair(job.ID, ps)
 				fault.Crash("server.pair")
@@ -465,12 +450,7 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 			smf = buf.Bytes()
 		}
 		ps := PairSummary{Pair: pair, Status: PairOK, MeanMag: res.Flow.MeanMagnitude()}
-		job.mu.Lock()
-		job.pairs = append(job.pairs, ps)
-		if smf != nil && pair >= 0 && pair < len(job.fields) {
-			job.fields[pair] = smf
-		}
-		job.mu.Unlock()
+		job.AddPair(ps, smf)
 		if s.jlog != nil {
 			// Checkpoint ordering: the field bytes must be durable BEFORE
 			// the pair event, so replay never references a missing field. A
@@ -481,7 +461,7 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 					s.cfg.Logf("smaserve: persisting field %d of %s: %v", pair, job.ID, err)
 					return nil
 				}
-				job.spill(pair)
+				job.Spill(pair)
 			}
 			s.jlog.Pair(job.ID, ps)
 			fault.Crash("server.pair")
@@ -494,34 +474,9 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 	// run (fit-cache counters died with the old process and stay zero).
 	// Metrics below charge only the work this process actually did.
 	run := st
-	st.FramesIn += job.prefix.FramesIn
-	st.PairsTracked += job.prefix.PairsTracked
-	st.PairsSkipped += job.prefix.PairsSkipped
-	st.PairsFailed += job.prefix.PairsFailed
-
-	job.mu.Lock()
-	job.stats = st
-	job.finished = time.Now()
-	switch {
-	case err == nil && st.PairsTracked == 0:
-		// The degraded mode swallowed every pair; a "done" job with no
-		// results would be a lie.
-		job.status = JobFailed
-		job.errMsg = "degraded run delivered no pairs"
-	case err == nil:
-		job.status = JobDone
-	case errors.Is(err, context.Canceled):
-		job.status = JobCancelled
-	case errors.Is(err, context.DeadlineExceeded):
-		job.status = JobFailed
-		job.errMsg = fmt.Sprintf("job exceeded its %v deadline", s.cfg.JobTimeout)
-	default:
-		job.status = JobFailed
-		job.errMsg = err.Error()
-	}
-	status := job.status
-	errMsg := job.errMsg
-	job.mu.Unlock()
+	st.Add(job.prefix)
+	job.AddStats(st)
+	status, errMsg := job.Finish(err, fmt.Sprintf("job exceeded its %v deadline", s.cfg.JobTimeout))
 	if s.jlog != nil {
 		if status == JobCancelled && s.draining.Load() {
 			// The drain, not the user, cancelled this run: mark it pending
@@ -537,127 +492,6 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 	}
 	s.metrics.AddWork(run.PairsTracked, run.FitsComputed, run.FitsReused)
 	s.metrics.AddDegraded(run)
-}
-
-// JobListEntry is one row of GET /v1/jobs: enough for an operator to see
-// what is queued, running, finished — and what recovery restored.
-type JobListEntry struct {
-	ID         string    `json:"id"`
-	Status     JobStatus `json:"status"`
-	Frames     int       `json:"frames"`
-	PairsDone  int       `json:"pairs_done"`
-	PairsTotal int       `json:"pairs_total"`
-	AgeSec     float64   `json:"age_sec"`
-	Recovered  string    `json:"recovered,omitempty"`
-}
-
-// JobListView is the JSON body of GET /v1/jobs.
-type JobListView struct {
-	Jobs []JobListEntry `json:"jobs"`
-}
-
-// handleJobList lists live jobs, newest first. Tracks stored for SVG
-// rendering are not jobs and are skipped.
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	view := JobListView{Jobs: []JobListEntry{}}
-	now := time.Now()
-	s.store.Range(func(id string, v any) bool {
-		job, isJob := v.(*Job)
-		if !isJob {
-			return true
-		}
-		jv := job.View()
-		view.Jobs = append(view.Jobs, JobListEntry{
-			ID:         jv.ID,
-			Status:     jv.Status,
-			Frames:     jv.Frames,
-			PairsDone:  len(jv.Pairs),
-			PairsTotal: jv.Frames - 1,
-			AgeSec:     now.Sub(jv.Created).Seconds(),
-			Recovered:  jv.Recovered,
-		})
-		return true
-	})
-	sort.Slice(view.Jobs, func(i, k int) bool {
-		if view.Jobs[i].AgeSec != view.Jobs[k].AgeSec {
-			return view.Jobs[i].AgeSec < view.Jobs[k].AgeSec
-		}
-		return view.Jobs[i].ID < view.Jobs[k].ID
-	})
-	w.Header().Set("Content-Type", "application/json")
-	if err := writeJSON(w, view); err != nil {
-		s.cfg.Logf("smaserve: writing job list: %v", err)
-	}
-}
-
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.store.Get(r.PathValue("id"))
-	job, isJob := v.(*Job)
-	if !ok || !isJob {
-		s.httpError(w, http.StatusNotFound, "unknown or expired job id")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := writeJSON(w, job.View()); err != nil {
-		s.cfg.Logf("smaserve: writing job view: %v", err)
-	}
-}
-
-// handleJobResult streams a finished job's merged motion fields in the
-// SMP1 pair-record framing. Only jobs created with retain carry their
-// fields; the stream is chunked (no Content-Length) so arbitrarily long
-// sequences never buffer server-side.
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.store.Get(r.PathValue("id"))
-	job, isJob := v.(*Job)
-	if !ok || !isJob {
-		s.httpError(w, http.StatusNotFound, "unknown or expired job id")
-		return
-	}
-	job.mu.Lock()
-	status := job.status
-	retain := job.retain
-	fields := make([][]byte, len(job.fields))
-	copy(fields, job.fields)
-	onDisk := append([]bool(nil), job.onDisk...)
-	dropped := append([]PairSummary(nil), job.pairs...)
-	job.mu.Unlock()
-	if !retain {
-		s.httpError(w, http.StatusConflict, "job was not created with retain; no result stream kept")
-		return
-	}
-	if status != JobDone && status != JobFailed {
-		s.httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; result stream available once finished", status))
-		return
-	}
-	if len(onDisk) > 0 {
-		if err := s.fstore.LoadFields(job.ID, fields, onDisk); err != nil {
-			s.httpError(w, http.StatusInternalServerError, fmt.Sprintf("reading retained fields: %v", err))
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := WritePairStream(w, fields, dropped); err != nil {
-		// Headers are gone; all we can do is log and cut the connection.
-		s.cfg.Logf("smaserve: streaming job result %s: %v", job.ID, err)
-	}
-}
-
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.store.Get(r.PathValue("id"))
-	job, isJob := v.(*Job)
-	if !ok || !isJob {
-		s.httpError(w, http.StatusNotFound, "unknown or expired job id")
-		return
-	}
-	if !job.Cancel() {
-		s.httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; nothing to cancel", job.View().Status))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := writeJSON(w, job.View()); err != nil {
-		s.cfg.Logf("smaserve: writing job view: %v", err)
-	}
 }
 
 // contentTypeIsJSON is a small helper for tests.

@@ -124,6 +124,9 @@ type Server struct {
 	ready    atomic.Bool
 	draining atomic.Bool
 
+	// jobs serves /v1/jobs reads, cancels and recovery over store, jlog
+	// and fstore — the plane the cluster coordinator mounts too.
+	jobs *JobPlane
 	// Durable job plane (nil without Config.DataDir; see Open/Recover).
 	jlog   *JobLog
 	fstore *FileStore
@@ -152,6 +155,7 @@ func New(cfg Config) *Server {
 		pool:    NewPool(cfg.Workers, cfg.QueueDepth),
 		store:   store,
 		metrics: m,
+		jobs:    &JobPlane{Store: store, Transition: m.JobTransition, Logf: cfg.Logf},
 	}
 	m.queueDepth = s.pool.Depth
 	m.queueCap = s.pool.Cap()
@@ -167,10 +171,10 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/track", s.instrument("/v1/track", s.handleTrack))
 	mux.HandleFunc("POST /v1/jobs", s.instrument("/v1/jobs", s.handleJobCreate))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.handleJobList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobGet))
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.instrument("/v1/jobs/{id}/result", s.handleJobResult))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobCancel))
+	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.jobs.HandleList))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.jobs.HandleGet))
+	mux.HandleFunc("GET /v1/jobs/{id}/result", s.instrument("/v1/jobs/{id}/result", s.jobs.HandleResult))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.jobs.HandleCancel))
 	mux.HandleFunc("GET /v1/track/{id}/svg", s.instrument("/v1/track/{id}/svg", s.handleTrackSVG))
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /readyz", s.instrument("/readyz", s.handleReadyz))
@@ -250,11 +254,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 func (s *Server) httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := writeJSON(w, errorBody{Error: msg}); err != nil {
-		s.cfg.Logf("smaserve: writing error response: %v", err)
-	}
+	writeError(w, code, msg, s.cfg.Logf)
 }
 
 // rejectSaturated writes the backpressure response: Retry-After plus the
@@ -312,7 +312,7 @@ const statusClientClosedRequest = 499
 
 // storeTrack assigns an id and retains the result for SVG rendering.
 func (s *Server) storeTrack(res *core.Result, bg *grid.Grid, p core.Params) (string, error) {
-	id, err := newID()
+	id, err := NewID()
 	if err != nil {
 		return "", err
 	}

@@ -249,15 +249,9 @@ func waitForJob(t *testing.T, url, id string, want JobStatus, timeout time.Durat
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		resp, err := http.Get(url + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatalf("GET job: %v", err)
-		}
 		var view JobView
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decoding job view: %v", err)
+		if err := (JobClient{URL: url}).Get(context.Background(), "/v1/jobs/"+id, &view); err != nil {
+			t.Fatalf("GET job: %v", err)
 		}
 		if view.Status == want {
 			return view
@@ -274,24 +268,9 @@ func waitForJob(t *testing.T, url, id string, want JobStatus, timeout time.Durat
 
 func createJob(t *testing.T, url string, req JobRequest) JobView {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/jobs", "application/json", &buf)
-	if err != nil {
-		t.Fatalf("POST /v1/jobs: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("job create status = %d, want 202", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/v1/jobs/") {
-		t.Fatalf("Location = %q", loc)
-	}
 	var view JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatalf("decoding job view: %v", err)
+	if _, err := (JobClient{URL: url}).Submit(context.Background(), req, &view); err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
 	}
 	return view
 }

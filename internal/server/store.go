@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -14,12 +13,12 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/grid"
-	"sma/internal/stream"
 	"sma/internal/viz"
 )
 
-// newID returns a 16-hex-char random identifier for tracks and jobs.
-func newID() (string, error) {
+// NewID returns a 16-hex-char random identifier: the id of every stored
+// track and of every job, on either role.
+func NewID() (string, error) {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "", fmt.Errorf("server: id generation: %w", err)
@@ -87,163 +86,6 @@ func (t *TrackResult) WriteSVG(w io.Writer, opt viz.QuiverOptions) error {
 func (t *TrackResult) SizeBytes() int64 {
 	var n int64 = 256 // struct + map-entry overhead, order of magnitude
 	return n + 2*int64(len(t.U)+len(t.V)) + int64(len(t.Background))
-}
-
-// JobStatus is a job lifecycle state.
-type JobStatus string
-
-const (
-	JobQueued    JobStatus = "queued"
-	JobRunning   JobStatus = "running"
-	JobDone      JobStatus = "done"
-	JobFailed    JobStatus = "failed"
-	JobCancelled JobStatus = "cancelled"
-)
-
-// Per-pair outcome states: a pair is ok (tracked and summarized),
-// skipped (a constituent frame was lost or gate-rejected), or failed
-// (tracking errored and IsolatePairs confined the loss to this pair).
-const (
-	PairOK      = "ok"
-	PairSkipped = "skipped"
-	PairFailed  = "failed"
-)
-
-// PairSummary is the per-pair digest a job retains: full motion fields of
-// long sequences would pin unbounded memory, so jobs keep the scalar
-// summary and per-job stream.Stats instead. Degraded runs report every
-// pair — dropped ones carry their status and cause instead of a motion
-// summary, so partial results stay interpretable.
-type PairSummary struct {
-	Pair    int     `json:"pair"`
-	Status  string  `json:"status"`
-	MeanMag float64 `json:"mean_magnitude_px"`
-	Error   string  `json:"error,omitempty"`
-}
-
-// Job is one asynchronous multi-frame tracking run executed on the
-// streaming pipeline.
-type Job struct {
-	ID string
-
-	mu       sync.Mutex
-	status   JobStatus
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	frames   int
-	stats    stream.Stats
-	pairs    []PairSummary
-	errMsg   string
-	cancel   context.CancelFunc
-
-	// retain keeps each surviving pair's SMF1-encoded motion field so
-	// GET /v1/jobs/{id}/result can stream the merged output — the
-	// bit-identity surface the cluster coordinator is compared against.
-	// fields is indexed by pair; nil entries are dropped pairs, or pairs
-	// marked in onDisk, whose bytes were spilled to the FileStore once
-	// durable (durable servers only).
-	retain bool
-	fields [][]byte
-	onDisk []bool
-
-	// Recovery state (zero for ordinary jobs). recovered marks how the
-	// durable plane rebuilt this job ("restored" = was terminal,
-	// "resumed" = re-run from a checkpoint); pairOffset maps the resumed
-	// pipeline's pair indices onto the original sequence; prefix re-adds
-	// the checkpointed prefix's counters to the resumed run's stats.
-	recovered  string
-	pairOffset int
-	prefix     stream.Stats
-}
-
-// JobView is the JSON-serializable snapshot GET /v1/jobs/{id} returns.
-type JobView struct {
-	ID         string        `json:"id"`
-	Status     JobStatus     `json:"status"`
-	Frames     int           `json:"frames"`
-	Created    time.Time     `json:"created"`
-	Started    *time.Time    `json:"started,omitempty"`
-	Finished   *time.Time    `json:"finished,omitempty"`
-	ElapsedSec float64       `json:"elapsed_sec,omitempty"`
-	Stats      stream.Stats  `json:"stats"`
-	Pairs      []PairSummary `json:"pairs,omitempty"`
-	Error      string        `json:"error,omitempty"`
-	// Recovered is set on jobs the durable plane rebuilt after a restart:
-	// "restored" (was finished) or "resumed" (re-run from a checkpoint).
-	Recovered string `json:"recovered,omitempty"`
-}
-
-// View snapshots the job under its lock.
-func (j *Job) View() JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	v := JobView{
-		ID:        j.ID,
-		Status:    j.status,
-		Frames:    j.frames,
-		Created:   j.created,
-		Stats:     j.stats,
-		Pairs:     append([]PairSummary(nil), j.pairs...),
-		Error:     j.errMsg,
-		Recovered: j.recovered,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
-		end := j.finished
-		if end.IsZero() {
-			end = time.Now()
-		}
-		v.ElapsedSec = end.Sub(j.started).Seconds()
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.Finished = &t
-	}
-	return v
-}
-
-// Cancel requests cancellation of a queued or running job. It reports
-// whether the job was still cancellable.
-func (j *Job) Cancel() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != JobQueued && j.status != JobRunning {
-		return false
-	}
-	if j.cancel != nil {
-		j.cancel()
-	}
-	return true
-}
-
-// SizeBytes reports the job's resident footprint for the store's byte
-// cap — dominated by the retained per-pair motion fields.
-func (j *Job) SizeBytes() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var n int64 = 512 // struct + summaries overhead
-	n += int64(len(j.pairs)) * 64
-	for _, f := range j.fields {
-		n += int64(len(f))
-	}
-	return n
-}
-
-// spill drops pair's in-memory field once PutField has made it durable;
-// the result stream reads it back from the FileStore.
-func (j *Job) spill(pair int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if pair < 0 || pair >= len(j.fields) || j.fields[pair] == nil {
-		return
-	}
-	if j.onDisk == nil {
-		j.onDisk = make([]bool, len(j.fields))
-	}
-	j.fields[pair] = nil
-	j.onDisk[pair] = true
 }
 
 // Sizer lets stored values report their resident size so the store's

@@ -108,6 +108,21 @@ type Stats struct {
 	Gaps          int64 // maximal runs of consecutive skipped frames
 }
 
+// Add folds o's counters into s: the totals of a run made of parts, such
+// as a resumed prefix and its remainder, or a job's shards.
+func (s *Stats) Add(o Stats) {
+	s.FramesIn += o.FramesIn
+	s.FitsComputed += o.FitsComputed
+	s.FitsReused += o.FitsReused
+	s.Evictions += o.Evictions
+	s.PairsTracked += o.PairsTracked
+	s.Retries += o.Retries
+	s.FramesSkipped += o.FramesSkipped
+	s.PairsSkipped += o.PairsSkipped
+	s.PairsFailed += o.PairsFailed
+	s.Gaps += o.Gaps
+}
+
 // Source yields the frames of an ordered image sequence. Next returns
 // io.EOF after the final frame. Next must not advance past a frame it
 // failed to deliver: calling it again retries the same frame (the

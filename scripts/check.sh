@@ -58,16 +58,17 @@ go test -race -run 'Golden|Stream|TrackStats|PrepareFrame' \
 # cancellable mid-build — run by name under the race detector so a -run
 # filter above can never silently drop them.
 echo "== search kernel + tile scheduler (-race)"
-go test -race -run 'Kernel|Block|EarlyExit|Batch|Tile|Summed|PyramidAccuracy|Lanes|SemiMap' \
-    ./internal/core ./internal/la || fail=1
+go test -race -run 'Kernel|Block|EarlyExit|Batch|Tile|Summed|PyramidAccuracy|SemiMap' \
+    ./internal/core || fail=1
 
 # The robustness lock (docs/ROBUSTNESS.md): fault injection, degraded-
-# mode counters/bit-identity, pair isolation, and pool drain/TTL races,
-# run by name under the race detector for the same reason as above.
-echo "== fault injection + degraded mode (-race)"
+# mode counters/bit-identity, pair isolation, pool drain/TTL races, and
+# durable restore/resume on both roles, run by name under the race
+# detector for the same reason as above.
+echo "== fault injection + degraded mode + durability (-race)"
 go test -race ./internal/fault || fail=1
-go test -race -run 'Fault|Degraded|Chaos|Skip|Retry|FrameError|Pool|TTL|Expired|Truncat' \
-    ./internal/stream ./internal/server ./internal/ingest ./internal/grid || fail=1
+go test -race -run 'Fault|Degraded|Chaos|Skip|Retry|FrameError|Pool|TTL|Expired|Truncat|Durable' \
+    ./internal/stream ./internal/server ./internal/cluster ./internal/ingest ./internal/grid || fail=1
 
 # The tracking-kernel performance gate (docs/PERFORMANCE.md): short
 # microbenchmarks plus the reference-vs-block-kernel throughput
