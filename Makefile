@@ -59,39 +59,41 @@ chaos-smoke:
 	sh scripts/chaos_smoke.sh
 
 # bench-smoke: short-form kernel microbenchmarks plus the tracking
-# throughput experiment (smabench -only track), gated on bit-identity
-# and a >= 5x median serial speedup over the naive reference kernel
-# (docs/PERFORMANCE.md).
+# throughput experiment (smabench -only track), gated by
+# eval.TrackThroughput.Check: bit-identity and a >= 5x median serial
+# speedup over the naive reference kernel (docs/PERFORMANCE.md).
 bench-smoke:
 	sh scripts/bench_smoke.sh
 
 # pyramid-smoke: the summed-window search experiment (smabench -only
-# pyramid), gated on byte-identity with its oracle, >= 99.7% argmin
-# agreement with the block kernel, a >= 3x speedup at NZS=10, and <= 0.1
-# grid-unit drift at the fixture tracers (docs/PERFORMANCE.md §9).
+# pyramid), gated by eval.PyramidResult.Check: byte-identity with its
+# oracle, >= 99.7% argmin agreement with the block kernel, a >= 3x
+# speedup at NZS=10, and <= 0.1 grid-unit drift at the fixture tracers
+# (docs/PERFORMANCE.md §9).
 pyramid-smoke:
-	sh scripts/pyramid_smoke.sh
+	$(GO) run ./cmd/smabench -only pyramid -size 96 -out /tmp
 
 # scaling-smoke: the strong/weak scaling study of the tile-scheduled
-# parallel driver (smabench -only scaling), gated on bit-identity,
-# 1-worker scheduler overhead, and — on hosts with >= 4 cores —
-# parallel beating serial at >= 4 workers (docs/PERFORMANCE.md §8).
+# parallel driver (smabench -only scaling), gated by eval.Scaling.Check:
+# bit-identity, 1-worker scheduler overhead, and — on hosts with >= 4
+# cores — parallel beating serial at >= 4 workers (docs/PERFORMANCE.md §8).
 scaling-smoke:
-	sh scripts/scaling_smoke.sh
+	$(GO) run ./cmd/smabench -only scaling -size 64 -out /tmp
 
 # cluster-smoke: end-to-end smoke of the distributed job plane — a real
 # coordinator over two worker processes, multi-node load, injected
 # node-fault rounds with exact Expect accounting, a SIGKILL-worker
-# drill, and the process-mode scaling ladder gated on bit-identity and
-# (on >= 4 cores) the widest rung's speedup (docs/CLUSTER.md).
+# drill, and the process-mode scaling ladder gated by
+# eval.ClusterScaling.Check: bit-identity and (on >= 4 cores) the widest
+# rung's speedup (docs/CLUSTER.md).
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
 # recovery-smoke: end-to-end smoke of the durable job plane — a real
 # smaserve killed dead (exit 137) mid-job and restarted over the same
-# -data-dir, plus the SIGKILL-coordinator drill (smachaos -recover) —
-# every resumed job byte-identical to an uninterrupted run
-# (docs/ROBUSTNESS.md).
+# -data-dir, plus the SIGKILL-coordinator drill (smabench -only
+# recovery, gated by eval.Recovery.Check) — every resumed job
+# byte-identical to an uninterrupted run (docs/ROBUSTNESS.md).
 recovery-smoke:
 	sh scripts/recovery_smoke.sh
 

@@ -7,14 +7,23 @@
 //	smabench                     # run everything
 //	smabench -only table2,fig4   # run a subset
 //	smabench -size 96            # scale of the functional experiments
+//	smabench -only track -out /tmp
+//
+// The BENCH experiments (track, pyramid, scaling, stream, serve, chaos,
+// cluster, recovery) write their trajectory point to -out as
+// BENCH_<key>.json. Those with a gate in internal/eval (track, pyramid,
+// scaling, cluster, recovery) are then checked against it; smabench exits
+// non-zero if any gate fails, after writing every file.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"sma/internal/eval"
@@ -56,25 +65,18 @@ func main() {
 		size     = flag.Int("size", 64, "image size for the functional (non-modeled) experiments")
 		seed     = flag.Int64("seed", 5, "scene seed for the functional experiments")
 		report   = flag.String("report", "", "write the full experiment record as markdown to this file and exit")
+		out      = flag.String("out", ".", "directory the BENCH_<key>.json trajectory points are written to")
 		frames   = flag.Int("frames", 6, "sequence length for the stream throughput benchmark")
 		workers  = flag.Int("workers", 0, "pair-tracking workers for the stream benchmark (0 = GOMAXPROCS)")
-		benchOut = flag.String("bench-out", "BENCH_stream.json", "where the stream benchmark writes its frames/sec trajectory point")
 		requests = flag.Int("requests", 24, "request count for the serve benchmark")
 		clients  = flag.Int("clients", 8, "concurrent clients for the serve benchmark")
-		serveOut = flag.String("serve-out", "BENCH_serve.json", "where the serve benchmark writes its latency trajectory point")
-		chaosOut = flag.String("chaos-out", "BENCH_chaos.json", "where the chaos experiment writes its robustness trajectory point")
-		trackOut = flag.String("track-out", "BENCH_track.json", "where the track benchmark writes its kernel-throughput trajectory point")
-		pyrOut   = flag.String("pyramid-out", "BENCH_pyramid.json", "where the pyramid benchmark writes its summed-window trajectory")
-		scaleOut = flag.String("scaling-out", "BENCH_scaling.json", "where the scaling study writes its strong/weak trajectory point")
 		ladder   = flag.String("scaling-workers", "1,2,4,8", "comma-separated worker ladder for the scaling study")
 
-		clusterOut    = flag.String("cluster-out", "BENCH_cluster.json", "where the cluster experiment writes its distributed-throughput trajectory point")
 		clusterLadder = flag.String("cluster-workers", "1,2,4", "comma-separated worker-node ladder for the cluster experiment")
 		clusterBin    = flag.String("cluster-bin", "", "smaserve binary for process-mode cluster workers (empty = in-process)")
 		clusterJobs   = flag.Int("cluster-jobs", 3, "jobs per cluster rung")
 		clusterFrames = flag.Int("cluster-frames", 17, "frames per cluster job")
 
-		recoveryOut = flag.String("recovery-out", "BENCH_recovery.json", "where the recovery drill writes its durability trajectory point")
 		recoveryBin = flag.String("recovery-bin", "", "smaserve binary for the crash-recovery drill (empty = skip the drill)")
 	)
 	flag.Parse()
@@ -99,6 +101,13 @@ func main() {
 		}
 	}
 	run := func(key string) bool { return len(want) == 0 || want[key] }
+	failed := false
+	save := func(key string, r any) {
+		if err := saveBench(*out, key, r); err != nil {
+			log.Print(err)
+			failed = true
+		}
+	}
 	if *report != "" {
 		f, err := os.Create(*report)
 		if err != nil {
@@ -263,17 +272,7 @@ func main() {
 		fmt.Printf("  parallel (%d workers): %.3fs [%.3f, %.3f] (%.0f px/s)   speedup %.2fx\n",
 			r.Workers, r.Parallel.MedianSec, r.Parallel.MinSec, r.Parallel.MaxSec, r.PixelsPerSecParallel, r.SpeedupParallel)
 		fmt.Printf("  bit-identical to reference kernel: %v\n", r.BitIdentical)
-		f, err := os.Create(*trackOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := r.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  wrote %s\n\n", *trackOut)
+		save("track", r)
 	}
 	if run("pyramid") {
 		r, err := eval.PyramidExperiment(context.Background(), *size, *workers, *seed)
@@ -292,17 +291,7 @@ func main() {
 		}
 		fmt.Printf("  bit-identical to its oracle: %v; lowest argmin agreement %.4f\n", r.BitIdentical, r.MinAgreement)
 		fmt.Printf("  fixture RMSE vs block kernel: fig5 %.4f px, fig6 %.4f px\n", r.Fig5RMSE, r.Fig6RMSE)
-		f, err := os.Create(*pyrOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := r.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  wrote %s\n\n", *pyrOut)
+		save("pyramid", r)
 	}
 	if run("scaling") {
 		var counts []int
@@ -333,17 +322,7 @@ func main() {
 		}
 		fmt.Printf("  parallel beats serial (≥4 workers): %v   bit-identical: %v\n",
 			r.ParallelBeatsSerial, r.BitIdentical)
-		f, err := os.Create(*scaleOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := r.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  wrote %s\n\n", *scaleOut)
+		save("scaling", r)
 	}
 	if run("stream") {
 		r, err := eval.StreamThroughputExperiment(*size, *frames, *workers, *seed)
@@ -359,17 +338,7 @@ func main() {
 			r.PairwiseSec, r.StreamSec, r.Speedup)
 		fmt.Printf("  throughput: %.2f frames/s (%.2f pairs/s), bit-identical: %v\n",
 			r.FramesPerSec, r.PairsPerSec, r.BitIdentical)
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := r.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  wrote %s\n\n", *benchOut)
+		save("stream", r)
 	}
 	if run("serve") {
 		r, err := eval.ServeThroughputExperiment(context.Background(), *size/2, *requests, *clients, *workers, *seed)
@@ -384,17 +353,7 @@ func main() {
 		fmt.Printf("  %.1f req/s   latency p50 %.0fms  p90 %.0fms  p99 %.0fms  max %.0fms\n",
 			r.ReqPerSec, r.P50Ms, r.P90Ms, r.P99Ms, r.MaxMs)
 		fmt.Printf("  bit-identical to sequential tracker: %v\n", r.BitIdentical)
-		f, err := os.Create(*serveOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := r.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  wrote %s\n\n", *serveOut)
+		save("serve", r)
 	}
 	if run("chaos") {
 		frames := *frames
@@ -414,17 +373,7 @@ func main() {
 			r.SurvivingPairs, r.BitIdentical)
 		fmt.Printf("  clean %.3fs   degraded %.3fs   overhead %.1f%%\n",
 			r.CleanSec, r.DegradedSec, r.OverheadPct)
-		f, err := os.Create(*chaosOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := r.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  wrote %s\n\n", *chaosOut)
+		save("chaos", r)
 	}
 	if run("cluster") {
 		var counts []int
@@ -455,17 +404,7 @@ func main() {
 		}
 		fmt.Printf("  speedup at widest rung: %.2fx   bit-identical to offline tracker: %v\n",
 			r.SpeedupAtMax, r.BitIdentical)
-		f, err := os.Create(*clusterOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := r.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  wrote %s\n\n", *clusterOut)
+		save("cluster", r)
 	}
 	if run("recovery") {
 		fmt.Println("Durable job plane — SIGKILL-coordinator crash-recovery drill")
@@ -485,20 +424,7 @@ func main() {
 				r.CoordinatorExit, r.CrashAfterShards, r.Resumed, r.ShardsRestored)
 			fmt.Printf("  %d pairs verified bit-identical: %v   crash %.2fs resume %.2fs\n",
 				r.PairsVerified, r.BitIdentical, r.CrashPhaseSec, r.ResumeSec)
-			for _, v := range r.Violations {
-				fmt.Printf("  VIOLATION: %s\n", v)
-			}
-			f, err := os.Create(*recoveryOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := r.WriteJSON(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  wrote %s\n\n", *recoveryOut)
+			save("recovery", r)
 		}
 	}
 	if run("ablation") {
@@ -519,6 +445,32 @@ func main() {
 			}
 		}
 	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// saveBench writes r to dir/BENCH_<key>.json as indented JSON plus a
+// trailing newline, then runs r's gate if it has one. A result that fails
+// its gate still leaves its file behind; the gate's error is returned.
+func saveBench(dir, key string, r any) error {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	path := filepath.Join(dir, "BENCH_"+key+".json")
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("  wrote %s\n", path)
+	if g, ok := r.(interface{ Check() error }); ok {
+		if err := g.Check(); err != nil {
+			return fmt.Errorf("%s gate failed:\n%w", key, err)
+		}
+		fmt.Printf("  %s gate: OK\n", key)
+	}
+	fmt.Println()
+	return nil
 }
 
 func indent(s, pre string) string {

@@ -22,16 +22,9 @@
 //	smachaos -cluster -url http://127.0.0.1:8080
 //	smachaos -cluster -url http://127.0.0.1:8080 -kill-worker $PID -kill-node 1
 //
-// With -recover the harness runs the crash-recovery drill instead: it
-// spawns its own worker and coordinator processes from -bin, arms the
-// coordinator to SIGKILL itself (exit 137) right after a durable shard
-// checkpoint, restarts it on the same -data-dir, and asserts the job is
-// resumed from checkpoints — only unfinished shards re-dispatched and
-// the final stream byte-identical to an uninterrupted single-node run
-// (docs/ROBUSTNESS.md):
-//
-//	smachaos -recover -bin ./bin/smaserve
-//	smachaos -recover -bin ./bin/smaserve -frames 13 -crash-after 2 -out recovery.json
+// The crash-recovery drill (a real coordinator SIGKILLed after a durable
+// shard checkpoint and resumed from it) is smabench -only recovery
+// -recovery-bin ./smaserve; see docs/ROBUSTNESS.md.
 //
 // The run assumes a quiet server: counter-delta checks are not
 // meaningful under concurrent foreign traffic. Exit status is non-zero
@@ -50,7 +43,6 @@ import (
 	"time"
 
 	"sma/internal/cluster"
-	"sma/internal/eval"
 	"sma/internal/server"
 )
 
@@ -76,12 +68,6 @@ func main() {
 		killWorker  = flag.Int("kill-worker", 0, "cluster: SIGKILL this worker PID for the real-kill round (0 = skip)")
 		killNode    = flag.Int("kill-node", -1, "cluster: registry index of the killed worker (required with -kill-worker)")
 		killMidJob  = flag.Bool("kill-mid-job", false, "cluster: kill after job submission (bounded assertions) instead of before")
-
-		recoverMode = flag.Bool("recover", false, "run the SIGKILL-coordinator crash-recovery drill (spawns its own processes from -bin)")
-		bin         = flag.String("bin", "", "recover: smaserve binary to spawn workers and the crashing coordinator from")
-		workersN    = flag.Int("recover-workers", 2, "recover: worker processes to spawn")
-		shardPairsN = flag.Int("recover-shard-pairs", 2, "recover: pairs per shard")
-		crashAfter  = flag.Int("crash-after", 2, "recover: durable shard checkpoints before the coordinator self-SIGKILLs")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -91,13 +77,6 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	if *recoverMode {
-		runRecovery(ctx, eval.RecoveryOptions{
-			Bin: *bin, Size: *size, Frames: *frames, Workers: *workersN,
-			ShardPairs: *shardPairsN, Seed: *seed, CrashAfterShards: *crashAfter,
-		}, *out)
-		return
-	}
 	if *clusterMode {
 		runCluster(ctx, clusterArgs{
 			url: strings.TrimRight(*url, "/"), scene: *scene, size: *size,
@@ -220,41 +199,4 @@ func runCluster(ctx context.Context, a clusterArgs) {
 		os.Exit(1)
 	}
 	log.Printf("cluster contract upheld")
-}
-
-// runRecovery executes the SIGKILL-coordinator crash-recovery drill and
-// exits non-zero on any durability-contract violation.
-func runRecovery(ctx context.Context, opt eval.RecoveryOptions, out string) {
-	if opt.Bin == "" {
-		log.Fatalf("-recover needs -bin (the smaserve binary to spawn)")
-	}
-	res, err := eval.RecoveryExperiment(ctx, opt)
-	if err != nil {
-		log.Fatalf("recovery drill: %v", err)
-	}
-
-	fmt.Printf("cluster          %d workers, %d shards (%d pairs each)\n", res.Workers, res.Shards, res.ShardPairs)
-	fmt.Printf("crash            after %d checkpoints, coordinator exit %d\n", res.CrashAfterShards, res.CoordinatorExit)
-	fmt.Printf("resume           recovered=%v, %d shards served from checkpoints\n", res.Resumed, res.ShardsRestored)
-	fmt.Printf("pairs verified   %d bit-identical to the uninterrupted run\n", res.PairsVerified)
-	fmt.Printf("timing           crash phase %.2fs, resume %.2fs\n", res.CrashPhaseSec, res.ResumeSec)
-
-	if out != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatalf("encoding result: %v", err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			log.Fatalf("writing %s: %v", out, err)
-		}
-		log.Printf("wrote %s", out)
-	}
-
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			log.Printf("VIOLATION: %s", v)
-		}
-		os.Exit(1)
-	}
-	log.Printf("durability contract upheld")
 }

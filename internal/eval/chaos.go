@@ -1,9 +1,7 @@
 package eval
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"sma/internal/core"
@@ -116,12 +114,4 @@ func FaultToleranceExperiment(size, frames int, seed int64) (FaultTolerance, err
 		}
 	}
 	return out, nil
-}
-
-// WriteJSON writes the trajectory point as indented JSON, the
-// BENCH_chaos.json format CI archives.
-func (r FaultTolerance) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -3,9 +3,8 @@ package eval
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,6 +21,12 @@ import (
 	"sma/internal/core"
 	"sma/internal/server"
 )
+
+// MinClusterSpeedup is BENCH_cluster's floor on job throughput at the
+// widest rung (4 workers by default) over the 1-worker rung. Each worker
+// process is pinned to one core, so the bound is enforced only on hosts
+// with at least ParallelGateCores cores.
+const MinClusterSpeedup = 2.5
 
 // ClusterScaling is the BENCH_cluster.json trajectory point: the
 // distributed job plane driven up a worker-count ladder, every rung's
@@ -338,9 +343,17 @@ func offlineStream(ref server.SyntheticRef) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// WriteJSON writes the trajectory point as indented JSON.
-func (r ClusterScaling) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates the ladder: bit-identity at every rung and, on at least
+// ParallelGateCores cores, a speedup of at least MinClusterSpeedup at the
+// widest rung.
+func (r ClusterScaling) Check() error {
+	var errs []error
+	if !r.BitIdentical {
+		errs = append(errs, errors.New("a rung's merged result differs from the offline tracker"))
+	}
+	if r.Cores >= ParallelGateCores && !(r.SpeedupAtMax >= MinClusterSpeedup) {
+		errs = append(errs, fmt.Errorf("speedup %.2fx at the widest rung below the %.1fx gate on %d cores",
+			r.SpeedupAtMax, MinClusterSpeedup, r.Cores))
+	}
+	return errors.Join(errs...)
 }

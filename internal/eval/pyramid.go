@@ -2,9 +2,8 @@ package eval
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"sort"
@@ -18,6 +17,21 @@ import (
 // PyramidReps is how many times PyramidExperiment times each search at
 // each NZS; the BENCH file records the median and the spread.
 const PyramidReps = 5
+
+// BENCH_pyramid's gates. The correctness bounds hold unconditionally; the
+// speedup bound is algorithmic (O(1) instead of O(template) work per
+// hypothesis, not parallelism), so it holds on any host too.
+const (
+	// MinPyramidAgreement is the lowest argmin agreement with the block
+	// kernel allowed anywhere in the sweep or on the fixtures.
+	MinPyramidAgreement = 0.997
+	// MinPyramidSpeedup is the floor on the summed-window search's
+	// speedup over the block kernel at NZS=10.
+	MinPyramidSpeedup = 3.0
+	// MaxPyramidRMSE bounds the drift from the block kernel's field at
+	// the tracer pixels, in grid units, at NZS=10 and on both fixtures.
+	MaxPyramidRMSE = 0.1
+)
 
 // Timing is the median and range of repeated wall-clock runs.
 type Timing struct {
@@ -53,8 +67,8 @@ type PyramidPoint struct {
 }
 
 // PyramidResult is the BENCH_pyramid.json trajectory: the NZS sweep plus
-// the conformance checks the smoke gate reads — kernel-vs-oracle
-// bit-identity, argmin agreement and the Figure 5/6 fixture accuracy.
+// the conformance checks Check gates — kernel-vs-oracle bit-identity,
+// argmin agreement and the Figure 5/6 fixture accuracy.
 type PyramidResult struct {
 	Name    string         `json:"name"`
 	Size    int            `json:"size"`
@@ -75,8 +89,7 @@ type PyramidResult struct {
 	// (hurricane and thunderstorm scenes), in grid units.
 	Fig5RMSE float64 `json:"fig5_rmse"`
 	Fig6RMSE float64 `json:"fig6_rmse"`
-	// SpeedupAtNZS10 / RMSEAtNZS10 lift the gated sample out of the sweep
-	// for the smoke script.
+	// SpeedupAtNZS10 / RMSEAtNZS10 lift the gated sample out of the sweep.
 	SpeedupAtNZS10 float64 `json:"speedup_at_nzs10"`
 	RMSEAtNZS10    float64 `json:"rmse_at_nzs10"`
 }
@@ -208,10 +221,28 @@ func flowAgreement(a, b *grid.VectorField) float64 {
 	return float64(same) / float64(n)
 }
 
-// WriteJSON writes the trajectory as indented JSON, the
-// BENCH_pyramid.json format CI archives.
-func (r PyramidResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates the trajectory: byte-identity with the oracle, argmin
+// agreement of at least MinPyramidAgreement, a speedup of at least
+// MinPyramidSpeedup at NZS=10, and at most MaxPyramidRMSE drift at NZS=10
+// and on the Figure 5/6 fixtures.
+func (r PyramidResult) Check() error {
+	var errs []error
+	if !r.BitIdentical {
+		errs = append(errs, errors.New("summed-window search not bit-identical to its oracle"))
+	}
+	if !(r.MinAgreement >= MinPyramidAgreement) {
+		errs = append(errs, fmt.Errorf("argmin agreement %.4f below the %.3f gate", r.MinAgreement, MinPyramidAgreement))
+	}
+	if !(r.SpeedupAtNZS10 >= MinPyramidSpeedup) {
+		errs = append(errs, fmt.Errorf("speedup %.2fx at NZS=10 below the %.1fx gate", r.SpeedupAtNZS10, MinPyramidSpeedup))
+	}
+	for _, g := range []struct {
+		name string
+		rmse float64
+	}{{"NZS=10", r.RMSEAtNZS10}, {"fig5 fixture", r.Fig5RMSE}, {"fig6 fixture", r.Fig6RMSE}} {
+		if !(g.rmse <= MaxPyramidRMSE) {
+			errs = append(errs, fmt.Errorf("%s RMSE %.4f above the %.2f gate", g.name, g.rmse, MaxPyramidRMSE))
+		}
+	}
+	return errors.Join(errs...)
 }

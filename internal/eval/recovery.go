@@ -3,10 +3,8 @@ package eval
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -237,9 +235,11 @@ func killProcess(cmd *exec.Cmd) {
 	}
 }
 
-// WriteJSON writes the trajectory point as indented JSON.
-func (r Recovery) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates the drill: any durability-contract violation fails it.
+func (r Recovery) Check() error {
+	errs := make([]error, len(r.Violations))
+	for i, v := range r.Violations {
+		errs[i] = errors.New(v)
+	}
+	return errors.Join(errs...)
 }

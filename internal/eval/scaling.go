@@ -1,9 +1,8 @@
 package eval
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"time"
@@ -11,6 +10,11 @@ import (
 	"sma/internal/core"
 	"sma/internal/synth"
 )
+
+// MaxSerialOverhead bounds BENCH_scaling's workers=1 strong point as a
+// multiple of the serial optimized time: the tile scheduler's overhead
+// bound (the row fan-out it replaced lost ~10% here).
+const MaxSerialOverhead = 1.25
 
 // ScalingPoint is one worker count of the scaling study.
 type ScalingPoint struct {
@@ -38,8 +42,8 @@ type Scaling struct {
 	Workers  []int  `json:"worker_counts"`
 	// GoMaxProcs is the cores available to this run. On a host with
 	// fewer cores than workers the upper strong-scaling points measure
-	// oversubscription, not scaling; scripts/scaling_smoke.sh gates the
-	// parallel-beats-serial criterion only when GoMaxProcs ≥ 4.
+	// oversubscription, not scaling; Check gates the parallel-beats-serial
+	// criterion only when GoMaxProcs ≥ ParallelGateCores.
 	GoMaxProcs     int     `json:"gomaxprocs"`
 	Hypotheses     int     `json:"hypotheses_per_pixel"`
 	ReferenceSec   float64 `json:"reference_sec"`
@@ -175,10 +179,30 @@ func fillScaling(pts []ScalingPoint, strong bool) {
 	}
 }
 
-// WriteJSON writes the study as indented JSON, the BENCH_scaling.json
-// format CI archives.
-func (s Scaling) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// Check gates the study: bit-identity, the workers=1 strong point within
+// MaxSerialOverhead of the serial time, and, on at least
+// ParallelGateCores cores, some strong point at ≥ 4 workers beating
+// serial.
+func (s Scaling) Check() error {
+	var errs []error
+	if !s.BitIdentical {
+		errs = append(errs, errors.New("parallel driver not bit-identical to the reference"))
+	}
+	w1 := -1
+	for i, pt := range s.Strong {
+		if pt.Workers == 1 {
+			w1 = i
+			break
+		}
+	}
+	if w1 < 0 {
+		errs = append(errs, errors.New("no workers=1 strong point to bound the scheduler overhead"))
+	} else if sec := s.Strong[w1].Sec; !(sec <= MaxSerialOverhead*s.SerialSec) {
+		errs = append(errs, fmt.Errorf("1-worker tile driver %.3fs exceeds serial %.3fs x %.2f",
+			sec, s.SerialSec, MaxSerialOverhead))
+	}
+	if s.GoMaxProcs >= ParallelGateCores && !s.ParallelBeatsSerial {
+		errs = append(errs, fmt.Errorf("parallel does not beat serial at >= 4 workers on %d cores", s.GoMaxProcs))
+	}
+	return errors.Join(errs...)
 }

@@ -1,17 +1,15 @@
 package eval
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// TestScalingExperimentShape runs a tiny scaling study and checks the
-// structural invariants the smoke gate parses for: one strong and one
-// weak point per worker count, weak sizes growing ∝ √workers, positive
-// timings, anchored speedups, bit-identity, and the JSON field names
-// scripts/scaling_smoke.sh greps.
+// TestScalingExperimentShape runs a tiny scaling study and checks its
+// structural invariants: one strong and one weak point per worker count,
+// weak sizes growing ∝ √workers, positive timings, anchored speedups,
+// bit-identity, and the BENCH_scaling.json field names.
 func TestScalingExperimentShape(t *testing.T) {
 	r, err := ScalingExperiment(16, []int{1, 2}, 5)
 	if err != nil {
@@ -38,12 +36,12 @@ func TestScalingExperimentShape(t *testing.T) {
 		t.Fatalf("gomaxprocs %d", r.GoMaxProcs)
 	}
 
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
@@ -51,11 +49,11 @@ func TestScalingExperimentShape(t *testing.T) {
 		"best_strong_sec", "strong", "weak", "bit_identical",
 	} {
 		if _, ok := decoded[key]; !ok {
-			t.Fatalf("JSON missing %q (scaling_smoke.sh parses it):\n%s", key, buf.String())
+			t.Fatalf("JSON missing %q:\n%s", key, data)
 		}
 	}
-	if !strings.Contains(buf.String(), `"name": "scaling"`) {
-		t.Fatalf("unexpected name field:\n%s", buf.String())
+	if !strings.Contains(string(data), `"name": "scaling"`) {
+		t.Fatalf("unexpected name field:\n%s", data)
 	}
 }
 

@@ -2,9 +2,7 @@ package eval
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"time"
 
@@ -86,11 +84,4 @@ func ServeThroughputExperiment(ctx context.Context, size, requests, concurrency,
 		return out, fmt.Errorf("eval: %d served motion fields differ from the sequential tracker", res.Mismatches)
 	}
 	return out, nil
-}
-
-// WriteJSON writes the trajectory point as indented JSON.
-func (r ServeThroughput) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -1,9 +1,7 @@
 package eval
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -93,12 +91,4 @@ func StreamThroughputExperiment(size, frames, workers int, seed int64) (StreamTh
 		}
 	}
 	return out, nil
-}
-
-// WriteJSON writes the trajectory point as indented JSON, the
-// BENCH_stream.json format CI archives.
-func (r StreamThroughput) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

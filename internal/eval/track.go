@@ -1,9 +1,8 @@
 package eval
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -15,6 +14,18 @@ import (
 // kernel; the runs interleave (reference, serial, parallel, then again),
 // and the BENCH file records the median and the spread.
 const TrackReps = 5
+
+// MinTrackSpeedup is BENCH_track's floor on the block kernel's median
+// serial speedup over the reference kernel. It sits below the 7.7-8.7x
+// medians five runs measured at size 48 on a 2-vCPU Xeon
+// (docs/PERFORMANCE.md §6); the previous kernel was gated at 2.2x.
+const MinTrackSpeedup = 5.0
+
+// ParallelGateCores is the core count from which the parallel gates of
+// BENCH_track, BENCH_scaling and BENCH_cluster are enforced. On fewer
+// cores the parallel figures measure oversubscription, not the
+// scheduler, so they are recorded but not gated.
+const ParallelGateCores = 4
 
 // TrackThroughput is one tracking-kernel trajectory point: the same
 // prepared hurricane pair tracked with the retained naive kernel (rebuild
@@ -122,10 +133,22 @@ func TrackThroughputExperiment(size, workers int, seed int64) (TrackThroughput, 
 	return out, nil
 }
 
-// WriteJSON writes the trajectory point as indented JSON, the
-// BENCH_track.json format CI archives.
-func (r TrackThroughput) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates the point: bit-identity with the reference kernel, a
+// median serial speedup of at least MinTrackSpeedup, and, with at least
+// ParallelGateCores workers on at least as many cores, a parallel speedup
+// above the serial one.
+func (r TrackThroughput) Check() error {
+	var errs []error
+	if !r.BitIdentical {
+		errs = append(errs, errors.New("block kernel not bit-identical to the reference"))
+	}
+	if !(r.SpeedupVsReference >= MinTrackSpeedup) {
+		errs = append(errs, fmt.Errorf("speedup %.2fx below the %.1fx gate", r.SpeedupVsReference, MinTrackSpeedup))
+	}
+	if r.Workers >= ParallelGateCores && r.Host.GOMAXPROCS >= ParallelGateCores &&
+		!(r.SpeedupParallel > r.SpeedupVsReference) {
+		errs = append(errs, fmt.Errorf("parallel speedup %.2fx does not beat serial %.2fx at %d workers on %d cores",
+			r.SpeedupParallel, r.SpeedupVsReference, r.Workers, r.Host.GOMAXPROCS))
+	}
+	return errors.Join(errs...)
 }

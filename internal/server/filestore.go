@@ -106,9 +106,9 @@ func (s *FileStore) fieldPath(id string, pair int) string {
 // replay never references a missing field).
 //
 // A concurrent Delete of the same id (DELETE /v1/jobs/{id} racing a
-// running job's checkpoints) can remove the directory mid-write; one
-// retry recreates it, and losing the race again surfaces as an
-// fs.ErrNotExist the caller may treat as benign — the job is being
+// running job's checkpoints) can remove the directory mid-write, or
+// between a racing PutField's mkdir and this one's; one retry recreates
+// it, and losing the race again surfaces as an fs.ErrNotExist the caller may treat as benign — the job is being
 // deleted, so skipping its checkpoint is correct. If the delete lands
 // after a successful retry the directory leaks until SweepOrphans —
 // disk, never correctness, since the deleted job leaves the journal too.
@@ -122,7 +122,11 @@ func (s *FileStore) PutField(id string, pair int, smf []byte) error {
 
 func (s *FileStore) putFieldOnce(id string, pair int, smf []byte) error {
 	dir := s.fieldDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); errors.Is(err, fs.ErrExist) {
+		// A concurrent PutField made dir and a Delete removed it again
+		// before MkdirAll could confirm it: the same lost race as below.
+		return fmt.Errorf("server: filestore: %v: %w", err, fs.ErrNotExist)
+	} else if err != nil {
 		return fmt.Errorf("server: filestore: %w", err)
 	}
 	path := s.fieldPath(id, pair)

@@ -1,20 +1,15 @@
 #!/bin/sh
 # End-to-end smoke of the distributed job plane (docs/CLUSTER.md): build
-# smaserve/smaload/smachaos, start a coordinator over two real worker
-# processes, drive the cluster through multi-node load, injected
+# smaserve/smaload/smachaos/smabench, start a coordinator over two real
+# worker processes, drive the cluster through multi-node load, injected
 # node-fault rounds with exact Expect accounting, and a real
 # SIGKILL-worker drill — every surviving job bit-identical to the clean
-# reference — then gate the scaling ladder (smabench -only cluster in
-# process mode) on bit-identity always and on >= CLUSTER_MIN_SPEEDUP at
-# the widest rung when the host has >= 4 cores. Ends with a graceful
-# SIGTERM drain of the coordinator and the surviving worker. Run from
-# the repository root (make check does).
+# reference — then run the scaling ladder (smabench -only cluster in
+# process mode), which writes /tmp/BENCH_cluster.json and exits non-zero
+# if ClusterScaling.Check fails. Ends with a graceful SIGTERM drain of
+# the coordinator and the surviving worker. Run from the repository root
+# (make check does).
 set -eu
-
-SIZE="${CLUSTER_SMOKE_SIZE:-32}"
-FRAMES="${CLUSTER_SMOKE_FRAMES:-9}"
-OUT="${CLUSTER_SMOKE_OUT:-/tmp/BENCH_cluster.json}"
-MIN_SPEEDUP="${CLUSTER_MIN_SPEEDUP:-2.5}"
 
 tmp=$(mktemp -d)
 pids=""
@@ -69,36 +64,18 @@ co="http://127.0.0.1:$(wait_port "$tmp/co.port" coordinator)"
 echo "   coordinator at $co"
 
 echo "== multi-node load (per-node split, bit-identity verified)"
-"$tmp/smaload" -nodes "$w0,$w1" -n 8 -c 4 -size "$SIZE" -verify
+"$tmp/smaload" -nodes "$w0,$w1" -n 8 -c 4 -size 32 -verify
 
 echo "== injected node-fault rounds (exact Expect accounting, bit-identity)"
-"$tmp/smachaos" -cluster -url "$co" -size "$SIZE" -frames "$FRAMES" \
+"$tmp/smachaos" -cluster -url "$co" -size 32 -frames 9 \
     -rounds 2 -seed 11 -out "$tmp/cluster_chaos.json"
 
 echo "== SIGKILL worker 1 mid-drill (dead-on-arrival exact accounting)"
-"$tmp/smachaos" -cluster -url "$co" -size "$SIZE" -frames "$FRAMES" \
+"$tmp/smachaos" -cluster -url "$co" -size 32 -frames 9 \
     -rounds 1 -seed 23 -kill-worker "$w1_pid" -kill-node 1
 
 echo "== scaling ladder (process mode, GOMAXPROCS=1 workers)"
-"$tmp/smabench" -only cluster -size $((SIZE * 2)) \
-    -cluster-bin "$tmp/smaserve" -cluster-out "$OUT"
-
-awk -v min="$MIN_SPEEDUP" '
-    /"cores"/          { gsub(/[,"]/, ""); cores = $2 }
-    /"speedup_at_max"/ { gsub(/[,"]/, ""); speedup = $2 }
-    /"bit_identical"/  { gsub(/[,"]/, ""); bitid = $2 }
-    END {
-        if (bitid != "true") {
-            printf "cluster-smoke: bit_identical = %s\n", bitid; exit 1
-        }
-        if (cores + 0 >= 4 && speedup + 0 < min) {
-            printf "cluster-smoke: speedup %.2fx at the widest rung below the %.2fx gate on %d cores\n", \
-                speedup, min, cores
-            exit 1
-        }
-        printf "cluster-smoke: ladder OK (cores %d, speedup %.2fx%s)\n", \
-            cores, speedup, (cores + 0 < 4 ? " [gate not enforced <4 cores]" : "")
-    }' "$OUT"
+"$tmp/smabench" -only cluster -size 64 -cluster-bin "$tmp/smaserve" -out /tmp
 
 echo "== graceful shutdown (SIGTERM coordinator, then surviving worker)"
 for name in coordinator worker0; do
