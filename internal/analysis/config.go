@@ -62,11 +62,13 @@ func DefaultConfig() *Config {
 			"solveMotion", "factorMotion", "solveFactored",
 			"symmetrize", "robustRefine",
 			// block kernel — block.go
-			"searchTile", "prepareBlock", "buildTermPlanes", "scoreHyp",
-			"bWalk", "residualWalk", "fillBuf", "storeBlock", "fillPadded",
+			"searchTile", "prepareBlock", "rhsPass", "buildBTerms", "scoreHyp",
+			"bWalk", "bDirect", "residualWalk", "fillBuf", "storeBlock", "fillPadded",
+			// block kernel's screen — screen.go
+			"prepareScreen", "screenRow", "screenPrune", "lowerBound", "gammaN",
 			// summed-window search — summed.go
 			"searchBlock", "invertBlock", "scoreBlockHyp",
-			"slide", "aPlaneValues", "summedA", "invertMotion",
+			"slide", "aPlaneValues", "summedA", "invertMotion", "inverse", "packInverse",
 			"summedEps", "summedTheta",
 			// semi-fluid map — semimap.go
 			"semiMapPixel", "scoreDisplacements", "argminDeltas",

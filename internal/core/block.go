@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync/atomic"
 
 	"sma/internal/la"
 	"sma/internal/surface"
@@ -19,27 +20,33 @@ import (
 // hypothesis-outer:
 //
 //   - once per block pixel: accumulate A over the template in raster
-//     order (the reference's arithmetic), factor it, and keep an
-//     incumbent;
+//     order (the reference's arithmetic), factor it, invert it for the
+//     screen, and keep an incumbent;
 //   - once per hypothesis, over the padded block (the block plus the
-//     template reach): build the term planes — rhs0/1/2 and accumulateB's
-//     products w0·zy·rhs0, w0·−zx·rhs0, w0·−rhs0, w1·−zy·rhs1, w1·zx·rhs1,
-//     w1·−rhs1 — each computed once instead of once per covering template;
-//   - once per (pixel, hypothesis): the b-pass is a raster walk of seven
-//     loads and eight adds per template pixel, then SolveFactored6, then
-//     the bounded residual walk over the rhs planes against the live
+//     template reach): compute rhs0/1/2, and from them the screen's
+//     running window sums (screen.go, docs/PERFORMANCE.md §6.3), which
+//     give each pixel an O(1) lower bound on the ε the reference would
+//     score; pixels whose bound reaches their incumbent's ε are skipped;
+//   - once per surviving (pixel, hypothesis): the b-pass is a raster walk
+//     adding accumulateB's products w0·zy·rhs0, w0·−zx·rhs0, w0·−rhs0,
+//     w1·−zy·rhs1, w1·zx·rhs1, w1·−rhs1 and rhs2 per template pixel —
+//     read from a term plane built once for the hypothesis when many
+//     pixels survive, formed in place when few do — then SolveFactored6,
+//     then the bounded residual walk over the rhs plane against the live
 //     incumbent.
 //
-// Exactness contract: every plane value is the very product accumulateB
+// Exactness contract: every b-pass value is the very product accumulateB
 // forms (its left-associated terms multiply first, so w0·zy·rhs0 is
 // (w0·zy)·rhs0), and the walk adds them into each accumulator in the
 // reference kernel's template order; no sum is reassociated. The padded
 // normal planes hold exactly grid.At's clamped samples. Per pixel the
 // hypotheses arrive in the reference order — the anchor first and
 // unconditionally (a NaN anchor ε wins), then raster order under
-// strict-< — so TrackPrepared output is bit-identical to
+// strict-< — and a screened hypothesis is one whose ε provably could not
+// win that comparison, so TrackPrepared output is bit-identical to
 // TrackPreparedReference at every block shape and worker count
-// (TestBlockKernelMatchesReference, the golden fixtures).
+// (TestBlockKernelMatchesReference, TestScreenOnOffIdentity, the golden
+// fixtures).
 
 // blockSide is the side of the blocks the default search runs on. Any
 // side gives the same bits; the side trades the padded block's extra
@@ -160,6 +167,7 @@ func trackBlocks(ctx context.Context, prep *Prepared, sm *SemiMap, opt Options, 
 	nrm := padNormals(prep)
 	order := windowOrder(win)
 	done := ctx.Done()
+	var screened atomic.Int64
 	err := forEachTile(ctx, g, workers, func() func(t tileRect) bool {
 		k := newBlockKernel(prep, sm, opt, nrm, order, bw, bh)
 		return func(t tileRect) bool {
@@ -167,12 +175,15 @@ func trackBlocks(ctx context.Context, prep *Prepared, sm *SemiMap, opt Options, 
 				return false
 			}
 			k.storeBlock(t, res)
+			screened.Add(k.screened)
+			k.screened = 0
 			return true
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
+	res.screened = screened.Load()
 	return res, nil
 }
 
@@ -241,20 +252,36 @@ type blockKernel struct {
 	tw, th int // template width and height
 
 	geom blockGeom
-	// bt and rt are the current hypothesis's term planes over the padded
-	// block.
-	bt []bTerm
+	// rt is the residual walk's plane over the padded block: the geometry
+	// (filled per block) and the current hypothesis's right-hand sides. bt
+	// is the current hypothesis's b-pass term plane, built only when
+	// enough pixels survive the screen.
 	rt []rTerm
+	bt []bTerm
 
 	fac  []motionFactor // per block pixel
 	best []incumbent    // per block pixel
+
+	// The screen (screen.go): per block pixel its invariant data and the
+	// current hypothesis's sums, the running sums that produce them, the
+	// block's bound S and per-window-sum error factor, and the pixels
+	// that survive the current hypothesis.
+	scr   []screenPixel
+	sv    []screenVal
+	sl    slider
+	smax  float64
+	rsErr float64
+	surv  []int32
+	// screened counts the (pixel, hypothesis) pairs the screen skipped.
+	screened int64
 
 	// buf is one (pixel, hypothesis) template in reference.go's slot
 	// layout, for the Huber refinement.
 	buf []float64
 
 	// noEarlyExit disables the ε early exit (test hook: the argmin must
-	// be bit-identical with the exit on and off).
+	// be bit-identical with the exit on and off; Options.noScreen is the
+	// screen's).
 	noEarlyExit bool
 
 	// Current block geometry.
@@ -268,10 +295,15 @@ func newBlockKernel(prep *Prepared, sm *SemiMap, opt Options, nrm *normalPlanes,
 		rx: rx, ry: ry, tw: 2*rx + 1, th: 2*ry + 1}
 	n := (maxBW + 2*rx) * (maxBH + 2*ry)
 	k.geom = newBlockGeom(n)
-	k.bt = make([]bTerm, n)
 	k.rt = make([]rTerm, n)
-	k.fac = make([]motionFactor, maxBW*maxBH)
-	k.best = make([]incumbent, maxBW*maxBH)
+	k.bt = make([]bTerm, n)
+	nb := maxBW * maxBH
+	k.fac = make([]motionFactor, nb)
+	k.best = make([]incumbent, nb)
+	k.scr = make([]screenPixel, nb)
+	k.sv = make([]screenVal, nb)
+	k.surv = make([]int32, nb)
+	k.sl = newSlider(hypPlanes, maxBW+2*rx, maxBW, k.tw, k.th)
 	if opt.Robust {
 		k.buf = make([]float64, k.tw*k.th*bufStride)
 	}
@@ -282,8 +314,6 @@ func newBlockKernel(prep *Prepared, sm *SemiMap, opt Options, nrm *normalPlanes,
 // in k.best (block raster order). It reports false, with the block
 // unfinished, when done closes; done is polled between hypotheses.
 func (k *blockKernel) searchTile(done <-chan struct{}, t tileRect) bool {
-	k.bw, k.bh = t.X1-t.X0, t.Y1-t.Y0
-	k.gw, k.gh = k.bw+2*k.rx, k.bh+2*k.ry
 	k.prepareBlock(t)
 	for n, h := range k.order {
 		select {
@@ -291,8 +321,9 @@ func (k *blockKernel) searchTile(done <-chan struct{}, t tileRect) bool {
 			return false
 		default:
 		}
-		k.buildTermPlanes(t, h[0], h[1])
-		k.scoreHyp(h[0], h[1], n == 0)
+		first := n == 0
+		k.rhsPass(t, h[0], h[1], !first && !k.opt.noScreen)
+		k.scoreHyp(h[0], h[1], first)
 	}
 	return true
 }
@@ -319,14 +350,27 @@ func (k *blockKernel) storeBlock(t tileRect, res *Result) {
 }
 
 // prepareBlock runs the hypothesis-invariant half of the search for block
-// t: the padded block's geometry, then each pixel's normal-equation
-// matrix A — accumulated over its template in raster order with
-// accumulateA, as the reference does — factored once (with the ridge
-// fallback solveMotion applies).
+// t: the padded block's geometry (into rt too), then each pixel's
+// normal-equation matrix A — accumulated over its template in raster
+// order with accumulateA, as the reference does — factored once (with
+// the ridge fallback solveMotion applies), and the pixel's screen data.
 func (k *blockKernel) prepareBlock(t tileRect) {
+	k.bw, k.bh = t.X1-t.X0, t.Y1-t.Y0
+	k.gw, k.gh = k.bw+2*k.rx, k.bh+2*k.ry
 	gw := k.gw
 	g := &k.geom
 	g.fillPadded(k.prep.G0, t.X0-k.rx, t.Y0-k.ry, gw, k.gh)
+	geomOK := true
+	for o := range g.zx[:gw*k.gh] {
+		zx, zy, w0, w1 := g.zx[o], g.zy[o], g.w0[o], g.w1[o]
+		k.rt[o] = rTerm{zx: zx, zy: zy, w0: w0, w1: w1}
+		// Every screen bound assumes finite geometry and positive
+		// weights (E, G ≥ 1 whenever the fit is finite).
+		geomOK = geomOK && zx-zx == 0 && zy-zy == 0 && // finite
+			w0 > 0 && w0 <= math.MaxFloat64 && w1 > 0 && w1 <= math.MaxFloat64
+	}
+	k.rsErr = float64(2*gw*k.th+2*k.gh+8) * unitRoundoff
+	n := k.tw * k.th
 	for j := 0; j < k.bh; j++ {
 		for i := 0; i < k.bw; i++ {
 			var a la.Mat6
@@ -339,18 +383,22 @@ func (k *blockKernel) prepareBlock(t tileRect) {
 				}
 			}
 			symmetrize(&a)
-			k.fac[j*k.bw+i].factorMotion(&a)
+			p := j*k.bw + i
+			k.fac[p].factorMotion(&a)
+			prepareScreen(&k.scr[p], &a, &k.fac[p], n, geomOK)
 		}
 	}
 }
 
-// buildTermPlanes fills k.bt and k.rt for hypothesis (hx, hy) over the
-// padded block of t. Template pixel p reads the after-frame normal at p + h,
+// rhsPass fills rt's right-hand sides for hypothesis (hx, hy) over the
+// padded block of t and, when screen is set, runs the screen (screen.go),
+// leaving the pixels it cannot rule out in k.surv; otherwise every pixel
+// survives. Template pixel p reads the after-frame normal at p + h,
 // displaced by δ(p, h) when p is in the image and h has a semi-map entry.
 // A hypothesis whose reach stays inside the padded normals (every one of
 // the ±NZS window does) reads them by index; any other reads through
 // NormalAt's clamp, which yields the same samples.
-func (k *blockKernel) buildTermPlanes(t tileRect, hx, hy int) {
+func (k *blockKernel) rhsPass(t tileRect, hx, hy int, screen bool) {
 	sm, nrm := k.sm, k.nrm
 	W, H := k.prep.W, k.prep.H
 	semi := sm != nil && hx >= -sm.RX && hx <= sm.RX && hy >= -sm.RY && hy <= sm.RY
@@ -366,10 +414,15 @@ func (k *blockKernel) buildTermPlanes(t tileRect, hx, hy int) {
 		y0+hy-m >= -nrm.padY && y0+k.gh-1+hy+m < nrm.h+nrm.padY
 	g := &k.geom
 	g1 := k.prep.G1
+	if screen {
+		k.sl.reset(hypPlanes, k.gw)
+		k.smax = 0
+	}
 	for r := 0; r < k.gh; r++ {
 		py := y0 + r
 		rowSemi := semi && py >= 0 && py < H
-		for c := 0; c < k.gw; c++ {
+		row := k.rt[r*k.gw:][:k.gw]
+		for c := range row {
 			px := x0 + c
 			qx, qy := px+hx, py+hy
 			if rowSemi && px >= 0 && px < W {
@@ -385,43 +438,75 @@ func (k *blockKernel) buildTermPlanes(t tileRect, hx, hy int) {
 				ni, nj, nk = g1.NormalAt(qx, qy)
 			}
 			o := r*k.gw + c
-			zx, zy, sc, w0, w1 := g.zx[o], g.zy[o], g.sc[o], g.w0[o], g.w1[o]
-			rhs0 := sc*ni + zx
-			rhs1 := sc*nj + zy
-			rhs2 := sc*nk - 1
-			k.bt[o] = bTerm{w0 * zy * rhs0, w0 * -zx * rhs0, w0 * -rhs0,
-				w1 * -zy * rhs1, w1 * zx * rhs1, w1 * -rhs1, rhs2}
-			k.rt[o] = rTerm{zx: zx, zy: zy, w0: w0, w1: w1, r0: rhs0, r1: rhs1, r2: rhs2}
+			sc := g.sc[o]
+			q := &row[c]
+			q.r0 = sc*ni + q.zx
+			q.r1 = sc*nj + q.zy
+			q.r2 = sc*nk - 1
 		}
+		if screen {
+			k.screenRow(row)
+		}
+	}
+	if screen {
+		k.screenPrune()
+		return
+	}
+	k.surv = k.surv[:k.bw*k.bh]
+	for p := range k.surv {
+		k.surv[p] = int32(p)
 	}
 }
 
-// scoreHyp scores hypothesis (hx, hy) at every block pixel from the term
-// planes and folds it into the pixel's incumbent. first marks the anchor:
-// scored against an infinite bound and accepted whatever its ε.
+// buildBTerms fills bt from rt over the padded block: accumulateB's
+// products, each formed once for every template covering its pixel.
+func (k *blockKernel) buildBTerms() {
+	for o, q := range k.rt[:k.gw*k.gh] {
+		w0, w1, zx, zy := q.w0, q.w1, q.zx, q.zy
+		k.bt[o] = bTerm{w0 * zy * q.r0, w0 * -zx * q.r0, w0 * -q.r0,
+			w1 * -zy * q.r1, w1 * zx * q.r1, w1 * -q.r1, q.r2}
+	}
+}
+
+// scoreHyp scores hypothesis (hx, hy) at every surviving block pixel and
+// folds it into the pixel's incumbent. first marks the anchor: scored
+// against an infinite bound and accepted whatever its ε.
 func (k *blockKernel) scoreHyp(hx, hy int, first bool) {
-	for j := 0; j < k.bh; j++ {
-		for i := 0; i < k.bw; i++ {
-			o, p := j*k.gw+i, j*k.bw+i
-			b := k.bWalk(o)
-			theta := k.fac[p].solveFactored(&b)
-			best := &k.best[p]
-			bound := best.eps
-			if first || k.noEarlyExit {
-				bound = math.Inf(1)
-			}
-			var e float64
-			var pruned bool
-			if k.opt.Robust {
-				buf := k.fillBuf(o)
-				theta = robustRefine(buf, theta, k.opt.HuberK)
-				e, pruned = residualSumBounded(buf, &theta, bound)
-			} else {
-				e, pruned = k.residualWalk(o, &theta, bound)
-			}
-			if first || (!pruned && e < best.eps) {
-				*best = incumbent{hx: hx, hy: hy, eps: e, theta: theta}
-			}
+	// Once the survivors' templates cover more samples than the padded
+	// block holds, reading the b-pass term plane (built once) beats
+	// forming each product per template: ~25% per block with every pixel
+	// surviving, ~7% on the whole 64² Luis search (docs/PERFORMANCE.md
+	// §6.1).
+	dense := len(k.surv)*k.tw*k.th > k.gw*k.gh
+	if dense {
+		k.buildBTerms()
+	}
+	for _, p32 := range k.surv {
+		p := int(p32)
+		o := (p/k.bw)*k.gw + p%k.bw
+		var b la.Vec6
+		if dense {
+			b = k.bWalk(o)
+		} else {
+			b = k.bDirect(o)
+		}
+		theta := k.fac[p].solveFactored(&b)
+		best := &k.best[p]
+		bound := best.eps
+		if first || k.noEarlyExit {
+			bound = math.Inf(1)
+		}
+		var e float64
+		var pruned bool
+		if k.opt.Robust {
+			buf := k.fillBuf(o)
+			theta = robustRefine(buf, theta, k.opt.HuberK)
+			e, pruned = residualSumBounded(buf, &theta, bound)
+		} else {
+			e, pruned = k.residualWalk(o, &theta, bound)
+		}
+		if first || (!pruned && e < best.eps) {
+			*best = incumbent{hx: hx, hy: hy, eps: e, theta: theta}
 		}
 	}
 }
@@ -443,6 +528,27 @@ func (k *blockKernel) bWalk(o int) la.Vec6 {
 			b5 += t[btW1n]
 			b0 += t[btR2]
 			b3 += t[btR2]
+		}
+	}
+	return la.Vec6{b0, b1, b2, b3, b4, b5}
+}
+
+// bDirect is bWalk forming accumulateB's products from rt as it goes —
+// the same products added in the same order, so the same b.
+func (k *blockKernel) bDirect(o int) la.Vec6 {
+	var b0, b1, b2, b3, b4, b5 float64
+	for r := 0; r < k.th; r++ {
+		row := k.rt[o+r*k.gw:][:k.tw]
+		for c := range row {
+			q := &row[c]
+			b2 += q.w0 * q.zy * q.r0
+			b3 += q.w0 * -q.zx * q.r0
+			b4 += q.w0 * -q.r0
+			b0 += q.w1 * -q.zy * q.r1
+			b1 += q.w1 * q.zx * q.r1
+			b5 += q.w1 * -q.r1
+			b0 += q.r2
+			b3 += q.r2
 		}
 	}
 	return la.Vec6{b0, b1, b2, b3, b4, b5}

@@ -100,6 +100,12 @@ func (p Params) Validate() error {
 		// Bounds the request size; every flow component |h + δ| then stays
 		// within 2·127 = 254, which a stored int16 flow holds exactly.
 		return fmt.Errorf("core: search radii NZS/NZSX/NZSY = %d/%d/%d, need <= %d", p.NZS, p.NZSX, p.NZSY, math.MaxInt8)
+	case p.NZT > math.MaxInt8 || p.NZTX > math.MaxInt8 || p.NZTY > math.MaxInt8:
+		// Bounds the request size before the padded normal planes,
+		// (w + 2·NZT)² samples, are allocated, and keeps a template at
+		// n ≤ 255² pixels, which the block kernel screen's rounding
+		// margin assumes (docs/PERFORMANCE.md §6.3).
+		return fmt.Errorf("core: template radii NZT/NZTX/NZTY = %d/%d/%d, need <= %d", p.NZT, p.NZTX, p.NZTY, math.MaxInt8)
 	}
 	return nil
 }
@@ -207,6 +213,10 @@ type Result struct {
 	// Motion optionally holds the six fitted affine motion parameters of
 	// the winning hypothesis per pixel (nil unless requested).
 	Motion []*grid.Grid
+
+	// screened counts the (pixel, hypothesis) pairs the block kernel's
+	// screen skipped (screen.go).
+	screened int64
 }
 
 // newResult allocates a w×h result, with the six motion-parameter grids

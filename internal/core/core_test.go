@@ -34,6 +34,9 @@ func TestParamsValidate(t *testing.T) {
 		{NS: 1, NZS: 128, NZT: 1},                 // flows are stored as int16
 		{NS: 1, NZS: 1, NZT: 1, NZSX: 128},
 		{NS: 1, NZS: 1, NZT: 1, NZSY: 128},
+		{NS: 1, NZS: 1, NZT: 128}, // padded planes and the screen's n ≤ 255²
+		{NS: 1, NZS: 1, NZT: 1, NZTX: 128},
+		{NS: 1, NZS: 1, NZT: 1, NZTY: 128},
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {
@@ -48,6 +51,8 @@ func TestParamsValidate(t *testing.T) {
 	for _, p := range []Params{
 		{NS: 1, NZS: 127, NZT: 1, NSS: 127, NST: 1},
 		{NS: 1, NZS: 1, NZT: 1, NZSX: 127, NZSY: 127},
+		{NS: 1, NZS: 1, NZT: 127, NZTX: 127, NZTY: 127},
+		FredericParams(), // NZT 60
 	} {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%+v: %v", p, err)

@@ -83,7 +83,8 @@ func BenchmarkTrackPrepared(b *testing.B) {
 // outside the loop — the search kernels of the three smaperf workloads:
 // the serving default (ScaledParams, Fsemi), the Luis jobs (exhaustive
 // Fcont) and the GOES-9 cluster jobs (the pyramid option's summed-window
-// search).
+// search). screened/op counts the (pixel, hypothesis) pairs the block
+// kernel's screen skipped (0 on the summed-window search).
 func BenchmarkSearch64(b *testing.B) {
 	s := synth.Hurricane(64, 64, 7)
 	pair := Monocular(s.Frame(0), s.Frame(1))
@@ -95,11 +96,15 @@ func BenchmarkSearch64(b *testing.B) {
 		sm := BuildSemiMap(prep)
 		b.ReportAllocs()
 		b.ResetTimer()
+		var screened int64
 		for i := 0; i < b.N; i++ {
-			if _, err := TrackPreparedParallelCtx(context.Background(), prep, sm, opt, 1); err != nil {
+			res, err := TrackPreparedParallelCtx(context.Background(), prep, sm, opt, 1)
+			if err != nil {
 				b.Fatal(err)
 			}
+			screened += res.screened
 		}
+		b.ReportMetric(float64(screened)/float64(b.N), "screened/op")
 	}
 	b.Run("scaled-semimap", func(b *testing.B) { run(b, ScaledParams(), Options{}) })
 	b.Run("luis", func(b *testing.B) { run(b, LuisParams(), Options{}) })

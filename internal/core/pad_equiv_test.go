@@ -209,8 +209,9 @@ func TestKernelPaddedNormalsMatchAt(t *testing.T) {
 
 // TestKernelSearchWindowZeroAllocs pins the block search allocation-free
 // on a warmed kernel at the serving, Luis and GOES-9 parameters, on a
-// corner, an interior and a ragged edge block: the padded normals and
-// every scratch plane are built with the kernel, never per block.
+// corner, an interior and a ragged edge block, with the screen on (which
+// must skip some hypotheses there) and off: the padded normals and every
+// scratch plane are built with the kernel, never per block.
 func TestKernelSearchWindowZeroAllocs(t *testing.T) {
 	s := synth.Hurricane(40, 40, 7)
 	pair := Monocular(s.Frame(0), s.Frame(1))
@@ -223,11 +224,16 @@ func TestKernelSearchWindowZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			k := newBlockKernel(prep, BuildSemiMap(prep), Options{}, padNormals(prep), windowOrder(fullWindow(tc.p)), blockSide, blockSide)
-			for _, tile := range []tileRect{{0, 0, 16, 16}, {16, 16, 32, 32}, {32, 0, 40, 16}} {
-				k.searchTile(nil, tile)
-				if a := testing.AllocsPerRun(3, func() { k.searchTile(nil, tile) }); a != 0 {
-					t.Fatalf("searchTile(%v) allocates %v times per block", tile, a)
+			for _, screen := range []bool{true, false} {
+				k := newBlockKernel(prep, BuildSemiMap(prep), Options{noScreen: !screen}, padNormals(prep), windowOrder(fullWindow(tc.p)), blockSide, blockSide)
+				for _, tile := range []tileRect{{0, 0, 16, 16}, {16, 16, 32, 32}, {32, 0, 40, 16}} {
+					k.searchTile(nil, tile)
+					if screen && k.screened == 0 {
+						t.Fatalf("searchTile(%v) screened nothing", tile)
+					}
+					if a := testing.AllocsPerRun(3, func() { k.searchTile(nil, tile) }); a != 0 {
+						t.Fatalf("searchTile(%v), screen %v, allocates %v times per block", tile, screen, a)
+					}
 				}
 			}
 		})

@@ -142,20 +142,31 @@ func summedA(s *[aPlanes]float64, n float64) la.Mat6 {
 	return a
 }
 
-// invertMotion returns M = A⁻¹ packed as the upper triangle in row-major
-// order, off-diagonal entries doubled — the coefficients of the quadratic
-// form bᵀMb. Column j is solveFactored of the unit vector e_j, so the
-// ridge fallback carries over, and a matrix neither solve accepts gives
-// M = 0: θ = 0 and ε = C, as solveFactored's zero solution gives.
-func invertMotion(a *la.Mat6) (m [21]float64) {
+// invertMotion returns M = A⁻¹ packed by packInverse. A matrix neither
+// solve accepts gives M = 0: θ = 0 and ε = C, as solveFactored's zero
+// solution gives.
+func invertMotion(a *la.Mat6) [21]float64 {
 	var mf motionFactor
 	mf.factorMotion(a)
-	var cols [6]la.Vec6
+	cols := mf.inverse()
+	return packInverse(&cols)
+}
+
+// inverse returns the columns of A⁻¹: column j is solveFactored of the
+// unit vector e_j, so the ridge fallback carries over.
+func (mf *motionFactor) inverse() (cols [6]la.Vec6) {
 	for j := range cols {
 		var e la.Vec6
 		e[j] = 1
 		cols[j] = mf.solveFactored(&e)
 	}
+	return cols
+}
+
+// packInverse packs the inverse's upper triangle in row-major order,
+// off-diagonal entries doubled — the coefficients of the quadratic form
+// bᵀMb.
+func packInverse(cols *[6]la.Vec6) (m [21]float64) {
 	k := 0
 	for i := 0; i < 6; i++ {
 		m[k] = cols[i][i]

@@ -29,9 +29,11 @@ type Options struct {
 	Pyramid PyramidOptions
 
 	// blockW/blockH fix the default search's block shape (0 = the
-	// default, see blockShape). Pure scheduling — every shape is
-	// bit-identical — and only the in-package equivalence tests set them.
+	// default, see blockShape) and noScreen turns off the block kernel's
+	// lower-bound screen (screen.go). Neither changes a bit of the
+	// output; only the in-package equivalence tests set them.
 	blockW, blockH int
+	noScreen       bool
 }
 
 // tracker scores correspondence hypotheses for single pixels.

@@ -162,6 +162,7 @@ func TestTrackRejectsBadRequests(t *testing.T) {
 		{"bad params", `{"synthetic":{"size":16},"params":{"nss":-1}}`, http.StatusBadRequest},
 		{"nss beyond int8", `{"synthetic":{"size":16},"params":{"nss":128}}`, http.StatusBadRequest},
 		{"nzs beyond int8", `{"synthetic":{"size":16},"params":{"nzs":128}}`, http.StatusBadRequest},
+		{"nzt beyond int8", `{"synthetic":{"size":16},"params":{"nzt":128}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -29,15 +29,20 @@ func NewID() (string, error) {
 // TrackResult is a stored synchronous tracking outcome, kept so GET
 // /v1/track/{id}/svg can render vectors over the imagery they were
 // tracked on. It keeps only what that render draws, in the smallest form
-// that draws the same bytes: the flow as int16 planes (core flows are
-// integer offsets h + δ, and Params.Validate bounds them to ±254) and
-// the first input frame as its 16 gray levels (viz.GrayLevels) — not the
-// residual plane, which the POST response already carried.
+// that draws the same bytes: the flow as int8 planes when every component
+// fits (always at the serving default, whose |h + δ| ≤ NZS + NSS = 3),
+// exact int16 planes otherwise (core flows are integer offsets h + δ, and
+// Params.Validate bounds them to ±254), and the first input frame as its
+// 16 gray levels (viz.GrayLevels) packed two to a byte — not the residual
+// plane, which the POST response already carried.
 type TrackResult struct {
-	ID         string
-	W, H       int
-	U, V       []int16 // flow components, row-major
-	Background []byte  // viz.GrayLevels of the first frame
+	ID   string
+	W, H int
+	// The flow components, row-major: U8/V8 when every component fits an
+	// int8, else U16/V16.
+	U8, V8     []int8
+	U16, V16   []int16
+	Background []byte // viz.GrayLevels of the first frame, pixel 2i in the low nibble of byte i
 	Params     core.Params
 	Created    time.Time
 }
@@ -45,6 +50,8 @@ type TrackResult struct {
 // newTrackResult packs a tracked flow and its background frame into the
 // stored form. It fails on a flow component int16 cannot hold exactly.
 func newTrackResult(id string, f *grid.VectorField, bg *grid.Grid, p core.Params) (*TrackResult, error) {
+	w, h := f.Bounds()
+	t := &TrackResult{ID: id, W: w, H: h, Background: packLevels(viz.GrayLevels(bg)), Params: p, Created: time.Now()}
 	u, err := int16Plane(f.U)
 	if err != nil {
 		return nil, err
@@ -53,8 +60,12 @@ func newTrackResult(id string, f *grid.VectorField, bg *grid.Grid, p core.Params
 	if err != nil {
 		return nil, err
 	}
-	w, h := f.Bounds()
-	return &TrackResult{ID: id, W: w, H: h, U: u, V: v, Background: viz.GrayLevels(bg), Params: p, Created: time.Now()}, nil
+	if fitsInt8(u) && fitsInt8(v) {
+		t.U8, t.V8 = narrow(u), narrow(v)
+	} else {
+		t.U16, t.V16 = u, v
+	}
+	return t, nil
 }
 
 // int16Plane converts an integer-valued plane to int16, exactly.
@@ -69,23 +80,57 @@ func int16Plane(g *grid.Grid) ([]int16, error) {
 	return out, nil
 }
 
+func fitsInt8(p []int16) bool {
+	for _, x := range p {
+		if x < math.MinInt8 || x > math.MaxInt8 {
+			return false
+		}
+	}
+	return true
+}
+
+func narrow(p []int16) []int8 {
+	out := make([]int8, len(p))
+	for i, x := range p {
+		out[i] = int8(x)
+	}
+	return out
+}
+
+// packLevels packs 4-bit gray levels two to a byte, the even pixel in the
+// low nibble.
+func packLevels(lv []byte) []byte {
+	out := make([]byte, (len(lv)+1)/2)
+	for i, l := range lv {
+		out[i/2] |= l << (4 * (i % 2))
+	}
+	return out
+}
+
 // WriteSVG renders the stored track — the same bytes viz.WriteQuiverSVG
 // draws for the tracked flow over the full first frame. opt's Background
 // fields are ignored.
 func (t *TrackResult) WriteSVG(w io.Writer, opt viz.QuiverOptions) error {
+	n := t.W * t.H
 	f := grid.NewVectorField(t.W, t.H)
-	for i := range t.U {
-		f.U.Data[i], f.V.Data[i] = float32(t.U[i]), float32(t.V[i])
+	levels := make([]byte, n)
+	for i := 0; i < n; i++ {
+		if t.U8 != nil {
+			f.U.Data[i], f.V.Data[i] = float32(t.U8[i]), float32(t.V8[i])
+		} else {
+			f.U.Data[i], f.V.Data[i] = float32(t.U16[i]), float32(t.V16[i])
+		}
+		levels[i] = t.Background[i/2] >> (4 * (i % 2)) & 0xf
 	}
-	opt.Background, opt.BackgroundLevels = nil, t.Background
+	opt.Background, opt.BackgroundLevels = nil, levels
 	return viz.WriteQuiverSVG(w, f, opt)
 }
 
 // SizeBytes reports the result's resident footprint for the store's byte
-// cap: two int16 flow planes plus one gray-level byte per pixel.
+// cap: the two flow planes plus half a byte of gray level per pixel.
 func (t *TrackResult) SizeBytes() int64 {
 	var n int64 = 256 // struct + map-entry overhead, order of magnitude
-	return n + 2*int64(len(t.U)+len(t.V)) + int64(len(t.Background))
+	return n + int64(len(t.U8)+len(t.V8)) + 2*int64(len(t.U16)+len(t.V16)) + int64(len(t.Background))
 }
 
 // Sizer lets stored values report their resident size so the store's

@@ -193,10 +193,12 @@ func TestMemStoreDeleteRacesSweep(t *testing.T) {
 }
 
 // TestTrackResultSVGMatchesGridRendering: the stored form of a track —
-// int16 flow planes and the background's gray levels — renders the very
-// SVG bytes the tracked flow draws over the full first frame, for
-// integer, fractional, NaN-containing and flat backgrounds and for flow
-// components up to the ±254 bound, at default and custom render options.
+// int8 or int16 flow planes and the background's packed gray levels —
+// renders the very SVG bytes the tracked flow draws over the full first
+// frame, for integer, fractional, NaN-containing and flat backgrounds
+// (on an odd pixel count, so the last level byte is half used), for flow
+// components up to the ±254 bound and for a flow that fits int8, at
+// default and custom render options.
 func TestTrackResultSVGMatchesGridRendering(t *testing.T) {
 	const w, h = 23, 17
 	frame := synth.Hurricane(w, h, 9).Frame(0)
@@ -214,16 +216,27 @@ func TestTrackResultSVGMatchesGridRendering(t *testing.T) {
 		flow.U.Data[i] = float32(i%509 - 254)
 		flow.V.Data[i] = float32((i*7)%5 - 2)
 	}
+	small := grid.NewVectorField(w, h)
+	for i := range small.U.Data {
+		small.U.Data[i] = float32(i%256 - 128)
+		small.V.Data[i] = float32(127 - i%256)
+	}
 	for _, bg := range []struct {
 		name string
 		g    *grid.Grid
-	}{{"integer", integer}, {"fractional", frame}, {"nan", withNaN}, {"flat", flat}} {
+		flow *grid.VectorField
+		size int // bytes per pixel of the two flow planes
+	}{
+		{"integer", integer, flow, 4}, {"fractional", frame, flow, 4}, {"nan", withNaN, flow, 4},
+		{"flat", flat, flow, 4}, {"int8-flow", frame, small, 2},
+	} {
+		flow := bg.flow
 		t.Run(bg.name, func(t *testing.T) {
 			tr, err := newTrackResult("id", flow, bg.g, core.ScaledParams())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := tr.SizeBytes(), int64(256+5*w*h); got != want {
+			if got, want := tr.SizeBytes(), int64(256+bg.size*w*h+(w*h+1)/2); got != want {
 				t.Fatalf("SizeBytes = %d, want %d", got, want)
 			}
 			for _, opt := range []viz.QuiverOptions{{}, {Step: 3, Scale: 0.5, MinMagnitude: 1}} {

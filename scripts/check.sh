@@ -49,7 +49,8 @@ go test -race -run 'Golden|Stream|TrackStats|PrepareFrame' \
 # The search-kernel equivalence wall and tile-scheduler properties
 # (docs/PERFORMANCE.md §6–7, §9): the block kernel's differential table,
 # every block shape and worker count bit-identical to the reference, the
-# early exit invisible, the
+# early exit invisible, the lower-bound screen sound for every (pixel,
+# hypothesis), invisible and pruning at its floor, the
 # summed-window search byte-identical to its oracle at every worker
 # count, in argmin agreement with the reference and cancellable, the
 # work-stealing scheduler leak- and race-free, the semi-fluid map
@@ -57,7 +58,7 @@ go test -race -run 'Golden|Stream|TrackStats|PrepareFrame' \
 # cancellable mid-build — run by name under the race detector so a -run
 # filter above can never silently drop them.
 echo "== search kernel + tile scheduler (-race)"
-go test -race -run 'Kernel|Block|EarlyExit|Batch|Tile|Summed|PyramidAccuracy|SemiMap' \
+go test -race -run 'Kernel|Block|EarlyExit|Screen|Batch|Tile|Summed|PyramidAccuracy|SemiMap' \
     ./internal/core || fail=1
 
 # The robustness lock (docs/ROBUSTNESS.md): fault injection, degraded-
