@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -16,8 +17,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden motion-field fixtures under testdata/")
 
 // goldenCases are the committed bit-exact regressions: small scenes, one
-// per model family, tracked by the sequential baseline. Any PR that
-// changes these bytes has changed the numerics of the tracker — the
+// per model family, tracked by the sequential baseline — or, with the
+// pyramid option, by the summed-window search (goldenTrack). Any change
+// to these bytes is a change to the numerics of the tracker — the
 // golden files make that an explicit, reviewable event (`go test
 // ./internal/core -run Golden -update`) instead of a silent drift.
 var goldenCases = []struct {
@@ -42,10 +44,35 @@ var goldenCases = []struct {
 		p:     Params{NS: 2, NZS: 2, NZT: 3, NST: 2, NSS: 1},
 		opt:   Options{Robust: true},
 	},
+	{
+		// Summed-window search: 40² spans a full 32² summed block and
+		// the narrow edge blocks beside and below it. The oracle test
+		// shares aPlaneValues, summedA, invertMotion and summedEps with
+		// the kernel, so only a fixture sees a change inside them.
+		name:  "thunderstorm_summed",
+		scene: func() *synth.Scene { return synth.Thunderstorm(40, 40, 23) },
+		p:     Params{NS: 2, NZS: 2, NZT: 3},
+		opt:   Options{Pyramid: PyramidOptions{Levels: 2}, KeepMotion: true},
+	},
+}
+
+// goldenTrack tracks a golden scene: the sequential baseline, or the
+// pyramid option's summed-window search on two workers.
+func goldenTrack(pair Pair, p Params, opt Options) (*Result, error) {
+	if !opt.Pyramid.Enabled() {
+		return TrackSequential(pair, p, opt)
+	}
+	prep, err := PreparePyramid(pair, p, opt.Pyramid.Levels)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, 2)
+	return res, err
 }
 
 // goldenMagic versions the fixture layout: magic, GOARCH tag, dimensions,
-// then U, V and ε rasters as little-endian float32.
+// then U, V and ε rasters — and, for a KeepMotion case, the six motion
+// rasters — as little-endian float32.
 const goldenMagic = "SMAGOLD1"
 
 func encodeGolden(res *Result) ([]byte, error) {
@@ -60,8 +87,12 @@ func encodeGolden(res *Result) ([]byte, error) {
 	if err := binary.Write(&buf, binary.LittleEndian, [2]uint32{uint32(w), uint32(h)}); err != nil {
 		return nil, err
 	}
-	for _, g := range []*[]float32{&res.Flow.U.Data, &res.Flow.V.Data, &res.Err.Data} {
-		if err := binary.Write(&buf, binary.LittleEndian, *g); err != nil {
+	rasters := [][]float32{res.Flow.U.Data, res.Flow.V.Data, res.Err.Data}
+	for _, g := range res.Motion {
+		rasters = append(rasters, g.Data)
+	}
+	for _, g := range rasters {
+		if err := binary.Write(&buf, binary.LittleEndian, g); err != nil {
 			return nil, err
 		}
 	}
@@ -90,7 +121,7 @@ func TestGoldenMotionFields(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			scene := tc.scene()
 			pair := Monocular(scene.Frame(0), scene.Frame(1))
-			res, err := TrackSequential(pair, tc.p, tc.opt)
+			res, err := goldenTrack(pair, tc.p, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
