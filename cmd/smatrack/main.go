@@ -73,8 +73,8 @@ func main() {
 	flag.Parse()
 	params0 := core.Params{NS: *ns, NZS: *nzs, NZT: *nzt, NST: *nst, NSS: *nss}
 	pyrOpt := core.PyramidOptions{Levels: *pyramid}
-	if pyrOpt.Enabled() && params0.SemiFluid() {
-		log.Fatal("-pyramid requires the continuous model (-nss 0)")
+	if err := pyrOpt.Check(params0); err != nil {
+		log.Fatalf("-pyramid: %v", err)
 	}
 	if *streamPaths != "" {
 		geo := sequence.Geometry{KmPerPixel: *kmPx, SecondsPerDt: *dtSec}

@@ -62,12 +62,12 @@ func DefaultConfig() *Config {
 			"solveMotion", "factorMotion", "solveFactored",
 			"symmetrize", "robustRefine",
 			// block kernel — block.go
-			"searchTile", "prepareBlock", "rhsPass", "buildBTerms", "scoreHyp",
+			"searchTile", "prepareBlock", "rhsPass", "rhs", "buildBTerms", "scoreHyp",
 			"bWalk", "bDirect", "residualWalk", "fillBuf", "storeBlock", "fillPadded",
 			// block kernel's screen — screen.go
 			"prepareScreen", "screenRow", "screenPrune", "lowerBound", "gammaN",
-			// summed-window search — summed.go
-			"searchBlock", "invertBlock", "scoreBlockHyp",
+			// block kernel's summed mode — summed.go
+			"invertSummed",
 			"slide", "aPlaneValues", "summedA", "invertMotion", "inverse", "packInverse",
 			"summedEps", "summedTheta",
 			// semi-fluid map — semimap.go

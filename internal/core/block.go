@@ -10,11 +10,12 @@ import (
 	"sma/internal/surface"
 )
 
-// Exact block kernel: the default hypothesis search (docs/PERFORMANCE.md
-// §6). Every b-pass term of the score is a function of the template pixel
-// p and the hypothesis h alone — the geometry (zx, zy, |n0|, 1/E, 1/G) at p
-// and the after-frame normal at p + h (+ δ(p, h)) — never of the tracked
-// pixel whose template covers p. The paper draws the same conclusion for
+// Block kernel: the default hypothesis search (docs/PERFORMANCE.md §6)
+// and, as a mode, the summed-window search Options.Pyramid selects
+// (summed.go, §9). Every b-pass term of the score is a function of the
+// template pixel p and the hypothesis h alone — the geometry (zx, zy,
+// |n0|, 1/E, 1/G) at p and the after-frame normal at p + h (+ δ(p, h)) —
+// never of the tracked pixel whose template covers p. The paper draws the same conclusion for
 // the semi-fluid mapping: "it is more efficient to pre-compute the
 // template mapping for all pixels". So the kernel runs per fixed block,
 // hypothesis-outer:
@@ -47,6 +48,12 @@ import (
 // TrackPreparedReference at every block shape and worker count
 // (TestBlockKernelMatchesReference, TestScreenOnOffIdentity, the golden
 // fixtures).
+//
+// Summed mode (Options.summed) runs the same sweep with ε_s itself as the
+// score: on summed.go's fixed, absolute summedBlock² grid, each pixel's
+// screen M is the inverse of its window-summed A (invertSummed) rather
+// than of the raster-order A, and screenRow folds every hypothesis's ε_s
+// into the incumbent with the same tie rule; no pixel is scored exactly.
 
 // blockSide is the side of the blocks the default search runs on. Any
 // side gives the same bits; the side trades the padded block's extra
@@ -150,22 +157,32 @@ func blockShape(opt Options, w, h, workers int) (bw, bh int) {
 	return minInt(bw, w), minInt(bh, h)
 }
 
-// trackBlocks runs the block kernel over the hypothesis window win on
+// trackBlocks runs the block kernel over the exhaustive search window on
 // workers goroutines (0 = GOMAXPROCS) that claim blocks off forEachTile's
 // work-stealing index; ctx is polled between the hypotheses of a block.
+// opt picks the mode: the summed-window search (Options.summed) on its
+// fixed summedBlock² grid, or the exact search on blockShape's blocks.
 // It returns (nil, ctx.Err()) when cancelled.
-func trackBlocks(ctx context.Context, prep *Prepared, sm *SemiMap, opt Options, win hypWindow, workers int) (*Result, error) {
+func trackBlocks(ctx context.Context, prep *Prepared, sm *SemiMap, opt Options, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	bw, bh := blockShape(opt, prep.W, prep.H, workers)
+	var bw, bh int
+	if opt.summed() {
+		if err := summedFinite(prep); err != nil {
+			return nil, err
+		}
+		bw, bh = minInt(summedBlock, prep.W), minInt(summedBlock, prep.H)
+	} else {
+		bw, bh = blockShape(opt, prep.W, prep.H, workers)
+	}
 	g := newTileGrid(prep.W, prep.H, bw, bh)
 	if workers > g.tiles() {
 		workers = g.tiles()
 	}
 	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	nrm := padNormals(prep)
-	order := windowOrder(win)
+	order := windowOrder(fullWindow(prep.P))
 	done := ctx.Done()
 	var screened atomic.Int64
 	err := forEachTile(ctx, g, workers, func() func(t tileRect) bool {
@@ -241,7 +258,8 @@ type rTerm struct {
 }
 
 // blockKernel is one worker's scratch for the block kernel, sized once for
-// the largest block so that blocks never allocate.
+// the largest block so that blocks never allocate. Summed mode leaves the
+// exact search's scratch (bt, fac, sv, surv, buf) unallocated.
 type blockKernel struct {
 	prep   *Prepared
 	sm     *SemiMap
@@ -250,6 +268,7 @@ type blockKernel struct {
 	order  [][2]int
 	rx, ry int
 	tw, th int // template width and height
+	summed bool
 
 	geom blockGeom
 	// rt is the residual walk's plane over the padded block: the geometry
@@ -258,6 +277,9 @@ type blockKernel struct {
 	// enough pixels survive the screen.
 	rt []rTerm
 	bt []bTerm
+	// nrow gathers one padded row's displaced after-frame normals when
+	// they are not one contiguous run of the padded planes.
+	nrow [3][]float32
 
 	fac  []motionFactor // per block pixel
 	best []incumbent    // per block pixel
@@ -274,6 +296,13 @@ type blockKernel struct {
 	surv  []int32
 	// screened counts the (pixel, hypothesis) pairs the screen skipped.
 	screened int64
+
+	// Summed mode: the hypothesis being folded, whether it is the anchor,
+	// and (KeepMotion only) each pixel's incumbent b, from which storeBlock
+	// forms θ = M·b.
+	hx, hy int
+	anchor bool
+	bwin   []la.Vec6
 
 	// buf is one (pixel, hypothesis) template in reference.go's slot
 	// layout, for the Huber refinement.
@@ -292,18 +321,29 @@ func newBlockKernel(prep *Prepared, sm *SemiMap, opt Options, nrm *normalPlanes,
 	p := prep.P
 	rx, ry := p.TemplateRX(), p.TemplateRY()
 	k := &blockKernel{prep: prep, sm: sm, opt: opt, nrm: nrm, order: order,
-		rx: rx, ry: ry, tw: 2*rx + 1, th: 2*ry + 1}
-	n := (maxBW + 2*rx) * (maxBH + 2*ry)
+		rx: rx, ry: ry, tw: 2*rx + 1, th: 2*ry + 1, summed: opt.summed()}
+	gw := maxBW + 2*rx
+	n := gw * (maxBH + 2*ry)
 	k.geom = newBlockGeom(n)
 	k.rt = make([]rTerm, n)
-	k.bt = make([]bTerm, n)
+	for i := range k.nrow {
+		k.nrow[i] = make([]float32, gw)
+	}
 	nb := maxBW * maxBH
-	k.fac = make([]motionFactor, nb)
 	k.best = make([]incumbent, nb)
 	k.scr = make([]screenPixel, nb)
+	if k.summed {
+		k.sl = newSlider(aPlanes, gw, maxBW, k.tw, k.th)
+		if opt.KeepMotion {
+			k.bwin = make([]la.Vec6, nb)
+		}
+		return k
+	}
+	k.bt = make([]bTerm, n)
+	k.fac = make([]motionFactor, nb)
 	k.sv = make([]screenVal, nb)
 	k.surv = make([]int32, nb)
-	k.sl = newSlider(hypPlanes, maxBW+2*rx, maxBW, k.tw, k.th)
+	k.sl = newSlider(hypPlanes, gw, maxBW, k.tw, k.th)
 	if opt.Robust {
 		k.buf = make([]float64, k.tw*k.th*bufStride)
 	}
@@ -322,6 +362,11 @@ func (k *blockKernel) searchTile(done <-chan struct{}, t tileRect) bool {
 		default:
 		}
 		first := n == 0
+		if k.summed {
+			k.hx, k.hy, k.anchor = h[0], h[1], first
+			k.rhsPass(t, h[0], h[1], true)
+			continue
+		}
 		k.rhsPass(t, h[0], h[1], !first && !k.opt.noScreen)
 		k.scoreHyp(h[0], h[1], first)
 	}
@@ -333,10 +378,12 @@ func (k *blockKernel) searchTile(done <-chan struct{}, t tileRect) bool {
 // tracked pixel's own adjustment, h + δ(x, y, h): Fsemi (eq. 9) maps
 // every template pixel individually, and the tracked pixel's
 // after-motion location is where its own discriminant patch re-matched.
+// The summed mode forms a kept winner's θ = M·b here, once per pixel.
 func (k *blockKernel) storeBlock(t tileRect, res *Result) {
 	for j := 0; j < k.bh; j++ {
 		for i := 0; i < k.bw; i++ {
-			b := &k.best[j*k.bw+i]
+			p := j*k.bw + i
+			b := &k.best[p]
 			x, y := t.X0+i, t.Y0+j
 			hx, hy := b.hx, b.hy
 			if k.sm != nil {
@@ -344,7 +391,11 @@ func (k *blockKernel) storeBlock(t tileRect, res *Result) {
 				hx += dx
 				hy += dy
 			}
-			res.set(x, y, hx, hy, b.eps, b.theta)
+			theta := b.theta
+			if k.bwin != nil {
+				theta = summedTheta(&k.scr[p].m, &k.bwin[p])
+			}
+			res.set(x, y, hx, hy, b.eps, theta)
 		}
 	}
 }
@@ -354,6 +405,7 @@ func (k *blockKernel) storeBlock(t tileRect, res *Result) {
 // normal-equation matrix A — accumulated over its template in raster
 // order with accumulateA, as the reference does — factored once (with
 // the ridge fallback solveMotion applies), and the pixel's screen data.
+// The summed mode needs only M, from the window-summed A (invertSummed).
 func (k *blockKernel) prepareBlock(t tileRect) {
 	k.bw, k.bh = t.X1-t.X0, t.Y1-t.Y0
 	k.gw, k.gh = k.bw+2*k.rx, k.bh+2*k.ry
@@ -368,6 +420,10 @@ func (k *blockKernel) prepareBlock(t tileRect) {
 		// weights (E, G ≥ 1 whenever the fit is finite).
 		geomOK = geomOK && zx-zx == 0 && zy-zy == 0 && // finite
 			w0 > 0 && w0 <= math.MaxFloat64 && w1 > 0 && w1 <= math.MaxFloat64
+	}
+	if k.summed {
+		k.invertSummed()
+		return
 	}
 	k.rsErr = float64(2*gw*k.th+2*k.gh+8) * unitRoundoff
 	n := k.tw * k.th
@@ -393,11 +449,13 @@ func (k *blockKernel) prepareBlock(t tileRect) {
 // rhsPass fills rt's right-hand sides for hypothesis (hx, hy) over the
 // padded block of t and, when screen is set, runs the screen (screen.go),
 // leaving the pixels it cannot rule out in k.surv; otherwise every pixel
-// survives. Template pixel p reads the after-frame normal at p + h,
-// displaced by δ(p, h) when p is in the image and h has a semi-map entry.
-// A hypothesis whose reach stays inside the padded normals (every one of
-// the ±NZS window does) reads them by index; any other reads through
-// NormalAt's clamp, which yields the same samples.
+// survives. In summed mode screenRow folds ε_s instead. Template pixel p
+// reads the after-frame normal at p + h, displaced by δ(p, h) when p is
+// in the image and h has a semi-map entry. A row with no displacement
+// whose reach stays inside the padded normals (every hypothesis of the
+// ±NZS window does) reads them as one slice; any other row gathers them
+// into k.nrow, by index inside the pad and through grid.At's clamp
+// beyond it, which yields the same samples.
 func (k *blockKernel) rhsPass(t tileRect, hx, hy int, screen bool) {
 	sm, nrm := k.sm, k.nrm
 	W, H := k.prep.W, k.prep.H
@@ -409,44 +467,53 @@ func (k *blockKernel) rhsPass(t tileRect, hx, hy int, screen bool) {
 		hi = sm.hypIndex(hx, hy)
 		hyps = sm.hyps()
 	}
+	gw := k.gw
 	x0, y0 := t.X0-k.rx, t.Y0-k.ry
-	padded := x0+hx-m >= -nrm.padX && x0+k.gw-1+hx+m < nrm.w+nrm.padX &&
+	padded := x0+hx-m >= -nrm.padX && x0+gw-1+hx+m < nrm.w+nrm.padX &&
 		y0+hy-m >= -nrm.padY && y0+k.gh-1+hy+m < nrm.h+nrm.padY
-	g := &k.geom
 	g1 := k.prep.G1
 	if screen {
-		k.sl.reset(hypPlanes, k.gw)
+		k.sl.reset(hypPlanes, gw)
 		k.smax = 0
 	}
 	for r := 0; r < k.gh; r++ {
 		py := y0 + r
 		rowSemi := semi && py >= 0 && py < H
-		row := k.rt[r*k.gw:][:k.gw]
-		for c := range row {
-			px := x0 + c
-			qx, qy := px+hx, py+hy
-			if rowSemi && px >= 0 && px < W {
-				d := (py*W+px)*hyps + hi
-				qx += int(sm.DX[d])
-				qy += int(sm.DY[d])
+		var ni, nj, nk []float32
+		if padded && !rowSemi {
+			q := (py+hy+nrm.padY)*nrm.stride + x0 + hx + nrm.padX
+			ni, nj, nk = nrm.ni[q:][:gw], nrm.nj[q:][:gw], nrm.nk[q:][:gw]
+		} else {
+			ni, nj, nk = k.nrow[0][:gw], k.nrow[1][:gw], k.nrow[2][:gw]
+			for c := range ni {
+				px := x0 + c
+				qx, qy := px+hx, py+hy
+				if rowSemi && px >= 0 && px < W {
+					d := (py*W+px)*hyps + hi
+					qx += int(sm.DX[d])
+					qy += int(sm.DY[d])
+				}
+				if padded {
+					q := (qy+nrm.padY)*nrm.stride + qx + nrm.padX
+					ni[c], nj[c], nk[c] = nrm.ni[q], nrm.nj[q], nrm.nk[q]
+				} else {
+					ni[c], nj[c], nk[c] = g1.Ni.At(qx, qy), g1.Nj.At(qx, qy), g1.Nk.At(qx, qy)
+				}
 			}
-			var ni, nj, nk float64
-			if padded {
-				q := (qy+nrm.padY)*nrm.stride + qx + nrm.padX
-				ni, nj, nk = float64(nrm.ni[q]), float64(nrm.nj[q]), float64(nrm.nk[q])
-			} else {
-				ni, nj, nk = g1.NormalAt(qx, qy)
-			}
-			o := r*k.gw + c
-			sc := g.sc[o]
-			q := &row[c]
-			q.r0 = sc*ni + q.zx
-			q.r1 = sc*nj + q.zy
-			q.r2 = sc*nk - 1
 		}
+		row := k.rt[r*gw:][:gw]
+		sc := k.geom.sc[r*gw:][:gw]
 		if screen {
-			k.screenRow(row)
+			k.screenRow(row, sc, ni, nj, nk)
+			continue
 		}
+		for c := range row {
+			q := &row[c]
+			q.r0, q.r1, q.r2 = rhs(sc[c], q.zx, q.zy, ni[c], nj[c], nk[c])
+		}
+	}
+	if k.summed {
+		return
 	}
 	if screen {
 		k.screenPrune()
@@ -456,6 +523,13 @@ func (k *blockKernel) rhsPass(t tileRect, hx, hy int, screen bool) {
 	for p := range k.surv {
 		k.surv[p] = int32(p)
 	}
+}
+
+// rhs is accumulateB's right-hand sides r = |n0|·n′ − n0 at a template
+// pixel of slopes (zx, zy) and |n0| = sc whose displaced after-frame
+// normal is n′ = (ni, nj, nk).
+func rhs(sc, zx, zy float64, ni, nj, nk float32) (r0, r1, r2 float64) {
+	return sc*float64(ni) + zx, sc*float64(nj) + zy, sc*float64(nk) - 1
 }
 
 // buildBTerms fills bt from rt over the padded block: accumulateB's

@@ -202,7 +202,8 @@ func TrackMasPar(m *maspar.Machine, pair Pair, p Params, opt Options, scheme mas
 	if workers < 1 {
 		workers = 1
 	}
+	opt.Pyramid = PyramidOptions{} // the exact kernel, as the sequential driver runs it
 	//smavet:allow errdiscard,ctxflow -- TrackMasPar takes no ctx: a deliberate uncancellable root, so the error is impossible
-	res, _ := trackBlocks(context.Background(), prep, sm, opt, fullWindow(prep.P), workers)
+	res, _ := trackBlocks(context.Background(), prep, sm, opt, workers)
 	return &MasParResult{Result: res, Stages: st, Cost: m.Cost, Plan: plan, Layers: layers}, nil
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // TrackPreparedParallel runs the hypothesis search on already-prepared
 // geometry with worker goroutines claiming blocks off a work-stealing
@@ -23,22 +20,16 @@ func TrackPreparedParallel(prep *Prepared, sm *SemiMap, opt Options, workers int
 // hypothesis it is scoring, and the call returns (nil, ctx.Err()).
 // Completed runs are bit-identical to TrackPrepared at every worker
 // count and block shape — this is the cancellation point a serving
-// deadline threads down to.
+// deadline threads down to. With Options.Pyramid (and not Robust) the
+// block kernel runs in its summed mode instead (summed.go): byte-identical
+// to TrackSummedReference at every worker count. Options.Pyramid needs
+// the continuous model (PyramidOptions.Check).
 func TrackPreparedParallelCtx(ctx context.Context, prep *Prepared, sm *SemiMap, opt Options, workers int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //smavet:allow ctxflow -- nil-guard: a nil ctx documents "never cancel", and there is nothing to derive from
 	}
-	if opt.Pyramid.Enabled() {
-		// The summed-window search (summed.go). Continuous model only,
-		// so sm is always nil there. Robust stays on the block kernel
-		// below (see TrackPyramidPreparedCtx).
-		if sm != nil {
-			return nil, fmt.Errorf("core: pyramid search requires the continuous model (NSS = 0)")
-		}
-		if !opt.Robust {
-			res, _, err := TrackPyramidPreparedCtx(ctx, prep, opt, workers)
-			return res, err
-		}
+	if err := opt.Pyramid.Check(prep.P); err != nil {
+		return nil, err
 	}
-	return trackBlocks(ctx, prep, sm, opt, fullWindow(prep.P), workers)
+	return trackBlocks(ctx, prep, sm, opt, workers)
 }

@@ -224,10 +224,7 @@ func pyramidLevels(p Params, levels int) error {
 	if levels < 1 {
 		return fmt.Errorf("core: need at least one pyramid level, got %d", levels)
 	}
-	if levels > 1 && p.SemiFluid() {
-		return fmt.Errorf("core: pyramid preparation requires the continuous model (NSS = 0)")
-	}
-	return nil
+	return PyramidOptions{Levels: levels}.Check(p)
 }
 
 // FitPasses reports how many full-image surface-fit passes Prepare runs

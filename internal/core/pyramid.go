@@ -2,13 +2,14 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"errors"
 )
 
 // The pyramid option (docs/PERFORMANCE.md §9) selects the summed-window
-// exhaustive search (summed.go), which evaluates every hypothesis of the
-// ±NZS window at O(1) work per (pixel, hypothesis). The option keeps its
-// name and its wire form so existing callers and requests keep working.
+// exhaustive search (summed.go), the block kernel's mode that evaluates
+// every hypothesis of the ±NZS window at O(1) work per (pixel,
+// hypothesis). The option keeps its name and its wire form so existing
+// callers and requests keep working.
 
 // PyramidOptions selects the search. The zero value (Levels <= 1) keeps
 // the block kernel, bit-identical to TrackPreparedReference like every
@@ -21,6 +22,21 @@ type PyramidOptions struct {
 
 // Enabled reports whether the options select the summed-window search.
 func (po PyramidOptions) Enabled() bool { return po.Levels > 1 }
+
+// Check reports whether the options can run with p: the summed-window
+// search and its oracle support the continuous model only. Every entry
+// point that takes the option checks it here.
+func (po PyramidOptions) Check(p Params) error {
+	if po.Enabled() && p.SemiFluid() {
+		return errors.New("core: the pyramid search requires the continuous model (NSS = 0)")
+	}
+	return nil
+}
+
+// summed reports whether o selects the block kernel's summed mode: the
+// pyramid option, unless Robust — the Huber refinement re-weights per
+// hypothesis from per-pixel residuals, which no window sum expresses.
+func (o Options) summed() bool { return o.Pyramid.Enabled() && !o.Robust }
 
 // PyramidStats reports the search's work. The counters are sums over
 // pixels and do not depend on worker scheduling.
@@ -35,29 +51,19 @@ type PyramidStats struct {
 	FallbackPixels int64 `json:"fallback_pixels"`
 }
 
-// TrackPyramidPreparedCtx runs the search Options.Pyramid selects and
-// reports its work. With Pyramid enabled it is the summed-window
-// exhaustive search: byte-identical to TrackSummedReference at every
-// worker count, and in argmin agreement with TrackPrepared up to float
-// rounding (the window sums reassociate the block kernel's template
-// sums). Otherwise, and when Robust is set, it is
-// TrackPreparedParallelCtx's block kernel, which is exhaustive too: the
-// Huber refinement re-weights per hypothesis from per-pixel residuals,
-// which no window sum expresses. Continuous model only.
+// TrackPyramidPreparedCtx is TrackPreparedParallelCtx on the continuous
+// model (no semi-fluid map) plus the search's work. With Pyramid enabled
+// it is the summed-window exhaustive search: byte-identical to
+// TrackSummedReference at every worker count, and in argmin agreement
+// with TrackPrepared up to float rounding (the window sums reassociate
+// the exact kernel's template sums). Otherwise, and when Robust is set,
+// it is the exact block kernel, which is exhaustive too.
 func TrackPyramidPreparedCtx(ctx context.Context, prep *Prepared, opt Options, workers int) (*Result, *PyramidStats, error) {
-	if ctx == nil {
-		ctx = context.Background() //smavet:allow ctxflow -- nil-guard: a nil ctx documents "never cancel", and there is nothing to derive from
+	// Continuous model only, with the option off too: sm is nil here.
+	if err := (PyramidOptions{Levels: 2}).Check(prep.P); err != nil {
+		return nil, nil, err
 	}
-	if prep.P.SemiFluid() {
-		return nil, nil, fmt.Errorf("core: pyramid search requires the continuous model (NSS = 0)")
-	}
-	var res *Result
-	var err error
-	if opt.Pyramid.Enabled() && !opt.Robust {
-		res, err = trackSummed(ctx, prep, opt, workers)
-	} else {
-		res, err = TrackPreparedParallelCtx(ctx, prep, nil, opt, workers)
-	}
+	res, err := TrackPreparedParallelCtx(ctx, prep, nil, opt, workers)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,8 +11,8 @@ import (
 
 // Tests of the pyramid option (Options.Pyramid, the summed-window
 // search): RMSE/argmin agreement vs the reference kernel on the Figure 5/6
-// fixtures and scheduling determinism. summed_test.go holds the oracle
-// and property tests.
+// fixtures. summed_test.go holds the oracle, scheduling and property
+// tests.
 
 // exhaustiveAgreement returns the fraction of pixels whose displacement
 // matches exactly, plus the RMSE between the two fields.
@@ -72,41 +72,5 @@ func TestPyramidAccuracyVsExhaustiveOnFixtures(t *testing.T) {
 		if agree < 0.997 {
 			t.Fatalf("%s: argmin agreement %.4f < 0.997 (dense RMSE %.3f)", fx.name, agree, rmse)
 		}
-	}
-}
-
-// TestPyramidWorkerDeterminism pins the scheduling-independence contract:
-// the accelerator's passes are barrier-separated and every fallback
-// trigger reads only completed per-pixel data, so worker count must not
-// change a single bit.
-func TestPyramidWorkerDeterminism(t *testing.T) {
-	s := synth.Thunderstorm(48, 48, 17)
-	pair := Monocular(s.Frame(0), s.Frame(1))
-	p := contParams()
-	prep, err := PreparePyramid(pair, p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{Pyramid: PyramidOptions{Levels: 3}}
-	base, stBase, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		got, st, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Flow.Equal(base.Flow) || !got.Err.Equal(base.Err) {
-			t.Fatalf("workers=%d: pyramid result differs from serial", workers)
-		}
-		if st.Hypotheses != stBase.Hypotheses || st.FallbackPixels != stBase.FallbackPixels {
-			t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, st, stBase)
-		}
-	}
-	// The parallel driver must route Options.Pyramid to the same result.
-	via := TrackPreparedParallel(prep, nil, opt, 4)
-	if !via.Flow.Equal(base.Flow) {
-		t.Fatal("TrackPreparedParallel(Options.Pyramid) differs from TrackPyramidPreparedCtx")
 	}
 }

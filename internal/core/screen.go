@@ -117,28 +117,40 @@ func (k *blockKernel) lowerBound(p int, e float64) float64 {
 	return v.eps - delta
 }
 
-// screenRow feeds padded row rt's screen planes — summed.go's hypothesis
-// planes b0…b3, u0, u1 and C — through the slider and, once the row
-// completes a block row, stores that row's screen sums and raises the
-// block's bound k.smax. max propagates NaN, so a non-finite sample
-// makes every δ of the block infinite or NaN (lowerBound).
-func (k *blockKernel) screenRow(rt []rTerm) {
+// screenRow runs the screen on padded row rt. It computes the row's
+// right-hand sides (rhs) from |n0| (sc) and the displaced after-frame
+// normals, storing them in rt for exact scoring (the summed mode never
+// reads them back), and feeds the screen planes — summed.go's hypothesis
+// planes b0…b3, u0, u1 and C — through the slider. Once the row
+// completes a block row, it stores that row's screen sums and raises the
+// block's bound k.smax; max propagates NaN, so a non-finite sample makes
+// every δ of the block infinite or NaN (lowerBound). In summed mode it
+// folds each ε_s into the pixel's incumbent instead — the anchor
+// unconditionally, then strict < — keeping the winner's b when a θ is to
+// be stored.
+func (k *blockKernel) screenRow(rt []rTerm, sc []float64, ni, nj, nk []float32) {
 	s := &k.sl
-	gw := k.gw
+	gw := len(rt)
 	in := s.in[:hypPlanes*gw]
 	pb0, pb1, pb2, pb3 := in[hpB0*gw:][:gw], in[hpB1*gw:][:gw], in[hpB2*gw:][:gw], in[hpB3*gw:][:gw]
 	pu0, pu1, pc := in[hpU0*gw:][:gw], in[hpU1*gw:][:gw], in[hpC*gw:][:gw]
+	sc, ni, nj, nk = sc[:gw], ni[:gw], nj[:gw], nk[:gw]
+	keepRHS := !k.summed
 	for c := range rt {
 		q := &rt[c]
-		u0 := q.w0 * q.r0
-		u1 := q.w1 * q.r1
-		pb0[c] = q.r2 - q.zy*u1
+		r0, r1, r2 := rhs(sc[c], q.zx, q.zy, ni[c], nj[c], nk[c])
+		if keepRHS {
+			q.r0, q.r1, q.r2 = r0, r1, r2
+		}
+		u0 := q.w0 * r0
+		u1 := q.w1 * r1
+		pb0[c] = r2 - q.zy*u1
 		pb1[c] = q.zx * u1
 		pb2[c] = q.zy * u0
-		pb3[c] = q.r2 - q.zx*u0
+		pb3[c] = r2 - q.zx*u0
 		pu0[c] = u0
 		pu1[c] = u1
-		pc[c] = u0*q.r0 + u1*q.r1 + q.r2*q.r2
+		pc[c] = u0*r0 + u1*r1 + r2*r2
 	}
 	if !s.slide() {
 		return
@@ -149,11 +161,25 @@ func (k *blockKernel) screenRow(rt []rTerm) {
 	b0, b1, b2, b3 := sum[hpB0*bw:][:bw], sum[hpB1*bw:][:bw], sum[hpB2*bw:][:bw], sum[hpB3*bw:][:bw]
 	u0, u1, cc := sum[hpU0*bw:][:bw], sum[hpU1*bw:][:bw], sum[hpC*bw:][:bw]
 	scr := k.scr[row:][:bw]
-	sv := k.sv[row:][:bw]
+	if k.summed {
+		best := k.best[row:][:bw]
+		hx, hy, anchor := k.hx, k.hy, k.anchor
+		for i := range scr {
+			b := la.Vec6{b0[i], b1[i], b2[i], b3[i], -u0[i], -u1[i]}
+			eps := summedEps(&scr[i].m, &b, cc[i])
+			if anchor || eps < best[i].eps {
+				best[i].hx, best[i].hy, best[i].eps = hx, hy, eps
+				if k.bwin != nil {
+					k.bwin[row+i] = b
+				}
+			}
+		}
+		return
+	}
 	smax := k.smax
-	for i := range sv {
+	for i := range scr {
 		b := la.Vec6{b0[i], b1[i], b2[i], b3[i], -u0[i], -u1[i]}
-		sv[i] = screenVal{c: cc[i], eps: summedEps(&scr[i].m, &b, cc[i])}
+		k.sv[row+i] = screenVal{c: cc[i], eps: summedEps(&scr[i].m, &b, cc[i])}
 		smax = max(smax, scr[i].trA+cc[i])
 	}
 	k.smax = smax

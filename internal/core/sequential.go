@@ -19,10 +19,11 @@ func TrackSequential(pair Pair, p Params, opt Options) (*Result, error) {
 
 // TrackPrepared runs the hypothesis search on already-prepared geometry,
 // letting callers stage (and time) preparation separately. It is the
-// block kernel on one worker.
+// exact block kernel on one worker, whatever opt.Pyramid says.
 func TrackPrepared(prep *Prepared, sm *SemiMap, opt Options) *Result {
+	opt.Pyramid = PyramidOptions{}
 	//smavet:allow errdiscard,ctxflow -- non-ctx serial entry point: a deliberate uncancellable root, so the error is impossible
-	res, _ := trackBlocks(context.Background(), prep, sm, opt, fullWindow(prep.P), 1)
+	res, _ := trackBlocks(context.Background(), prep, sm, opt, 1)
 	return res
 }
 

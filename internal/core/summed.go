@@ -1,17 +1,19 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"sma/internal/grid"
 	"sma/internal/la"
 )
 
 // Summed-window exhaustive search (docs/PERFORMANCE.md §9), the search
-// Options.Pyramid selects.
+// Options.Pyramid selects: a mode of the block kernel (block.go). This
+// file holds what is its own — the grid and the window-summed M
+// (invertSummed) — and the running sums and quadratic forms it shares
+// with the exact mode's screen (screen.go), which also folds ε_s into
+// the incumbents in this mode.
 //
 // Every per-template-pixel term of the score depends only on the template
 // pixel p and the hypothesis h, never on the tracked pixel: the geometry
@@ -27,7 +29,9 @@ import (
 // costs seven window sums and one quadratic form. Running sums make each
 // window sum O(1) instead of O(template area): a horizontal running sum
 // along each padded plane row, then a vertical one down the columns of
-// row sums, which a ring keeps for the last 2·NZT+1 rows.
+// row sums, which a ring keeps for the last 2·NZT+1 rows. The exact
+// mode's screen computes the same ε_s per (pixel, hypothesis) as a lower
+// bound; this mode takes its argmin as the search's answer.
 //
 // Exactness contract: the running sums reassociate the block kernel's
 // raster-order template sums, so this search is not bit-identical to
@@ -43,8 +47,8 @@ import (
 // block grid fixes the running sums' arithmetic order. A worker's scratch
 // grows with the block's area (each pixel stores its 21-entry M), the
 // plane work per pixel with the padded block's area over the block's;
-// 32 keeps the scratch near 0.3 MB at GOES-9 sizes for about 10% more
-// time than 64, whose 1.1 MB raised a serving process's peak RSS by a
+// 32 keeps the scratch near 0.55 MB at GOES-9 sizes for about 10% more
+// time than 64, whose scratch raised a serving process's peak RSS by a
 // fifth.
 const summedBlock = 32
 
@@ -63,35 +67,6 @@ const (
 
 // aPlanes is the number of non-constant upper-triangle entries of A.
 const aPlanes = 12
-
-// trackSummed runs the summed-window exhaustive search on workers
-// goroutines (0 = GOMAXPROCS) that claim blocks off forEachTile's
-// work-stealing index; ctx is polled between hypotheses. It ignores
-// opt.Robust, which TrackPyramidPreparedCtx routes to the block kernel.
-func trackSummed(ctx context.Context, prep *Prepared, opt Options, workers int) (*Result, error) {
-	if err := summedFinite(prep); err != nil {
-		return nil, err
-	}
-	g := newTileGrid(prep.W, prep.H, summedBlock, summedBlock)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > g.tiles() {
-		workers = g.tiles()
-	}
-	res := newResult(prep.W, prep.H, opt.KeepMotion)
-	nrm := padNormals(prep)
-	order := windowOrder(fullWindow(prep.P))
-	done := ctx.Done()
-	err := forEachTile(ctx, g, workers, func() func(t tileRect) bool {
-		k := newSummedKernel(prep, nrm, order, opt.KeepMotion)
-		return func(t tileRect) bool { return k.searchBlock(done, t, res) }
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
 
 // summedFinite rejects geometry a running sum would smear. A running sum
 // carries one NaN or Inf sample into every later window of its block, so
@@ -280,80 +255,20 @@ func (s *slider) slide() bool {
 	return s.r >= s.th
 }
 
-// summedKernel is one worker's scratch for the summed-window search,
-// sized once for the largest block so that blocks never allocate.
-type summedKernel struct {
-	prep   *Prepared
-	nrm    *normalPlanes
-	order  [][2]int
-	keep   bool
-	rx, ry int
-
-	geom blockGeom
-	// m holds each block pixel's packed M (invertMotion).
-	m [][21]float64
-	// The per-pixel incumbent: ε, hypothesis, and (KeepMotion only) b.
-	eps    []float64
-	hx, hy []int32
-	bwin   []la.Vec6
-
-	sl slider
-}
-
-func newSummedKernel(prep *Prepared, nrm *normalPlanes, order [][2]int, keep bool) *summedKernel {
-	p := prep.P
-	rx, ry := p.TemplateRX(), p.TemplateRY()
-	bw, bh := minInt(summedBlock, prep.W), minInt(summedBlock, prep.H)
-	gw, gh := bw+2*rx, bh+2*ry
-	k := &summedKernel{prep: prep, nrm: nrm, order: order, keep: keep, rx: rx, ry: ry,
-		geom: newBlockGeom(gw * gh),
-		m:    make([][21]float64, bw*bh),
-		eps:  make([]float64, bw*bh), hx: make([]int32, bw*bh), hy: make([]int32, bw*bh),
-		sl: newSlider(aPlanes, gw, bw, 2*rx+1, 2*ry+1)}
-	if keep {
-		k.bwin = make([]la.Vec6, bw*bh)
-	}
-	return k
-}
-
-// searchBlock searches every pixel of block t and stores the winners in res.
-// It reports false, leaving the block unwritten, when done closes.
-func (k *summedKernel) searchBlock(done <-chan struct{}, t tileRect, res *Result) bool {
-	bw, bh := t.X1-t.X0, t.Y1-t.Y0
-	gw, gh := bw+2*k.rx, bh+2*k.ry
-	k.geom.fillPadded(k.prep.G0, t.X0-k.rx, t.Y0-k.ry, gw, gh)
-	k.invertBlock(gw, gh)
-	for n, h := range k.order {
-		select {
-		case <-done:
-			return false
-		default:
-		}
-		k.scoreBlockHyp(t, h[0], h[1], n == 0, gw, gh)
-	}
-	for j := 0; j < bh; j++ {
-		for i := 0; i < bw; i++ {
-			o := j*bw + i
-			var theta la.Vec6
-			if k.keep {
-				theta = summedTheta(&k.m[o], &k.bwin[o])
-			}
-			res.set(t.X0+i, t.Y0+j, int(k.hx[o]), int(k.hy[o]), k.eps[o], theta)
-		}
-	}
-	return true
-}
-
-// invertBlock box-sums A's planes over the block and stores each pixel's M.
-func (k *summedKernel) invertBlock(gw, gh int) {
+// invertSummed is the summed mode's per-block half: it slides A's twelve
+// planes over the padded block and stores each pixel's M = A⁻¹ of the
+// window-summed A in its screen data.
+func (k *blockKernel) invertSummed() {
 	s := &k.sl
+	gw := k.gw
 	s.reset(aPlanes, gw)
 	bw := s.bw
-	n := float64(s.tw * s.th)
-	for r := 0; r < gh; r++ {
+	n := float64(k.tw * k.th)
+	g := &k.geom
+	for r := 0; r < k.gh; r++ {
 		for c := 0; c < gw; c++ {
 			o := r*gw + c
-			v := aPlaneValues(k.geom.zx[o], k.geom.zy[o], k.geom.w0[o], k.geom.w1[o])
+			v := aPlaneValues(g.zx[o], g.zy[o], g.w0[o], g.w1[o])
 			for p, x := range v {
 				s.in[p*gw+c] = x
 			}
@@ -361,72 +276,14 @@ func (k *summedKernel) invertBlock(gw, gh int) {
 		if !s.slide() {
 			continue
 		}
-		m := k.m[(s.r-s.th)*bw:][:bw]
-		for i := range m {
+		scr := k.scr[(s.r-s.th)*bw:][:bw]
+		for i := range scr {
 			var sums [aPlanes]float64
 			for p := range sums {
 				sums[p] = s.sum[p*bw+i]
 			}
 			a := summedA(&sums, n)
-			m[i] = invertMotion(&a)
-		}
-	}
-}
-
-// scoreBlockHyp streams hypothesis (hx, hy)'s seven planes through the slider
-// and folds every block pixel's ε into its incumbent; first marks the
-// anchor, which is accepted unconditionally.
-func (k *summedKernel) scoreBlockHyp(t tileRect, hx, hy int, first bool, gw, gh int) {
-	s := &k.sl
-	s.reset(hypPlanes, gw)
-	bw := s.bw
-	nrm := k.nrm
-	in := s.in[:hypPlanes*gw]
-	pb0, pb1, pb2, pb3 := in[hpB0*gw:][:gw], in[hpB1*gw:][:gw], in[hpB2*gw:][:gw], in[hpB3*gw:][:gw]
-	pu0, pu1, pc := in[hpU0*gw:][:gw], in[hpU1*gw:][:gw], in[hpC*gw:][:gw]
-	// o is the padded-normal index of the displaced first sample of the
-	// padded block's row r; the pad covers the template and search reach.
-	o := (t.Y0-k.ry+hy+nrm.padY)*nrm.stride + t.X0 - k.rx + hx + nrm.padX
-	for r := 0; r < gh; r++ {
-		g := r * gw
-		zx, zy, sc := k.geom.zx[g:][:gw], k.geom.zy[g:][:gw], k.geom.sc[g:][:gw]
-		w0, w1 := k.geom.w0[g:][:gw], k.geom.w1[g:][:gw]
-		ni, nj, nk := nrm.ni[o:][:gw], nrm.nj[o:][:gw], nrm.nk[o:][:gw]
-		for c := range zx {
-			r0 := sc[c]*float64(ni[c]) + zx[c]
-			r1 := sc[c]*float64(nj[c]) + zy[c]
-			r2 := sc[c]*float64(nk[c]) - 1
-			u0 := w0[c] * r0
-			u1 := w1[c] * r1
-			pb0[c] = r2 - zy[c]*u1
-			pb1[c] = zx[c] * u1
-			pb2[c] = zy[c] * u0
-			pb3[c] = r2 - zx[c]*u0
-			pu0[c] = u0
-			pu1[c] = u1
-			pc[c] = u0*r0 + u1*r1 + r2*r2
-		}
-		o += nrm.stride
-		if !s.slide() {
-			continue
-		}
-		row := (s.r - s.th) * bw
-		sum := s.sum
-		b0, b1, b2, b3 := sum[hpB0*bw:][:bw], sum[hpB1*bw:][:bw], sum[hpB2*bw:][:bw], sum[hpB3*bw:][:bw]
-		u0, u1, cc := sum[hpU0*bw:][:bw], sum[hpU1*bw:][:bw], sum[hpC*bw:][:bw]
-		m := k.m[row:][:bw]
-		eps := k.eps[row:][:bw]
-		bhx, bhy := k.hx[row:][:bw], k.hy[row:][:bw]
-		for i := range m {
-			b := la.Vec6{b0[i], b1[i], b2[i], b3[i], -u0[i], -u1[i]}
-			e := summedEps(&m[i], &b, cc[i])
-			if first || e < eps[i] {
-				eps[i] = e
-				bhx[i], bhy[i] = int32(hx), int32(hy)
-				if k.keep {
-					k.bwin[row+i] = b
-				}
-			}
+			scr[i].m = invertMotion(&a)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"sma/internal/la"
@@ -18,8 +17,9 @@ import (
 // worker count; the oracle tests and eval.PyramidExperiment check that.
 func TrackSummedReference(prep *Prepared, opt Options) (*Result, error) {
 	p := prep.P
-	if p.SemiFluid() {
-		return nil, fmt.Errorf("core: the summed-window search requires the continuous model (NSS = 0)")
+	// The oracle runs the summed-window search whatever opt.Pyramid says.
+	if err := (PyramidOptions{Levels: 2}).Check(p); err != nil {
+		return nil, err
 	}
 	if err := summedFinite(prep); err != nil {
 		return nil, err

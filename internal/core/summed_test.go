@@ -122,22 +122,42 @@ func TestSummedFlatTemplateTakesRidgePath(t *testing.T) {
 }
 
 // TestSummedScheduleIndependence: blocks are absolute-aligned and sums
-// restart at each block, so any worker count gives the same bytes — on
-// an image spanning several blocks, including the narrow edge blocks.
+// restart at each block, so any worker count gives the same bytes and
+// stats — on an image spanning several blocks, including the narrow edge
+// blocks, and on a 48² thunderstorm — and TrackPreparedParallel with
+// Options.Pyramid gives the same bytes as TrackPyramidPreparedCtx.
 func TestSummedScheduleIndependence(t *testing.T) {
-	prep := summedPrep(t, 150, 70, 9, Params{NS: 2, NZS: 2, NZT: 3})
-	opt := summedOpt
-	opt.KeepMotion = true
-	base, _, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, 1)
+	storm := synth.Thunderstorm(48, 48, 17)
+	stormPrep, err := PreparePyramid(Monocular(storm.Frame(0), storm.Frame(1)), contParams(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8} {
-		got, _, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameBits(t, fmt.Sprintf("workers=%d", workers), got, base)
+	for _, tc := range []struct {
+		name string
+		prep *Prepared
+	}{
+		{"hurricane-150x70", summedPrep(t, 150, 70, 9, Params{NS: 2, NZS: 2, NZT: 3})},
+		{"thunderstorm-48", stormPrep},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := summedOpt
+			opt.KeepMotion = true
+			base, stBase, err := TrackPyramidPreparedCtx(context.Background(), tc.prep, opt, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3, 8} {
+				got, st, err := TrackPyramidPreparedCtx(context.Background(), tc.prep, opt, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, fmt.Sprintf("workers=%d", workers), got, base)
+				if *st != *stBase {
+					t.Fatalf("workers=%d: stats %+v, want %+v", workers, st, stBase)
+				}
+			}
+			requireSameBits(t, "TrackPreparedParallel", TrackPreparedParallel(tc.prep, nil, opt, 4), base)
+		})
 	}
 }
 

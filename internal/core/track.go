@@ -22,10 +22,13 @@ type Options struct {
 	// across goroutines on the host (0 or 1 = serial). Results are
 	// independent of the worker count.
 	HostWorkers int
-	// Pyramid selects the summed-window exhaustive search (summed.go)
-	// in the parallel driver. The zero value keeps the block kernel —
-	// bit-exact against the reference — like every other default.
-	// Continuous model only.
+	// Pyramid selects the summed-window exhaustive search, the block
+	// kernel's summed mode (summed.go), on TrackPreparedParallelCtx and
+	// the entry points built on it; with Robust set, or through
+	// TrackPrepared and TrackMasPar, the exact search runs. The zero
+	// value keeps the exact search — bit-exact against the reference —
+	// like every other default. Continuous model only
+	// (PyramidOptions.Check).
 	Pyramid PyramidOptions
 
 	// blockW/blockH fix the default search's block shape (0 = the

@@ -230,10 +230,11 @@ func (s *PyramidSpec) Resolve(p core.Params) (core.PyramidOptions, error) {
 	if s.Levels < 1 || s.Levels > maxPyramidLevels {
 		return core.PyramidOptions{}, fmt.Errorf("server: pyramid levels %d out of range [1, %d]", s.Levels, maxPyramidLevels)
 	}
-	if s.Levels > 1 && p.SemiFluid() {
-		return core.PyramidOptions{}, fmt.Errorf("server: pyramid search requires the continuous model (nss = 0)")
+	po := core.PyramidOptions{Levels: s.Levels}
+	if err := po.Check(p); err != nil {
+		return core.PyramidOptions{}, fmt.Errorf("server: %w", err)
 	}
-	return core.PyramidOptions{Levels: s.Levels}, nil
+	return po, nil
 }
 
 // errorBody is the uniform JSON error envelope.

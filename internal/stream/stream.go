@@ -182,8 +182,8 @@ func StreamCtx(ctx context.Context, src Source, cfg Config, emit func(pair int, 
 	if err := cfg.Params.Validate(); err != nil {
 		return st, err
 	}
-	if cfg.Options.Pyramid.Enabled() && cfg.Params.SemiFluid() {
-		return st, fmt.Errorf("stream: pyramid search requires the continuous model (NSS = 0)")
+	if err := cfg.Options.Pyramid.Check(cfg.Params); err != nil {
+		return st, fmt.Errorf("stream: %w", err)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
