@@ -26,9 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -51,7 +49,7 @@ func main() {
 		verify       = flag.Bool("verify", false, "verify every response is bit-identical to a local sequential track")
 		robust       = flag.Bool("robust", false, "enable Huber-robust motion solve")
 		timeout      = flag.Duration("timeout", 5*time.Minute, "overall run deadline")
-		checkMetrics = flag.Bool("check-metrics", false, "scrape /metrics afterwards and require request counters")
+		checkMetrics = flag.Bool("check-metrics", false, "scrape /metrics afterwards and require it to count the completed tracks")
 		benchOut     = flag.String("bench-out", "", "write the load result as JSON to this file")
 	)
 	flag.Parse()
@@ -114,7 +112,8 @@ func main() {
 	}
 
 	if *checkMetrics {
-		if err := checkMetricsScrape(ctx, strings.TrimRight(*url, "/")); err != nil {
+		completed := res.Requests - res.Errors - res.Rejected
+		if err := checkMetricsScrape(ctx, strings.TrimRight(*url, "/"), completed); err != nil {
 			log.Fatalf("metrics check: %v", err)
 		}
 		log.Printf("metrics scrape ok")
@@ -125,35 +124,29 @@ func main() {
 	}
 }
 
-// checkMetricsScrape asserts /metrics is parseable text exposition that
-// counted our traffic.
-func checkMetricsScrape(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
+// checkMetricsScrape requires base's /metrics to parse, to carry the
+// work and pool families, and to have counted at least the completed
+// /v1/track requests of this run.
+func checkMetricsScrape(ctx context.Context, base string, completed int) error {
+	samples, err := server.JobClient{URL: base}.Scrape(ctx)
 	if err != nil {
 		return err
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
+	seen := make(map[string]bool)
+	var tracks float64
+	for _, s := range samples {
+		seen[s.Name] = true
+		if s.Name == "smaserve_http_requests_total" && s.Labels["route"] == "/v1/track" {
+			tracks += s.Value
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	text := string(body)
-	for _, family := range []string{
-		"smaserve_http_requests_total",
-		`route="/v1/track"`,
-		"smaserve_pairs_tracked_total",
-		"smaserve_worker_pool_size",
-	} {
-		if !strings.Contains(text, family) {
+	for _, family := range []string{"smaserve_pairs_tracked_total", "smaserve_worker_pool_size"} {
+		if !seen[family] {
 			return fmt.Errorf("scrape missing %s", family)
 		}
+	}
+	if tracks < float64(completed) {
+		return fmt.Errorf("scrape counted %g /v1/track requests, run completed %d", tracks, completed)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -352,6 +353,31 @@ func TestClusterRejectsFrameFaults(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("all-dead cluster plan status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestClusterErrorBody: both cluster roles answer errors with the
+// single-node envelope byte for byte, HTML-escaped by encoding/json.
+func TestClusterErrorBody(t *testing.T) {
+	wts := testWorkerNode(t)
+	_, cts := testCoordinator(t, []string{wts.URL}, 2)
+	for _, tc := range []struct{ url, body, want string }{
+		{cts.URL + "/v1/jobs", `{"synthetic":{"scene":"<b>","frames":4}}`,
+			`{"error":"server: unknown synthetic scene \"\u003cb\u003e\" (want hurricane, thunderstorm or shear)"}` + "\n"},
+		{wts.URL + ShardPath, `{`, `{"error":"bad shard request: unexpected EOF"}` + "\n"},
+	} {
+		resp, err := http.Post(tc.url, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || string(got) != tc.want {
+			t.Errorf("POST %s: %d %q, want 400 %q", tc.url, resp.StatusCode, got, tc.want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sma/internal/core"
+	"sma/internal/metrics"
 	"sma/internal/server"
 )
 
@@ -101,7 +102,7 @@ type Coordinator struct {
 	jl      *server.JobLog
 	fstore  *server.FileStore
 	jobs    *server.JobPlane // reads, cancels and recovery over the three above
-	metrics *Metrics
+	metrics coordMetrics
 	mux     *http.ServeMux
 	client  *http.Client
 
@@ -112,6 +113,34 @@ type Coordinator struct {
 	ready    atomic.Bool
 	draining atomic.Bool
 	rr       atomic.Uint64 // round-robin cursor for the track proxy
+}
+
+// coordMetrics are the coordinator's /metrics families. The unlabeled
+// smaserve_cluster_* counters mirror the job views' cluster blocks, which
+// the chaos drill asserts against; smaserve_goroutines keeps the
+// single-node family name so one leak canary covers both roles.
+type coordMetrics struct {
+	*metrics.Registry
+	jobs metrics.Vec[*metrics.Value]
+
+	shards, dispatchRetries, reassigned, nodesLost, pairs, rejected *metrics.Value
+}
+
+func newCoordMetrics(reg *Registry) coordMetrics {
+	r := &metrics.Registry{}
+	m := coordMetrics{Registry: r}
+	m.jobs = r.CounterVec("smaserve_cluster_jobs_total", "Coordinator job lifecycle transitions by status.", "status")
+	m.shards = r.Counter("smaserve_cluster_shards_total", "Shards dispatched across all finished jobs.")
+	m.dispatchRetries = r.Counter("smaserve_cluster_dispatch_retries_total", "Failed shard dispatch attempts (dead-node hops plus transient retries).")
+	m.reassigned = r.Counter("smaserve_cluster_shards_reassigned_total", "Shards completed on a node other than their affinity home.")
+	m.nodesLost = r.Counter("smaserve_cluster_nodes_lost_total", "Dead nodes encountered by placement walks, summed per job.")
+	m.pairs = r.Counter("smaserve_cluster_pairs_merged_total", "Per-pair records merged from worker shard streams.")
+	m.rejected = r.Counter("smaserve_cluster_rejected_total", "Jobs rejected because the coordinator's admission slots were full.")
+	r.GaugeFunc("smaserve_cluster_workers", "Configured worker nodes.", func() int64 { return int64(reg.Len()) })
+	r.GaugeFunc("smaserve_cluster_workers_alive", "Worker nodes currently passing health checks.", func() int64 { return int64(reg.AliveCount()) })
+	r.Goroutines("smaserve_goroutines", "Live goroutines in the coordinator process (leak canary for the chaos harness).")
+	r.Uptime("smaserve_cluster_uptime_seconds", "Seconds since the coordinator started.")
+	return m
 }
 
 // New builds the coordinator. Call Start to begin heartbeats and
@@ -128,7 +157,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:        cfg,
 		reg:        NewRegistry(cfg.Workers, nil),
-		metrics:    NewMetrics(),
 		client:     client,
 		retryDelay: cfg.RetryDelay,
 		jobSlots:   make(chan struct{}, cfg.MaxJobs),
@@ -159,9 +187,8 @@ func New(cfg Config) (*Coordinator, error) {
 	} else {
 		c.store = server.NewMemStore(mcfg)
 	}
-	c.metrics.workers = c.reg.Len
-	c.metrics.aliveCount = c.reg.AliveCount
-	c.jobs = &server.JobPlane{Store: c.store, Log: c.jl, Fields: c.fstore, Transition: c.metrics.JobTransition, Logf: cfg.Logf}
+	c.metrics = newCoordMetrics(c.reg)
+	c.jobs = &server.JobPlane{Store: c.store, Log: c.jl, Fields: c.fstore, Jobs: c.metrics.jobs, Logf: cfg.Logf}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", c.handleJobCreate)
@@ -173,7 +200,7 @@ func New(cfg Config) (*Coordinator, error) {
 	mux.HandleFunc("GET /v1/cluster", c.handleCluster)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
+	mux.HandleFunc("GET /metrics", c.metrics.Handler(cfg.Logf))
 	c.mux = mux
 	return c, nil
 }
@@ -231,59 +258,55 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	return err
 }
 
-func (c *Coordinator) httpError(w http.ResponseWriter, code int, msg string) {
-	httpError(w, code, msg)
-}
-
 func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		c.httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON body: %v", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON body: %v", err), c.cfg.Logf)
 		return
 	}
 	if req.Fault != nil {
 		// A frame fault at a shard boundary would fire in two shards and
 		// break single-plan accounting; cluster chaos is node-level.
-		c.httpError(w, http.StatusBadRequest, "frame-level fault specs are not supported on cluster jobs; use cluster_fault")
+		server.WriteError(w, http.StatusBadRequest, "frame-level fault specs are not supported on cluster jobs; use cluster_fault", c.cfg.Logf)
 		return
 	}
 	if req.Synthetic == nil {
-		c.httpError(w, http.StatusBadRequest, "jobs need a synthetic dataset reference")
+		server.WriteError(w, http.StatusBadRequest, "jobs need a synthetic dataset reference", c.cfg.Logf)
 		return
 	}
 	frames := req.Synthetic.Frames
 	if frames < 2 {
-		c.httpError(w, http.StatusBadRequest, fmt.Sprintf("need at least 2 frames, got %d", frames))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("need at least 2 frames, got %d", frames), c.cfg.Logf)
 		return
 	}
 	if frames > c.cfg.MaxFrames {
-		c.httpError(w, http.StatusBadRequest, fmt.Sprintf("%d frames exceeds the serving cap %d", frames, c.cfg.MaxFrames))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("%d frames exceeds the serving cap %d", frames, c.cfg.MaxFrames), c.cfg.Logf)
 		return
 	}
 	if _, err := req.Synthetic.SceneOf(); err != nil {
-		c.httpError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error(), c.cfg.Logf)
 		return
 	}
 	if px := req.Synthetic.Size * req.Synthetic.Size; px > c.cfg.MaxPixels {
-		c.httpError(w, http.StatusBadRequest, fmt.Sprintf("frame area %d px exceeds the serving cap %d", px, c.cfg.MaxPixels))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("frame area %d px exceeds the serving cap %d", px, c.cfg.MaxPixels), c.cfg.Logf)
 		return
 	}
 	params, err := c.resolveParams(req.Params)
 	if err != nil {
-		c.httpError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error(), c.cfg.Logf)
 		return
 	}
 	// Validate the pyramid spec at admission with the same rules the
 	// workers apply at execution, so a bad spec is rejected up front
 	// instead of failing every shard dispatch as a permanent 4xx.
 	if _, err := req.Pyramid.Resolve(params); err != nil {
-		c.httpError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error(), c.cfg.Logf)
 		return
 	}
 	plan := req.ClusterFault.Plan()
 	if plan != nil {
 		if err := plan.Validate(c.reg.Len()); err != nil {
-			c.httpError(w, http.StatusBadRequest, err.Error())
+			server.WriteError(w, http.StatusBadRequest, err.Error(), c.cfg.Logf)
 			return
 		}
 	}
@@ -302,7 +325,7 @@ func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	id, err := server.NewID()
 	if err != nil {
 		release()
-		c.httpError(w, http.StatusInternalServerError, err.Error())
+		server.WriteError(w, http.StatusInternalServerError, err.Error(), c.cfg.Logf)
 		return
 	}
 	// Like single-node jobs, a cluster job outlives the submitting
@@ -317,21 +340,21 @@ func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		if err := c.jl.Spec(id, &req.JobRequest, frames, job.View().Created); err != nil {
 			jobCancel()
 			release()
-			c.httpError(w, http.StatusInternalServerError, fmt.Sprintf("journaling job spec: %v", err))
+			server.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("journaling job spec: %v", err), c.cfg.Logf)
 			return
 		}
 	}
 	c.store.Put(id, job)
-	c.metrics.JobTransition("created")
+	c.metrics.jobs.With("created").Inc()
 	c.wg.Add(1)
 	go c.runJob(jobCtx, job, req, plan, nil, release)
 	c.jobs.Accepted(w, job)
 }
 
 func (c *Coordinator) rejectSaturated(w http.ResponseWriter) {
-	c.metrics.Rejected()
+	c.metrics.rejected.Inc()
 	w.Header().Set("Retry-After", "1")
-	c.httpError(w, http.StatusServiceUnavailable, "coordinator job slots full; retry later")
+	server.WriteError(w, http.StatusServiceUnavailable, "coordinator job slots full; retry later", c.cfg.Logf)
 }
 
 // handleTrackProxy forwards a synchronous track to the next alive worker
@@ -347,7 +370,7 @@ func (c *Coordinator) handleTrackProxy(w http.ResponseWriter, r *http.Request) {
 		}
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, c.reg.URL(node)+"/v1/track", r.Body)
 		if err != nil {
-			c.httpError(w, http.StatusInternalServerError, err.Error())
+			server.WriteError(w, http.StatusInternalServerError, err.Error(), c.cfg.Logf)
 			return
 		}
 		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
@@ -356,7 +379,7 @@ func (c *Coordinator) handleTrackProxy(w http.ResponseWriter, r *http.Request) {
 			// The body may be consumed; a retry elsewhere would replay a
 			// half-read request, so mark the node and report upstream.
 			c.reg.MarkDead(node)
-			c.httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %d unreachable: %v", node, err))
+			server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("worker %d unreachable: %v", node, err), c.cfg.Logf)
 			return
 		}
 		defer resp.Body.Close()
@@ -371,7 +394,7 @@ func (c *Coordinator) handleTrackProxy(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	c.httpError(w, http.StatusServiceUnavailable, "no alive worker to serve the track")
+	server.WriteError(w, http.StatusServiceUnavailable, "no alive worker to serve the track", c.cfg.Logf)
 }
 
 // ClusterView is GET /v1/cluster: topology and liveness.
@@ -402,20 +425,13 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // — a coordinator with no live workers can only fail what it admits.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !c.ready.Load() || c.draining.Load() {
-		c.httpError(w, http.StatusServiceUnavailable, "draining")
+		server.WriteError(w, http.StatusServiceUnavailable, "draining", c.cfg.Logf)
 		return
 	}
 	if c.reg.AliveCount() == 0 {
-		c.httpError(w, http.StatusServiceUnavailable, "no alive workers")
+		server.WriteError(w, http.StatusServiceUnavailable, "no alive workers", c.cfg.Logf)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ready")
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if _, err := c.metrics.WriteTo(w); err != nil {
-		c.cfg.Logf("smaserve: cluster metrics scrape: %v", err)
-	}
 }

@@ -31,7 +31,7 @@ func (c *Coordinator) runJob(ctx context.Context, job *clusterJob, req JobReques
 	defer jobDone()
 	shards := makeShards(req.Synthetic.Frames-1, c.cfg.ShardPairs)
 	job.start(len(shards))
-	c.metrics.JobTransition(string(server.JobRunning))
+	c.metrics.jobs.With(string(server.JobRunning)).Inc()
 
 	runCtx, cancel := context.WithTimeout(ctx, c.cfg.JobTimeout)
 	defer cancel()
@@ -59,13 +59,18 @@ func (c *Coordinator) runJob(ctx context.Context, job *clusterJob, req JobReques
 			// The drain cut the job short: checkpoint it resumable instead of
 			// losing the queued work the way pre-durability SIGTERM did.
 			c.jl.Pending(job.ID)
-			c.metrics.JobTransition("pending")
+			c.metrics.jobs.With("pending").Inc()
 		} else {
 			c.jl.End(job.ID, status, view.Error, view.Stats)
 		}
 	}
-	c.metrics.JobTransition(string(status))
-	c.metrics.AddJob(view.Cluster, view.Stats.PairsTracked)
+	c.metrics.jobs.With(string(status)).Inc()
+	m := c.metrics
+	m.shards.Add(int64(view.Cluster.Shards))
+	m.dispatchRetries.Add(view.Cluster.DispatchRetries)
+	m.reassigned.Add(view.Cluster.Reassigned)
+	m.nodesLost.Add(view.Cluster.NodesLost)
+	m.pairs.Add(view.Stats.PairsTracked)
 	c.cfg.Logf("smaserve: cluster job %s %s: %d shards, %d retries, %d reassigned, %d nodes lost, %d restored",
 		job.ID, status, view.Cluster.Shards, view.Cluster.DispatchRetries,
 		view.Cluster.Reassigned, view.Cluster.NodesLost, view.Cluster.ShardsRestored)

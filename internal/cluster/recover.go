@@ -68,7 +68,7 @@ func (c *Coordinator) resumeJob(ctx context.Context, r *server.RecoveredJob) err
 	}
 
 	c.store.Put(r.ID, job)
-	c.metrics.JobTransition("resumed")
+	c.metrics.jobs.With("resumed").Inc()
 	req := JobRequest{JobRequest: r.Req}
 	c.wg.Add(1)
 	go func() {

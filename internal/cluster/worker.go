@@ -89,34 +89,34 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer func() { <-wk.sem }()
 	default:
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "worker shard slots saturated; retry later")
+		server.WriteError(w, http.StatusServiceUnavailable, "worker shard slots saturated; retry later", wk.cfg.Logf)
 		return
 	}
 	var req ShardRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad shard request: %v", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad shard request: %v", err), wk.cfg.Logf)
 		return
 	}
 	if err := req.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error(), wk.cfg.Logf)
 		return
 	}
 	if n := req.PairHi - req.PairLo; n > wk.cfg.MaxShardPairs {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("shard spans %d pairs, cap is %d", n, wk.cfg.MaxShardPairs))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("shard spans %d pairs, cap is %d", n, wk.cfg.MaxShardPairs), wk.cfg.Logf)
 		return
 	}
 	scene, err := req.Synthetic.SceneOf()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error(), wk.cfg.Logf)
 		return
 	}
 	if px := req.Synthetic.Size * req.Synthetic.Size; px > wk.cfg.MaxPixels {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("frame area %d px exceeds the worker cap %d", px, wk.cfg.MaxPixels))
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("frame area %d px exceeds the worker cap %d", px, wk.cfg.MaxPixels), wk.cfg.Logf)
 		return
 	}
 	params, err := req.Params.Resolve(wk.cfg.DefaultParams)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error(), wk.cfg.Logf)
 		return
 	}
 	// Resolve the forwarded pyramid spec under the same rules the
@@ -124,7 +124,7 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// the coordinator rejects is never half-honored by a worker.
 	pyr, err := req.Pyramid.Resolve(params)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error(), wk.cfg.Logf)
 		return
 	}
 
@@ -196,11 +196,4 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if err := pw.WriteEnd(trailer); err != nil {
 		wk.cfg.Logf("smaserve: shard %s/%d sentinel: %v", req.JobID, req.Shard, err)
 	}
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	resp, _ := json.Marshal(map[string]string{"error": msg})
-	w.Write(append(resp, '\n'))
 }

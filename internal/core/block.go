@@ -61,11 +61,11 @@ import (
 // grows with s² (one factorization and one incumbent per pixel).
 const blockSide = 16
 
-// incumbent is the best hypothesis of a pixel's search so far.
+// incumbent is the best hypothesis of a pixel's search so far; the exact
+// mode keeps its θ alongside (blockKernel.theta).
 type incumbent struct {
 	hx, hy int
 	eps    float64
-	theta  la.Vec6
 }
 
 // normalPlanes are the after-frame unit normals (Prepared.G1) padded by
@@ -259,7 +259,8 @@ type rTerm struct {
 
 // blockKernel is one worker's scratch for the block kernel, sized once for
 // the largest block so that blocks never allocate. Summed mode leaves the
-// exact search's scratch (bt, fac, sv, surv, buf) unallocated.
+// exact search's scratch (rt, bt, fac, theta, scr, sv, surv, buf)
+// unallocated.
 type blockKernel struct {
 	prep   *Prepared
 	sm     *SemiMap
@@ -272,22 +273,26 @@ type blockKernel struct {
 
 	geom blockGeom
 	// rt is the residual walk's plane over the padded block: the geometry
-	// (filled per block) and the current hypothesis's right-hand sides. bt
-	// is the current hypothesis's b-pass term plane, built only when
-	// enough pixels survive the screen.
+	// (copied from geom per block) and the current hypothesis's right-hand
+	// sides. bt is the current hypothesis's b-pass term plane, built only
+	// when enough pixels survive the screen.
 	rt []rTerm
 	bt []bTerm
 	// nrow gathers one padded row's displaced after-frame normals when
 	// they are not one contiguous run of the padded planes.
 	nrow [3][]float32
 
-	fac  []motionFactor // per block pixel
-	best []incumbent    // per block pixel
+	fac   []motionFactor // per block pixel
+	best  []incumbent    // per block pixel
+	theta []la.Vec6      // per block pixel: the incumbent's θ
 
-	// The screen (screen.go): per block pixel its invariant data and the
-	// current hypothesis's sums, the running sums that produce them, the
-	// block's bound S and per-window-sum error factor, and the pixels
-	// that survive the current hypothesis.
+	// The screen (screen.go): per block pixel M = A⁻¹ packed as
+	// invertMotion packs it (the summed mode's from the window-summed A),
+	// the rest of its invariant data and the current hypothesis's sums,
+	// the running sums that produce them, the block's bound S and
+	// per-window-sum error factor, and the pixels that survive the
+	// current hypothesis.
+	m     [][21]float64
 	scr   []screenPixel
 	sv    []screenVal
 	sl    slider
@@ -325,13 +330,12 @@ func newBlockKernel(prep *Prepared, sm *SemiMap, opt Options, nrm *normalPlanes,
 	gw := maxBW + 2*rx
 	n := gw * (maxBH + 2*ry)
 	k.geom = newBlockGeom(n)
-	k.rt = make([]rTerm, n)
 	for i := range k.nrow {
 		k.nrow[i] = make([]float32, gw)
 	}
 	nb := maxBW * maxBH
 	k.best = make([]incumbent, nb)
-	k.scr = make([]screenPixel, nb)
+	k.m = make([][21]float64, nb)
 	if k.summed {
 		k.sl = newSlider(aPlanes, gw, maxBW, k.tw, k.th)
 		if opt.KeepMotion {
@@ -339,7 +343,10 @@ func newBlockKernel(prep *Prepared, sm *SemiMap, opt Options, nrm *normalPlanes,
 		}
 		return k
 	}
+	k.rt = make([]rTerm, n)
 	k.bt = make([]bTerm, n)
+	k.theta = make([]la.Vec6, nb)
+	k.scr = make([]screenPixel, nb)
 	k.fac = make([]motionFactor, nb)
 	k.sv = make([]screenVal, nb)
 	k.surv = make([]int32, nb)
@@ -391,9 +398,12 @@ func (k *blockKernel) storeBlock(t tileRect, res *Result) {
 				hx += dx
 				hy += dy
 			}
-			theta := b.theta
-			if k.bwin != nil {
-				theta = summedTheta(&k.scr[p].m, &k.bwin[p])
+			var theta la.Vec6
+			switch {
+			case k.theta != nil:
+				theta = k.theta[p]
+			case k.bwin != nil:
+				theta = summedTheta(&k.m[p], &k.bwin[p])
 			}
 			res.set(x, y, hx, hy, b.eps, theta)
 		}
@@ -401,7 +411,7 @@ func (k *blockKernel) storeBlock(t tileRect, res *Result) {
 }
 
 // prepareBlock runs the hypothesis-invariant half of the search for block
-// t: the padded block's geometry (into rt too), then each pixel's
+// t: the padded block's geometry (copied into rt), then each pixel's
 // normal-equation matrix A — accumulated over its template in raster
 // order with accumulateA, as the reference does — factored once (with
 // the ridge fallback solveMotion applies), and the pixel's screen data.
@@ -412,6 +422,10 @@ func (k *blockKernel) prepareBlock(t tileRect) {
 	gw := k.gw
 	g := &k.geom
 	g.fillPadded(k.prep.G0, t.X0-k.rx, t.Y0-k.ry, gw, k.gh)
+	if k.summed {
+		k.invertSummed()
+		return
+	}
 	geomOK := true
 	for o := range g.zx[:gw*k.gh] {
 		zx, zy, w0, w1 := g.zx[o], g.zy[o], g.w0[o], g.w1[o]
@@ -420,10 +434,6 @@ func (k *blockKernel) prepareBlock(t tileRect) {
 		// weights (E, G ≥ 1 whenever the fit is finite).
 		geomOK = geomOK && zx-zx == 0 && zy-zy == 0 && // finite
 			w0 > 0 && w0 <= math.MaxFloat64 && w1 > 0 && w1 <= math.MaxFloat64
-	}
-	if k.summed {
-		k.invertSummed()
-		return
 	}
 	k.rsErr = float64(2*gw*k.th+2*k.gh+8) * unitRoundoff
 	n := k.tw * k.th
@@ -441,7 +451,7 @@ func (k *blockKernel) prepareBlock(t tileRect) {
 			symmetrize(&a)
 			p := j*k.bw + i
 			k.fac[p].factorMotion(&a)
-			prepareScreen(&k.scr[p], &a, &k.fac[p], n, geomOK)
+			prepareScreen(&k.scr[p], &k.m[p], &a, &k.fac[p], n, geomOK)
 		}
 	}
 }
@@ -501,12 +511,12 @@ func (k *blockKernel) rhsPass(t tileRect, hx, hy int, screen bool) {
 				}
 			}
 		}
-		row := k.rt[r*gw:][:gw]
-		sc := k.geom.sc[r*gw:][:gw]
 		if screen {
-			k.screenRow(row, sc, ni, nj, nk)
+			k.screenRow(r, ni, nj, nk)
 			continue
 		}
+		row := k.rt[r*gw:][:gw]
+		sc := k.geom.sc[r*gw:][:gw]
 		for c := range row {
 			q := &row[c]
 			q.r0, q.r1, q.r2 = rhs(sc[c], q.zx, q.zy, ni[c], nj[c], nk[c])
@@ -580,7 +590,8 @@ func (k *blockKernel) scoreHyp(hx, hy int, first bool) {
 			e, pruned = k.residualWalk(o, &theta, bound)
 		}
 		if first || (!pruned && e < best.eps) {
-			*best = incumbent{hx: hx, hy: hy, eps: e, theta: theta}
+			*best = incumbent{hx: hx, hy: hy, eps: e}
+			k.theta[p] = theta
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sma/internal/grid"
+	"sma/internal/la"
 	"sma/internal/synth"
 )
 
@@ -90,16 +91,22 @@ func TestBlockKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// winner is a pixel's incumbent with its θ.
+type winner struct {
+	incumbent
+	theta la.Vec6
+}
+
 // referenceRun is TrackPreparedReference that also returns each pixel's
 // float64 winner (the tracked pixel's δ included), in image raster order.
-func referenceRun(prep *Prepared, sm *SemiMap, opt Options) ([]incumbent, *Result) {
+func referenceRun(prep *Prepared, sm *SemiMap, opt Options) ([]winner, *Result) {
 	res := newResult(prep.W, prep.H, opt.KeepMotion)
-	wins := make([]incumbent, prep.W*prep.H)
+	wins := make([]winner, prep.W*prep.H)
 	t := newTracker(prep, sm, opt)
 	for y := 0; y < prep.H; y++ {
 		for x := 0; x < prep.W; x++ {
 			hx, hy, eps, theta := t.trackPixelReference(x, y)
-			wins[y*prep.W+x] = incumbent{hx: hx, hy: hy, eps: eps, theta: theta}
+			wins[y*prep.W+x] = winner{incumbent{hx: hx, hy: hy, eps: eps}, theta}
 			res.set(x, y, hx, hy, eps, theta)
 		}
 	}
@@ -109,7 +116,7 @@ func referenceRun(prep *Prepared, sm *SemiMap, opt Options) ([]incumbent, *Resul
 // requireSameWinners fails unless the block kernel's incumbents (before
 // the tracked pixel's δ, which it adds here) equal the reference winners
 // bit for bit; any two NaNs match (see requireSameBits).
-func requireSameWinners(t *testing.T, prep *Prepared, sm *SemiMap, got, want []incumbent) {
+func requireSameWinners(t *testing.T, prep *Prepared, sm *SemiMap, got, want []winner) {
 	t.Helper()
 	for i, g := range got {
 		x, y := i%prep.W, i/prep.W
@@ -134,17 +141,20 @@ func requireSameWinners(t *testing.T, prep *Prepared, sm *SemiMap, got, want []i
 // prep's image and returns each pixel's incumbent in image raster order,
 // before the semi-fluid δ of the tracked pixel; noExit disables the ε
 // early exit.
-func searchAllBlocks(prep *Prepared, sm *SemiMap, opt Options, win hypWindow, side int, noExit bool) []incumbent {
+func searchAllBlocks(prep *Prepared, sm *SemiMap, opt Options, win hypWindow, side int, noExit bool) []winner {
 	bw, bh := minInt(side, prep.W), minInt(side, prep.H)
 	g := newTileGrid(prep.W, prep.H, bw, bh)
 	k := newBlockKernel(prep, sm, opt, padNormals(prep), windowOrder(win), bw, bh)
 	k.noEarlyExit = noExit
-	out := make([]incumbent, prep.W*prep.H)
+	out := make([]winner, prep.W*prep.H)
 	for i := 0; i < g.tiles(); i++ {
 		t := g.tile(i)
 		k.searchTile(nil, t)
 		for j := t.Y0; j < t.Y1; j++ {
-			copy(out[j*prep.W+t.X0:][:t.X1-t.X0], k.best[(j-t.Y0)*k.bw:][:k.bw])
+			for i := t.X0; i < t.X1; i++ {
+				p := (j-t.Y0)*k.bw + i - t.X0
+				out[j*prep.W+i] = winner{k.best[p], k.theta[p]}
+			}
 		}
 	}
 	return out

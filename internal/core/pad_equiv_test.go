@@ -120,7 +120,7 @@ func TestKernelPadBorderLanes(t *testing.T) {
 								for _, win := range []hypWindow{fullWindow(p), beyond} {
 									k := newBlockKernel(prep, sm, opt, nrm, windowOrder(win), 1, 1)
 									k.searchTile(nil, tileRect{X0: x, Y0: y, X1: x + 1, Y1: y + 1})
-									best := k.best[0]
+									best := winner{k.best[0], k.theta[0]}
 									hx, hy := best.hx, best.hy
 									if sm != nil {
 										dx, dy := sm.Delta(x, y, hx, hy)
@@ -156,7 +156,7 @@ func checkHyps(t *testing.T, prep *Prepared, sm *SemiMap, opt Options, nrm *norm
 		for hx := win.lox; hx <= win.hix; hx++ {
 			k := newBlockKernel(prep, sm, opt, nrm, [][2]int{{hx, hy}}, 1, 1)
 			k.searchTile(nil, tileRect{X0: x, Y0: y, X1: x + 1, Y1: y + 1})
-			best := k.best[0]
+			best := winner{k.best[0], k.theta[0]}
 			want := scores[[2]int{hx, hy}]
 			if !sameF64(best.eps, want.eps) {
 				t.Fatalf("(%d,%d) h=(%d,%d): ε %v, reference %v", x, y, hx, hy, best.eps, want.eps)

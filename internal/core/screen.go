@@ -56,23 +56,24 @@ func gammaN(n int) float64 {
 	return nu / (1 - nu)
 }
 
-// screenPixel is one block pixel's hypothesis-invariant screen data.
+// screenPixel is one block pixel's hypothesis-invariant screen data
+// besides M.
 type screenPixel struct {
-	m   [21]float64 // M = A⁻¹ packed as invertMotion packs it
-	trA float64     // tr(A): the pixel's window sum of the geometry majorant
-	m6  float64     // 6‖M‖₁
-	kc  float64     // δ's coefficient on C
-	ok  bool        // the pixel may be screened
+	trA float64 // tr(A): the pixel's window sum of the geometry majorant
+	m6  float64 // 6‖M‖₁
+	kc  float64 // δ's coefficient on C
+	ok  bool    // the pixel may be screened
 }
 
 // screenVal is one pixel's screen sums under the current hypothesis: C
 // and ε_s = C − bᵀMb.
 type screenVal struct{ c, eps float64 }
 
-// prepareScreen fills sp from pixel A's matrix a and factorization mf; n is
-// the template pixel count and geomOK whether the block's weights are all
-// finite and positive.
-func prepareScreen(sp *screenPixel, a *la.Mat6, mf *motionFactor, n int, geomOK bool) {
+// prepareScreen fills sp and m from pixel A's matrix a and factorization
+// mf; n is the template pixel count and geomOK whether the block's
+// weights are all finite and positive. m stays zero for a pixel that is
+// not screened.
+func prepareScreen(sp *screenPixel, m *[21]float64, a *la.Mat6, mf *motionFactor, n int, geomOK bool) {
 	var tr float64
 	for j := 0; j < 6; j++ {
 		tr += a[j][j]
@@ -80,6 +81,7 @@ func prepareScreen(sp *screenPixel, a *la.Mat6, mf *motionFactor, n int, geomOK 
 	// trA bounds the running sums through this pixel's window whether or
 	// not the pixel itself is screened.
 	*sp = screenPixel{trA: tr}
+	*m = [21]float64{}
 	if !geomOK || !mf.ok {
 		return
 	}
@@ -97,7 +99,7 @@ func prepareScreen(sp *screenPixel, a *la.Mat6, mf *motionFactor, n int, geomOK 
 	if !(kappa <= screenMaxCond) {
 		return
 	}
-	sp.m = packInverse(&cols)
+	*m = packInverse(&cols)
 	sp.m6 = 6 * mN
 	sp.kc = 6*gammaN(n+2)*tr*mN + gammaN(8)*kappa + screenInvErr*unitRoundoff*kappa*kappa +
 		2*gammaN(3*n+3) + 6*gammaN(4)*math.Sqrt(1+36*kappa) + unitRoundoff
@@ -117,10 +119,10 @@ func (k *blockKernel) lowerBound(p int, e float64) float64 {
 	return v.eps - delta
 }
 
-// screenRow runs the screen on padded row rt. It computes the row's
-// right-hand sides (rhs) from |n0| (sc) and the displaced after-frame
-// normals, storing them in rt for exact scoring (the summed mode never
-// reads them back), and feeds the screen planes — summed.go's hypothesis
+// screenRow runs the screen on padded row r. It computes the row's
+// right-hand sides (rhs) from the geometry and the displaced after-frame
+// normals ni, nj, nk, storing them in rt for exact scoring (the summed
+// mode has no rt), and feeds the screen planes — summed.go's hypothesis
 // planes b0…b3, u0, u1 and C — through the slider. Once the row
 // completes a block row, it stores that row's screen sums and raises the
 // block's bound k.smax; max propagates NaN, so a non-finite sample makes
@@ -128,26 +130,32 @@ func (k *blockKernel) lowerBound(p int, e float64) float64 {
 // folds each ε_s into the pixel's incumbent instead — the anchor
 // unconditionally, then strict < — keeping the winner's b when a θ is to
 // be stored.
-func (k *blockKernel) screenRow(rt []rTerm, sc []float64, ni, nj, nk []float32) {
+func (k *blockKernel) screenRow(r int, ni, nj, nk []float32) {
 	s := &k.sl
-	gw := len(rt)
+	gw := k.gw
 	in := s.in[:hypPlanes*gw]
 	pb0, pb1, pb2, pb3 := in[hpB0*gw:][:gw], in[hpB1*gw:][:gw], in[hpB2*gw:][:gw], in[hpB3*gw:][:gw]
 	pu0, pu1, pc := in[hpU0*gw:][:gw], in[hpU1*gw:][:gw], in[hpC*gw:][:gw]
-	sc, ni, nj, nk = sc[:gw], ni[:gw], nj[:gw], nk[:gw]
-	keepRHS := !k.summed
-	for c := range rt {
-		q := &rt[c]
-		r0, r1, r2 := rhs(sc[c], q.zx, q.zy, ni[c], nj[c], nk[c])
-		if keepRHS {
+	g := &k.geom
+	o := r * gw
+	zx, zy, sc, w0, w1 := g.zx[o:][:gw], g.zy[o:][:gw], g.sc[o:][:gw], g.w0[o:][:gw], g.w1[o:][:gw]
+	ni, nj, nk = ni[:gw], nj[:gw], nk[:gw]
+	var rt []rTerm
+	if !k.summed {
+		rt = k.rt[o:][:gw]
+	}
+	for c := range zx {
+		r0, r1, r2 := rhs(sc[c], zx[c], zy[c], ni[c], nj[c], nk[c])
+		if rt != nil {
+			q := &rt[c]
 			q.r0, q.r1, q.r2 = r0, r1, r2
 		}
-		u0 := q.w0 * r0
-		u1 := q.w1 * r1
-		pb0[c] = r2 - q.zy*u1
-		pb1[c] = q.zx * u1
-		pb2[c] = q.zy * u0
-		pb3[c] = r2 - q.zx*u0
+		u0 := w0[c] * r0
+		u1 := w1[c] * r1
+		pb0[c] = r2 - zy[c]*u1
+		pb1[c] = zx[c] * u1
+		pb2[c] = zy[c] * u0
+		pb3[c] = r2 - zx[c]*u0
 		pu0[c] = u0
 		pu1[c] = u1
 		pc[c] = u0*r0 + u1*r1 + r2*r2
@@ -160,13 +168,13 @@ func (k *blockKernel) screenRow(rt []rTerm, sc []float64, ni, nj, nk []float32) 
 	sum := s.sum
 	b0, b1, b2, b3 := sum[hpB0*bw:][:bw], sum[hpB1*bw:][:bw], sum[hpB2*bw:][:bw], sum[hpB3*bw:][:bw]
 	u0, u1, cc := sum[hpU0*bw:][:bw], sum[hpU1*bw:][:bw], sum[hpC*bw:][:bw]
-	scr := k.scr[row:][:bw]
+	m := k.m[row:][:bw]
 	if k.summed {
 		best := k.best[row:][:bw]
 		hx, hy, anchor := k.hx, k.hy, k.anchor
-		for i := range scr {
+		for i := range m {
 			b := la.Vec6{b0[i], b1[i], b2[i], b3[i], -u0[i], -u1[i]}
-			eps := summedEps(&scr[i].m, &b, cc[i])
+			eps := summedEps(&m[i], &b, cc[i])
 			if anchor || eps < best[i].eps {
 				best[i].hx, best[i].hy, best[i].eps = hx, hy, eps
 				if k.bwin != nil {
@@ -176,10 +184,11 @@ func (k *blockKernel) screenRow(rt []rTerm, sc []float64, ni, nj, nk []float32) 
 		}
 		return
 	}
+	scr := k.scr[row:][:bw]
 	smax := k.smax
 	for i := range scr {
 		b := la.Vec6{b0[i], b1[i], b2[i], b3[i], -u0[i], -u1[i]}
-		k.sv[row+i] = screenVal{c: cc[i], eps: summedEps(&scr[i].m, &b, cc[i])}
+		k.sv[row+i] = screenVal{c: cc[i], eps: summedEps(&m[i], &b, cc[i])}
 		smax = max(smax, scr[i].trA+cc[i])
 	}
 	k.smax = smax

@@ -276,14 +276,14 @@ func (k *blockKernel) invertSummed() {
 		if !s.slide() {
 			continue
 		}
-		scr := k.scr[(s.r-s.th)*bw:][:bw]
-		for i := range scr {
+		m := k.m[(s.r-s.th)*bw:][:bw]
+		for i := range m {
 			var sums [aPlanes]float64
 			for p := range sums {
 				sums[p] = s.sum[p*bw+i]
 			}
 			a := summedA(&sums, n)
-			scr[i].m = invertMotion(&a)
+			m[i] = invertMotion(&a)
 		}
 	}
 }

@@ -1,22 +1,22 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
+
+	"sma/internal/metrics"
 )
 
 // JobClient is the client side of /v1/jobs on either role: submit a job,
-// poll it to a terminal status, fetch its result stream, and scrape the
-// plain smaserve_* counters. Views decode into a value the caller
-// supplies, so a coordinator's cluster.JobView keeps its cluster block.
+// poll it to a terminal status, fetch its result stream, and scrape
+// /metrics. Views decode into a value the caller supplies, so a
+// coordinator's cluster.JobView keeps its cluster block.
 type JobClient struct {
 	URL string
 	// Poll spaces status polls (0 = 25ms).
@@ -113,10 +113,8 @@ func (c JobClient) Result(ctx context.Context, id string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Counters scrapes /metrics into a name → value map of every
-// single-value smaserve_* family (labeled families and histograms are
-// skipped).
-func (c JobClient) Counters(ctx context.Context) (map[string]int64, error) {
+// Scrape reads the samples of /metrics.
+func (c JobClient) Scrape(ctx context.Context) ([]metrics.Sample, error) {
 	resp, err := c.get(ctx, "/metrics")
 	if err != nil {
 		return nil, err
@@ -125,22 +123,23 @@ func (c JobClient) Counters(ctx context.Context) (map[string]int64, error) {
 	if err := expectStatus(resp, http.StatusOK); err != nil {
 		return nil, fmt.Errorf("metrics scrape: %w", err)
 	}
+	return metrics.Read(resp.Body)
+}
+
+// Counters scrapes /metrics into a name → value map of every unlabeled
+// series (labeled families and histograms are skipped).
+func (c JobClient) Counters(ctx context.Context) (map[string]int64, error) {
+	samples, err := c.Scrape(ctx)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]int64)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "smaserve_") || strings.ContainsRune(line, '{') {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		if n, err := strconv.ParseFloat(strings.TrimSpace(val), 64); err == nil {
-			out[name] = int64(n)
+	for _, s := range samples {
+		if s.Labels == nil {
+			out[s.Name] = int64(s.Value)
 		}
 	}
-	return out, sc.Err()
+	return out, nil
 }
 
 func (c JobClient) get(ctx context.Context, path string) (*http.Response, error) {

@@ -317,7 +317,7 @@ func Open(cfg Config) (*Server, error) {
 			MaxBytes:   cfg.MaxStoredBytes,
 			OnEvict: func(n int) {
 				if s := srv.Load(); s != nil {
-					s.metrics.Evicted(n)
+					s.metrics.evicted.Add(int64(n))
 				}
 			},
 			// A removed entry must not resurrect on the next restart.
@@ -436,6 +436,6 @@ func (s *Server) resumeJob(ctx context.Context, r *RecoveredJob) error {
 		return err
 	}
 	s.store.Put(r.ID, job)
-	s.metrics.JobTransition("resumed")
+	s.metrics.jobs.With("resumed").Inc()
 	return nil
 }

@@ -204,7 +204,8 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, code, err.Error())
 		return
 	}
-	s.metrics.AddWork(1, 2, 0)
+	s.metrics.pairs.Inc()
+	s.metrics.fitsComputed.Add(2)
 
 	id, err := s.storeTrack(res, in.pair.I0, in.params)
 	if err != nil {
@@ -373,7 +374,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.store.Put(id, job)
-	s.metrics.JobTransition("created")
+	s.metrics.jobs.With("created").Inc()
 	s.jobs.Accepted(w, job)
 }
 
@@ -393,14 +394,14 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 		// SIGTERM used to.
 		if s.draining.Load() && s.jlog != nil {
 			s.jlog.Pending(job.ID)
-			s.metrics.JobTransition("pending")
+			s.metrics.jobs.With("pending").Inc()
 			return
 		}
 		job.mu.Lock()
 		job.status = JobCancelled
 		job.finished = time.Now()
 		job.mu.Unlock()
-		s.metrics.JobTransition(string(JobCancelled))
+		s.metrics.jobs.With(string(JobCancelled)).Inc()
 		if s.jlog != nil {
 			s.jlog.End(job.ID, JobCancelled, "", stream.Stats{})
 		}
@@ -482,16 +483,23 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 			// The drain, not the user, cancelled this run: mark it pending
 			// so recovery resumes it from the pairs already checkpointed.
 			s.jlog.Pending(job.ID)
-			s.metrics.JobTransition("pending")
+			s.metrics.jobs.With("pending").Inc()
 		} else {
 			s.jlog.End(job.ID, status, errMsg, st)
-			s.metrics.JobTransition(string(status))
+			s.metrics.jobs.With(string(status)).Inc()
 		}
 	} else {
-		s.metrics.JobTransition(string(status))
+		s.metrics.jobs.With(string(status)).Inc()
 	}
-	s.metrics.AddWork(run.PairsTracked, run.FitsComputed, run.FitsReused)
-	s.metrics.AddDegraded(run)
+	m := s.metrics
+	m.pairs.Add(run.PairsTracked)
+	m.fitsComputed.Add(run.FitsComputed)
+	m.fitsReused.Add(run.FitsReused)
+	m.retries.Add(run.Retries)
+	m.framesSkipped.Add(run.FramesSkipped)
+	m.pairsSkipped.Add(run.PairsSkipped)
+	m.pairsFailed.Add(run.PairsFailed)
+	m.gaps.Add(run.Gaps)
 }
 
 // contentTypeIsJSON is a small helper for tests.

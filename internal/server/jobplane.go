@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sma/internal/journal"
+	"sma/internal/metrics"
 )
 
 // JobPlane is the half of /v1/jobs both serving roles share: the store
@@ -19,18 +20,20 @@ type JobPlane struct {
 	Store  ResultStore
 	Log    *JobLog
 	Fields *FileStore
-	// Transition counts one job lifecycle event ("restored", ...) in the
-	// role's metrics.
-	Transition func(event string)
-	Logf       func(format string, args ...any)
+	// Jobs counts job lifecycle events ("restored", ...) by status in
+	// the role's metrics.
+	Jobs metrics.Vec[*metrics.Value]
+	Logf func(format string, args ...any)
 }
 
 // httpError writes the JSON error body every endpoint answers with.
 func (p *JobPlane) httpError(w http.ResponseWriter, code int, msg string) {
-	writeError(w, code, msg, p.Logf)
+	WriteError(w, code, msg, p.Logf)
 }
 
-func writeError(w http.ResponseWriter, code int, msg string, logf func(string, ...any)) {
+// WriteError answers code with the JSON error envelope, {"error":msg},
+// on either role; logf reports a failed write.
+func WriteError(w http.ResponseWriter, code int, msg string, logf func(string, ...any)) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := writeJSON(w, errorBody{Error: msg}); err != nil {
@@ -218,7 +221,7 @@ func (p *JobPlane) Recover(ctx context.Context, restore func(*RecoveredJob) JobE
 			p.Logf("smaserve: job %s unrestorable (frames=%d)", r.ID, r.Frames)
 		default:
 			p.Store.Put(r.ID, restore(r))
-			p.Transition("restored")
+			p.Jobs.With("restored").Inc()
 			rs.Restored++
 		}
 	}

@@ -25,6 +25,7 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/grid"
+	"sma/internal/metrics"
 	"sma/internal/stream"
 	"sma/internal/viz"
 )
@@ -118,7 +119,7 @@ type Server struct {
 	cfg     Config
 	pool    *Pool
 	store   ResultStore
-	metrics *Metrics
+	metrics *serverMetrics
 	mux     *http.ServeMux
 
 	ready    atomic.Bool
@@ -137,29 +138,64 @@ type Server struct {
 	rowWorkers int
 }
 
+// serverMetrics are smaserve's /metrics families. The pipeline work and
+// degraded-mode counters accumulate across all tracks and jobs.
+type serverMetrics struct {
+	*metrics.Registry
+	requests, jobs metrics.Vec[*metrics.Value]
+	latency        metrics.Vec[*metrics.Histogram]
+
+	inflight, rejected, panics, evicted, pairs, fitsComputed, fitsReused,
+	retries, framesSkipped, pairsSkipped, pairsFailed, gaps *metrics.Value
+}
+
+func newServerMetrics(pool *Pool) *serverMetrics {
+	r := &metrics.Registry{}
+	m := &serverMetrics{Registry: r}
+	m.requests = r.CounterVec("smaserve_http_requests_total", "Served HTTP requests by route and status code.", "route", "code")
+	m.latency = r.HistogramVec("smaserve_http_request_duration_seconds", "Request latency by route.", "route")
+	m.jobs = r.CounterVec("smaserve_jobs_total", "Job lifecycle transitions by status.", "status")
+	m.rejected = r.Counter("smaserve_admission_rejected_total", "Requests rejected because the admission queue was full.")
+	m.panics = r.Counter("smaserve_handler_panics_total", "Handler panics recovered into 500 responses.")
+	m.evicted = r.Counter("smaserve_results_evicted_total", "Stored results dropped by TTL expiry.")
+	m.pairs = r.Counter("smaserve_pairs_tracked_total", "Motion-field pairs computed across all requests and jobs.")
+	m.fitsComputed = r.Counter("smaserve_frame_fits_computed_total", "Frame surface fits computed (stream cache misses).")
+	m.fitsReused = r.Counter("smaserve_frame_fits_reused_total", "Frame surface fits reused from the stream cache.")
+	m.retries = r.Counter("smaserve_frame_retries_total", "Frame re-reads after transient source errors.")
+	m.framesSkipped = r.Counter("smaserve_frames_skipped_total", "Frames dropped by the skip policy or quality gate.")
+	m.pairsSkipped = r.Counter("smaserve_pairs_skipped_total", "Pairs lost because a constituent frame was dropped.")
+	m.pairsFailed = r.Counter("smaserve_pairs_failed_total", "Pairs dropped by isolated per-pair tracking failures.")
+	m.gaps = r.Counter("smaserve_stream_gaps_total", "Maximal runs of consecutive skipped frames.")
+	m.inflight = r.Gauge("smaserve_inflight_requests", "Requests currently being served.")
+	r.GaugeFunc("smaserve_admission_queue_depth", "Tasks waiting in the admission queue.", func() int64 { return int64(pool.Depth()) })
+	r.GaugeFunc("smaserve_admission_queue_capacity", "Admission queue capacity.", func() int64 { return int64(pool.Cap()) })
+	r.GaugeFunc("smaserve_worker_pool_size", "Tracking worker goroutines.", func() int64 { return int64(pool.Workers()) })
+	r.Goroutines("smaserve_goroutines", "Live goroutines in the serving process (leak canary for the chaos harness).")
+	r.Uptime("smaserve_uptime_seconds", "Seconds since the server started.")
+	return m
+}
+
 // New builds a ready-to-serve Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	m := NewMetrics()
+	pool := NewPool(cfg.Workers, cfg.QueueDepth)
+	m := newServerMetrics(pool)
 	store := cfg.Store
 	if store == nil {
 		store = NewMemStore(MemStoreConfig{
 			TTL:        cfg.ResultTTL,
 			MaxEntries: cfg.MaxStoredResults,
 			MaxBytes:   cfg.MaxStoredBytes,
-			OnEvict:    m.Evicted,
+			OnEvict:    func(n int) { m.evicted.Add(int64(n)) },
 		})
 	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    NewPool(cfg.Workers, cfg.QueueDepth),
+		pool:    pool,
 		store:   store,
 		metrics: m,
-		jobs:    &JobPlane{Store: store, Transition: m.JobTransition, Logf: cfg.Logf},
+		jobs:    &JobPlane{Store: store, Jobs: m.jobs, Logf: cfg.Logf},
 	}
-	m.queueDepth = s.pool.Depth
-	m.queueCap = s.pool.Cap()
-	m.workers = s.pool.Workers()
 	s.rowWorkers = cfg.RowWorkers
 	if s.rowWorkers <= 0 {
 		s.rowWorkers = runtime.GOMAXPROCS(0) / s.pool.Workers()
@@ -178,7 +214,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/track/{id}/svg", s.instrument("/v1/track/{id}/svg", s.handleTrackSVG))
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /readyz", s.instrument("/readyz", s.handleReadyz))
-	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
+	mux.HandleFunc("GET /metrics", s.instrument("/metrics", m.Handler(cfg.Logf)))
 	s.mux = mux
 	s.ready.Store(true)
 	return s
@@ -230,21 +266,22 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
-		s.metrics.InflightAdd(1)
+		s.metrics.inflight.Add(1)
 		defer func() {
 			if p := recover(); p != nil {
-				s.metrics.Panicked()
+				s.metrics.panics.Inc()
 				s.cfg.Logf("smaserve: panic serving %s: %v", route, p)
 				if rec.code == 0 {
 					s.httpError(rec, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
 				}
 			}
-			s.metrics.InflightAdd(-1)
+			s.metrics.inflight.Add(-1)
 			code := rec.code
 			if code == 0 {
 				code = http.StatusOK
 			}
-			s.metrics.ObserveRequest(route, code, time.Since(start))
+			s.metrics.requests.With(route, strconv.Itoa(code)).Inc()
+			s.metrics.latency.With(route).Observe(time.Since(start))
 		}()
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -254,13 +291,13 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 func (s *Server) httpError(w http.ResponseWriter, code int, msg string) {
-	writeError(w, code, msg, s.cfg.Logf)
+	WriteError(w, code, msg, s.cfg.Logf)
 }
 
 // rejectSaturated writes the backpressure response: Retry-After plus the
 // requested status (429 for synchronous tracks, 503 for jobs).
 func (s *Server) rejectSaturated(w http.ResponseWriter, code int) {
-	s.metrics.Rejected()
+	s.metrics.rejected.Inc()
 	w.Header().Set("Retry-After", "1")
 	s.httpError(w, code, "admission queue full; retry later")
 }
@@ -277,13 +314,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ready")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if _, err := s.metrics.WriteTo(w); err != nil {
-		s.cfg.Logf("smaserve: metrics scrape: %v", err)
-	}
 }
 
 func (s *Server) handleTrackSVG(w http.ResponseWriter, r *http.Request) {

@@ -62,13 +62,14 @@ go test -race -run 'Kernel|Block|EarlyExit|Screen|Batch|Tile|Summed|PyramidAccur
     ./internal/core || fail=1
 
 # The robustness lock (docs/ROBUSTNESS.md): fault injection, degraded-
-# mode counters/bit-identity, pair isolation, pool drain/TTL races, and
-# durable restore/resume on both roles, run by name under the race
-# detector for the same reason as above.
+# mode counters/bit-identity, pair isolation, pool drain/TTL races,
+# durable restore/resume and the /metrics exposition goldens on both
+# roles, run by name under the race detector for the same reason as
+# above.
 echo "== fault injection + degraded mode + durability (-race)"
 go test -race ./internal/fault || fail=1
-go test -race -run 'Fault|Degraded|Chaos|Skip|Retry|FrameError|Pool|TTL|Expired|Truncat|Durable' \
-    ./internal/stream ./internal/server ./internal/cluster ./internal/ingest ./internal/grid || fail=1
+go test -race -run 'Fault|Degraded|Chaos|Skip|Retry|FrameError|Pool|TTL|Expired|Truncat|Durable|Exposition' \
+    ./internal/stream ./internal/server ./internal/cluster ./internal/ingest ./internal/grid ./internal/metrics || fail=1
 
 # The BENCH gates (docs/PERFORMANCE.md §4, §8, §9): each smabench run
 # below writes its /tmp/BENCH_<key>.json and exits non-zero when the
