@@ -35,9 +35,11 @@ smavet-baseline:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke: a short -fuzz pass over the binary-format readers and the
-# streaming scheduler, enough to catch regressions in the parsers'
-# bounds handling and the pipeline's ordering/caching invariants without
+# fuzz-smoke: a short -fuzz pass over the binary-format readers, the
+# streaming scheduler and the block kernel's screen, enough to catch
+# regressions in the parsers' bounds handling, the pipeline's
+# ordering/caching invariants and the screen's exactness (every bound
+# below the reference ε, output identical with the screen off) without
 # tying up CI. Corpus finds are kept under the packages' testdata.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -45,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadArea -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzPipelineScheduling -fuzztime=$(FUZZTIME) ./internal/stream
 	$(GO) test -run=^$$ -fuzz=FuzzTileScheduling -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzScreenBound -fuzztime=$(FUZZTIME) ./internal/core
 
 # serve-smoke: end-to-end smoke of the HTTP serving layer — real
 # smaserve process on a random port, verified concurrent load via

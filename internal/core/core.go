@@ -214,9 +214,9 @@ type Result struct {
 	// the winning hypothesis per pixel (nil unless requested).
 	Motion []*grid.Grid
 
-	// screened counts the (pixel, hypothesis) pairs the block kernel's
-	// screen skipped (screen.go).
-	screened int64
+	// screenCounts tallies what the block kernel's screen eliminated
+	// (screen.go).
+	screenCounts
 }
 
 // newResult allocates a w×h result, with the six motion-parameter grids

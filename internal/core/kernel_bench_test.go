@@ -84,7 +84,9 @@ func BenchmarkTrackPrepared(b *testing.B) {
 // the serving default (ScaledParams, Fsemi), the Luis jobs (exhaustive
 // Fcont) and the GOES-9 cluster jobs (the pyramid option's summed-window
 // search). screened/op counts the (pixel, hypothesis) pairs the block
-// kernel's screen skipped (0 on the summed-window search).
+// kernel's lower bounds skipped, l1skip/op the (block, hypothesis) passes
+// level 1 skipped whole and tied/op the pairs level 3 dropped as ties
+// (all 0 on the summed-window search).
 func BenchmarkSearch64(b *testing.B) {
 	s := synth.Hurricane(64, 64, 7)
 	pair := Monocular(s.Frame(0), s.Frame(1))
@@ -96,15 +98,18 @@ func BenchmarkSearch64(b *testing.B) {
 		sm := BuildSemiMap(prep)
 		b.ReportAllocs()
 		b.ResetTimer()
-		var screened int64
+		var c screenCounts
 		for i := 0; i < b.N; i++ {
 			res, err := TrackPreparedParallelCtx(context.Background(), prep, sm, opt, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			screened += res.screened
+			c.add(res.screenCounts)
 		}
-		b.ReportMetric(float64(screened)/float64(b.N), "screened/op")
+		n := float64(b.N)
+		b.ReportMetric(float64(c.screened)/n, "screened/op")
+		b.ReportMetric(float64(c.l1skip)/n, "l1skip/op")
+		b.ReportMetric(float64(c.tied)/n, "tied/op")
 	}
 	b.Run("scaled-semimap", func(b *testing.B) { run(b, ScaledParams(), Options{}) })
 	b.Run("luis", func(b *testing.B) { run(b, LuisParams(), Options{}) })

@@ -35,11 +35,17 @@ func (s *SemiMap) hypIndex(hx, hy int) int {
 	return (hy+s.RY)*(2*s.RX+1) + (hx + s.RX)
 }
 
+// covers reports whether hypothesis offset (hx, hy) has semi-map entries;
+// a nil map (the continuous model) covers none.
+func (s *SemiMap) covers(hx, hy int) bool {
+	return s != nil && hx >= -s.RX && hx <= s.RX && hy >= -s.RY && hy <= s.RY
+}
+
 // Delta returns the semi-fluid adjustment δ for pixel (x, y) under
 // hypothesis offset (hx, hy). Offsets outside the precomputed search
 // window (possible under prior-guided search) return δ = 0.
 func (s *SemiMap) Delta(x, y, hx, hy int) (dx, dy int) {
-	if hx < -s.RX || hx > s.RX || hy < -s.RY || hy > s.RY {
+	if !s.covers(hx, hy) {
 		return 0, 0
 	}
 	i := (y*s.W+x)*s.hyps() + s.hypIndex(hx, hy)

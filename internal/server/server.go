@@ -157,7 +157,7 @@ func newServerMetrics(pool *Pool) *serverMetrics {
 	m.jobs = r.CounterVec("smaserve_jobs_total", "Job lifecycle transitions by status.", "status")
 	m.rejected = r.Counter("smaserve_admission_rejected_total", "Requests rejected because the admission queue was full.")
 	m.panics = r.Counter("smaserve_handler_panics_total", "Handler panics recovered into 500 responses.")
-	m.evicted = r.Counter("smaserve_results_evicted_total", "Stored results dropped by TTL expiry.")
+	m.evicted = r.Counter("smaserve_results_evicted_total", "Stored results dropped by TTL expiry or by the entry-count or byte cap.")
 	m.pairs = r.Counter("smaserve_pairs_tracked_total", "Motion-field pairs computed across all requests and jobs.")
 	m.fitsComputed = r.Counter("smaserve_frame_fits_computed_total", "Frame surface fits computed (stream cache misses).")
 	m.fitsReused = r.Counter("smaserve_frame_fits_reused_total", "Frame surface fits reused from the stream cache.")
