@@ -36,11 +36,13 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke: a short -fuzz pass over the binary-format readers, the
-# streaming scheduler and the block kernel's screen, enough to catch
-# regressions in the parsers' bounds handling, the pipeline's
-# ordering/caching invariants and the screen's exactness (every bound
-# below the reference ε, output identical with the screen off) without
-# tying up CI. Corpus finds are kept under the packages' testdata.
+# streaming scheduler, the block kernel's screen and serving admission,
+# enough to catch regressions in the parsers' bounds handling, the
+# pipeline's ordering/caching invariants, the screen's exactness (every
+# bound below the reference ε, output identical with the screen off) and
+# admission's caps (whatever is admitted fits them, with one verdict on
+# every role) without tying up CI. Corpus finds are kept under the
+# packages' testdata.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadPGM -fuzztime=$(FUZZTIME) ./internal/grid
@@ -48,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzPipelineScheduling -fuzztime=$(FUZZTIME) ./internal/stream
 	$(GO) test -run=^$$ -fuzz=FuzzTileScheduling -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzScreenBound -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzAdmission -fuzztime=$(FUZZTIME) ./internal/server
 
 # serve-smoke: end-to-end smoke of the HTTP serving layer — real
 # smaserve process on a random port, verified concurrent load via

@@ -177,29 +177,14 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 		}
 	}
 
-	after, err := opt.client().Counters(ctx)
+	n, settled, err := opt.client().AwaitGoroutines(ctx, res.GoroutinesBefore+opt.GoroutineSlack)
 	if err != nil {
 		return res, fmt.Errorf("chaos: final metrics scrape: %w", err)
 	}
-	res.GoroutinesAfter = int(after["smaserve_goroutines"])
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if res.GoroutinesAfter <= res.GoroutinesBefore+opt.GoroutineSlack {
-			break
-		}
-		if time.Now().After(deadline) {
-			violate("coordinator goroutines grew from %d to %d (slack %d): dispatch leak",
-				res.GoroutinesBefore, res.GoroutinesAfter, opt.GoroutineSlack)
-			break
-		}
-		select {
-		case <-time.After(100 * time.Millisecond):
-		case <-ctx.Done():
-			return res, ctx.Err()
-		}
-		if after, err = opt.client().Counters(ctx); err == nil {
-			res.GoroutinesAfter = int(after["smaserve_goroutines"])
-		}
+	res.GoroutinesAfter = n
+	if !settled {
+		violate("coordinator goroutines grew from %d to %d (slack %d): dispatch leak",
+			res.GoroutinesBefore, res.GoroutinesAfter, opt.GoroutineSlack)
 	}
 	return res, nil
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"sma/internal/core"
 	"sma/internal/fault"
 	"sma/internal/server"
 	"sma/internal/stream"
@@ -54,14 +53,14 @@ func (c *Coordinator) runJob(ctx context.Context, job *clusterJob, req JobReques
 
 	status := job.finish(runCtx)
 	view := job.View()
-	if c.jl != nil {
+	if c.jobs.Log != nil {
 		if status == server.JobCancelled && c.draining.Load() {
 			// The drain cut the job short: checkpoint it resumable instead of
 			// losing the queued work the way pre-durability SIGTERM did.
-			c.jl.Pending(job.ID)
+			c.jobs.Log.Pending(job.ID)
 			c.metrics.jobs.With("pending").Inc()
 		} else {
-			c.jl.End(job.ID, status, view.Error, view.Stats)
+			c.jobs.Log.End(job.ID, status, view.Error, view.Stats)
 		}
 	}
 	c.metrics.jobs.With(string(status)).Inc()
@@ -153,14 +152,14 @@ func (c *Coordinator) dispatchShard(ctx context.Context, job *clusterJob, req Jo
 // persistence failure abandons the checkpoint (logged); the shard simply
 // re-runs on recovery, degrading durability but never correctness.
 func (c *Coordinator) checkpointShard(job *clusterJob, k, node int, sh shardRange, recs []server.PairRecord, st stream.Stats) {
-	if c.jl == nil {
+	if c.jobs.Log == nil {
 		return
 	}
 	for _, rec := range recs {
 		if rec.Status != server.PairOK {
 			continue
 		}
-		if err := c.fstore.PutField(job.ID, rec.Pair, rec.Field); err != nil {
+		if err := c.jobs.Fields.PutField(job.ID, rec.Pair, rec.Field); err != nil {
 			c.cfg.Logf("smaserve: persisting field %s/%d: %v (shard %d will re-run on recovery)", job.ID, rec.Pair, err, k)
 			return
 		}
@@ -171,9 +170,9 @@ func (c *Coordinator) checkpointShard(job *clusterJob, k, node int, sh shardRang
 		if rec.Status == server.PairOK {
 			sum.MeanMag = rec.MeanMag()
 		}
-		c.jl.Pair(job.ID, sum)
+		c.jobs.Log.Pair(job.ID, sum)
 	}
-	c.jl.ShardDone(job.ID, k, server.ShardCheckpoint{Node: c.reg.URL(node), Lo: sh.Lo, Hi: sh.Hi, Stats: st})
+	c.jobs.Log.ShardDone(job.ID, k, server.ShardCheckpoint{Node: c.reg.URL(node), Lo: sh.Lo, Hi: sh.Hi, Stats: st})
 }
 
 // permanentShardError marks a shard the cluster must not retry: the
@@ -253,9 +252,4 @@ func (c *Coordinator) callShard(ctx context.Context, base, jobID string, k int, 
 			len(recs), sh.Hi-sh.Lo, stream.ErrTransient)
 	}
 	return recs, st, nil
-}
-
-// resolveParams applies the coordinator's defaults to a request spec.
-func (c *Coordinator) resolveParams(spec server.ParamsSpec) (core.Params, error) {
-	return spec.Resolve(c.cfg.DefaultParams)
 }

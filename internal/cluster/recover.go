@@ -29,11 +29,8 @@ func (c *Coordinator) Recover(ctx context.Context) (server.RecoveryStats, error)
 // shard checkpoints are only written after their fields are durable and
 // each pair's bytes are position-independent.
 func (c *Coordinator) resumeJob(ctx context.Context, r *server.RecoveredJob) error {
-	if r.Frames < 2 || r.Req.Synthetic == nil {
-		return fmt.Errorf("unresumable spec (frames=%d)", r.Frames)
-	}
-	if _, err := c.resolveParams(r.Req.Params); err != nil {
-		return err
+	if _, err := server.Admit(r.Req.Spec(), c.limits()); err != nil {
+		return fmt.Errorf("unresumable spec: %w", err)
 	}
 	shards := makeShards(r.Frames-1, c.cfg.ShardPairs)
 	byPair := map[int]server.PairSummary{}
@@ -67,12 +64,12 @@ func (c *Coordinator) resumeJob(ctx context.Context, r *server.RecoveredJob) err
 		job.restoreShard(pairs, cp.Stats)
 	}
 
-	c.store.Put(r.ID, job)
+	c.jobs.Store.Put(r.ID, job)
 	c.metrics.jobs.With("resumed").Inc()
 	req := JobRequest{JobRequest: r.Req}
 	c.wg.Add(1)
 	go func() {
-		// Blocking admission: resumed jobs respect MaxJobs like fresh ones,
+		// Blocking admission: resumed jobs respect maxJobs like fresh ones,
 		// queueing behind each other when recovery brings back more than fit.
 		c.jobSlots <- struct{}{}
 		c.runJob(jobCtx, job, req, nil, skip, func() { <-c.jobSlots })

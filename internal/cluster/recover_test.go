@@ -269,7 +269,7 @@ func TestClusterDurableJobSpillsFields(t *testing.T) {
 	// Each field is larger than the size bound below, so the bound holds
 	// only if every field left memory; the result check then proves each
 	// spilled field was marked on disk and reads back.
-	v, _ := c.store.Get(view.ID)
+	v, _ := c.jobs.Store.Get(view.ID)
 	job := v.(*clusterJob)
 	if sz := job.SizeBytes(); sz > 1024 {
 		t.Fatalf("finished durable job charged %d bytes, want index overhead only", sz)

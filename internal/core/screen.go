@@ -347,7 +347,7 @@ func (k *blockKernel) sameReads(x0, x1, y, hx, hy, bx, by int) bool {
 	}
 	hyps := sm.hyps()
 	W1, H1 := W-1, H-1
-	for py := y-k.ry; py <= y+k.ry; py++ {
+	for py := y - k.ry; py <= y+k.ry; py++ {
 		rowIn := py >= 0 && py < H
 		for px := x0; px <= x1; px++ {
 			hqx, hqy, bqx, bqy := px+hx, py+hy, px+bx, py+by

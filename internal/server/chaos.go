@@ -176,7 +176,6 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("chaos: final metrics scrape: %w", err)
 	}
-	res.GoroutinesAfter = int(after["smaserve_goroutines"])
 	for name, want := range map[string]int64{
 		"smaserve_frame_retries_total":  wantRetries,
 		"smaserve_frames_skipped_total": wantFramesSkipped,
@@ -190,24 +189,14 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (ChaosResult, error) {
 	}
 	// Goroutine leak canary: allow the count to settle, then require it
 	// back near the baseline.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if res.GoroutinesAfter <= res.GoroutinesBefore+opt.GoroutineSlack {
-			break
-		}
-		if time.Now().After(deadline) {
-			violate("goroutines grew from %d to %d (slack %d): pipeline leak",
-				res.GoroutinesBefore, res.GoroutinesAfter, opt.GoroutineSlack)
-			break
-		}
-		select {
-		case <-time.After(100 * time.Millisecond):
-		case <-ctx.Done():
-			return res, ctx.Err()
-		}
-		if after, err = client.Counters(ctx); err == nil {
-			res.GoroutinesAfter = int(after["smaserve_goroutines"])
-		}
+	n, settled, err := client.AwaitGoroutines(ctx, res.GoroutinesBefore+opt.GoroutineSlack)
+	if err != nil {
+		return res, fmt.Errorf("chaos: final metrics scrape: %w", err)
+	}
+	res.GoroutinesAfter = n
+	if !settled {
+		violate("goroutines grew from %d to %d (slack %d): pipeline leak",
+			res.GoroutinesBefore, res.GoroutinesAfter, opt.GoroutineSlack)
 	}
 	return res, nil
 }

@@ -142,6 +142,38 @@ func (c JobClient) Counters(ctx context.Context) (map[string]int64, error) {
 	return out, nil
 }
 
+// goroutineSettle is how long AwaitGoroutines gives a role's goroutine
+// count to come back down after a drill.
+const goroutineSettle = 3 * time.Second
+
+// AwaitGoroutines re-scrapes the smaserve_goroutines gauge, the leak
+// canary on both roles, every 100 ms until it reads at most limit or
+// goroutineSettle has passed. It returns the last count read and whether
+// it settled. Only the first scrape's failure is an error; later ones
+// keep the last count.
+func (c JobClient) AwaitGoroutines(ctx context.Context, limit int) (int, bool, error) {
+	counters, err := c.Counters(ctx)
+	if err != nil {
+		return 0, false, err
+	}
+	n := int(counters["smaserve_goroutines"])
+	deadline := time.Now().Add(goroutineSettle)
+	for n > limit {
+		if time.Now().After(deadline) {
+			return n, false, nil
+		}
+		select {
+		case <-time.After(100 * time.Millisecond):
+		case <-ctx.Done():
+			return n, false, ctx.Err()
+		}
+		if counters, err := c.Counters(ctx); err == nil {
+			n = int(counters["smaserve_goroutines"])
+		}
+	}
+	return n, true, nil
+}
+
 func (c JobClient) get(ctx context.Context, path string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.URL+path, nil)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"sma/internal/core"
 	"sma/internal/grid"
 	"sma/internal/ingest"
-	"sma/internal/synth"
 )
 
 // DecodeImage decodes an uploaded frame, sniffing the format: PGM (P5/P2
@@ -139,102 +138,6 @@ func (f MotionField) Flow() (*grid.VectorField, *grid.Grid, error) {
 		V: grid.FromSlice(f.Width, f.Height, f.V),
 	}
 	return vf, grid.FromSlice(f.Width, f.Height, f.Eps), nil
-}
-
-// SyntheticRef names a server-rendered dataset: a synthetic scene from
-// internal/synth, so clients (and the load generator) can exercise the
-// full tracking path without shipping imagery.
-type SyntheticRef struct {
-	Scene  string `json:"scene"`            // hurricane | thunderstorm | shear
-	Size   int    `json:"size"`             // square edge, default 64
-	Seed   int64  `json:"seed"`             // scene seed
-	T0     int    `json:"t0,omitempty"`     // first frame index (track)
-	Frames int    `json:"frames,omitempty"` // sequence length (jobs)
-}
-
-// Scene materializes the referenced scene.
-func (ref SyntheticRef) SceneOf() (*synth.Scene, error) {
-	size := ref.Size
-	if size == 0 {
-		size = 64
-	}
-	if size < 8 || size > 1024 {
-		return nil, fmt.Errorf("server: synthetic size %d out of range [8, 1024]", size)
-	}
-	switch ref.Scene {
-	case "", "hurricane":
-		return synth.Hurricane(size, size, ref.Seed), nil
-	case "thunderstorm":
-		return synth.Thunderstorm(size, size, ref.Seed), nil
-	case "shear":
-		return synth.ShearScene(size, size, ref.Seed), nil
-	}
-	return nil, fmt.Errorf("server: unknown synthetic scene %q (want hurricane, thunderstorm or shear)", ref.Scene)
-}
-
-// ParamsSpec is the wire form of core.Params; zero fields take the
-// serving defaults (core.ScaledParams).
-type ParamsSpec struct {
-	NS  int  `json:"ns,omitempty"`
-	NZS int  `json:"nzs,omitempty"`
-	NZT int  `json:"nzt,omitempty"`
-	NST int  `json:"nst,omitempty"`
-	NSS *int `json:"nss,omitempty"` // pointer: 0 (continuous model) is meaningful
-}
-
-// Resolve merges the spec over the defaults and validates.
-func (s ParamsSpec) Resolve(def core.Params) (core.Params, error) {
-	p := def
-	if s.NS > 0 {
-		p.NS = s.NS
-	}
-	if s.NZS > 0 {
-		p.NZS = s.NZS
-	}
-	if s.NZT > 0 {
-		p.NZT = s.NZT
-	}
-	if s.NST > 0 {
-		p.NST = s.NST
-	}
-	if s.NSS != nil {
-		p.NSS = *s.NSS
-	}
-	if err := p.Validate(); err != nil {
-		return p, err
-	}
-	return p, nil
-}
-
-// PyramidSpec is the wire form of core.PyramidOptions: Levels > 1 selects
-// the summed-window exhaustive search of /v1/track and /v1/jobs requests
-// (docs/PERFORMANCE.md §9). Levels <= 1 (or an absent spec) keeps the
-// default block kernel, bit-identical to the reference. Both serving
-// roles — single node and cluster coordinator/worker — resolve the spec
-// through the same code so it is honored or rejected consistently.
-type PyramidSpec struct {
-	Levels int `json:"levels"`
-}
-
-// maxPyramidLevels bounds the levels a request may ask for; the value
-// beyond selecting the search changes nothing, this only rejects
-// nonsense.
-const maxPyramidLevels = 16
-
-// Resolve validates the spec against the resolved params and returns the
-// tracker options. A nil spec resolves to the disabled zero value.
-func (s *PyramidSpec) Resolve(p core.Params) (core.PyramidOptions, error) {
-	if s == nil {
-		return core.PyramidOptions{}, nil
-	}
-	if s.Levels < 1 || s.Levels > maxPyramidLevels {
-		return core.PyramidOptions{}, fmt.Errorf("server: pyramid levels %d out of range [1, %d]", s.Levels, maxPyramidLevels)
-	}
-	po := core.PyramidOptions{Levels: s.Levels}
-	if err := po.Check(p); err != nil {
-		return core.PyramidOptions{}, fmt.Errorf("server: %w", err)
-	}
-	return po, nil
 }
 
 // errorBody is the uniform JSON error envelope.

@@ -3,15 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 
-	"sma/internal/core"
-	"sma/internal/fault"
 	"sma/internal/journal"
 	"sma/internal/stream"
 )
@@ -289,55 +285,6 @@ func (l *JobLog) Compact(recs []*RecoveredJob) error {
 	return l.j.Compact(live)
 }
 
-// Open builds a Server like New and, when cfg.DataDir is set, attaches
-// the durable job plane: a FileStore for result bytes and a write-ahead
-// journal for job state. Call Recover before serving to replay the
-// journal and resume interrupted jobs.
-func Open(cfg Config) (*Server, error) {
-	if cfg.DataDir == "" {
-		return New(cfg), nil
-	}
-	if cfg.Store != nil {
-		return nil, errors.New("server: DataDir and a custom Store are mutually exclusive")
-	}
-	cfg = cfg.withDefaults()
-	jl, err := OpenJobLog(cfg.DataDir, cfg.Logf)
-	if err != nil {
-		return nil, err
-	}
-	// The store's eviction hooks need the Server (metrics) and the journal,
-	// but the Server needs the store first; the pointer is published after
-	// New and the hooks tolerate firing before that (nothing can be stored
-	// before Open returns anyway).
-	var srv atomic.Pointer[Server]
-	fs, err := NewFileStore(FileStoreConfig{
-		MemStoreConfig: MemStoreConfig{
-			TTL:        cfg.ResultTTL,
-			MaxEntries: cfg.MaxStoredResults,
-			MaxBytes:   cfg.MaxStoredBytes,
-			OnEvict: func(n int) {
-				if s := srv.Load(); s != nil {
-					s.metrics.evicted.Add(int64(n))
-				}
-			},
-			// A removed entry must not resurrect on the next restart.
-			OnRemove: jl.Delete,
-		},
-		Dir:  cfg.DataDir,
-		Logf: cfg.Logf,
-	})
-	if err != nil {
-		jl.Close() //smavet:allow errdiscard -- error-path teardown
-		return nil, err
-	}
-	cfg.Store = fs
-	s := New(cfg)
-	s.jlog, s.jobs.Log = jl, jl
-	s.fstore, s.jobs.Fields = fs, fs
-	srv.Store(s)
-	return s, nil
-}
-
 // Recover replays the journal, restores terminal jobs into the store,
 // resumes interrupted jobs from their last checkpointed pair, sweeps
 // orphaned field directories, and compacts the journal (JobPlane.Recover).
@@ -353,8 +300,11 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 // made the checkpointed pairs a contiguous prefix, so the merged output
 // is byte-identical to an uninterrupted run.
 func (s *Server) resumeJob(ctx context.Context, r *RecoveredJob) error {
-	if r.Frames < 2 || r.Req.Synthetic == nil {
-		return fmt.Errorf("unresumable spec (frames=%d)", r.Frames)
+	// Re-admit the journaled spec so a resumed job runs exactly the
+	// parameters and search mode it was accepted with.
+	adm, err := Admit(r.Req.Spec(), s.limits())
+	if err != nil {
+		return fmt.Errorf("unresumable spec: %w", err)
 	}
 	// The trusted prefix is the CONTIGUOUS run of checkpointed pairs: the
 	// in-order collector emits pairs in sequence, so a gap (a checkpoint
@@ -372,29 +322,15 @@ func (s *Server) resumeJob(ctx context.Context, r *RecoveredJob) error {
 	}
 	prefix := r.Pairs[:firstMissing]
 
-	params, err := r.Req.Params.Resolve(s.cfg.DefaultParams)
-	if err != nil {
-		return err
-	}
 	// Remaining window: pair k needs frames k and k+1, so resume renders
-	// frames firstMissing..Frames-1 by shifting the synthetic T0.
-	ref := *r.Req.Synthetic
-	ref.T0 += firstMissing
-	remaining := r.Frames - firstMissing
-	src, err := jobSource(ref, remaining)
+	// frames firstMissing..Frames-1. Fault plans are frame-indexed against
+	// the original sequence; a resumed job re-plans over the remaining
+	// window. Chaos accounting is therefore not preserved across a restart
+	// (documented in docs/ROBUSTNESS.md) — bit-identity of surviving pairs
+	// is.
+	src, err := r.Req.source(adm, firstMissing, r.Frames-firstMissing)
 	if err != nil {
 		return err
-	}
-	if r.Req.Fault != nil {
-		// Fault plans are frame-indexed against the original sequence; a
-		// resumed job re-plans over the remaining window. Chaos accounting
-		// is therefore not preserved across a restart (documented in
-		// docs/ROBUSTNESS.md) — bit-identity of surviving pairs is.
-		plan, err := r.Req.Fault.plan(remaining)
-		if err != nil {
-			return err
-		}
-		src = fault.WrapSource(src, plan)
 	}
 
 	jobCtx, jobCancel := context.WithCancel(context.WithoutCancel(ctx))
@@ -416,26 +352,18 @@ func (s *Server) resumeJob(ctx context.Context, r *RecoveredJob) error {
 			job.prefix.PairsFailed++
 		}
 	}
-	// Re-resolve the journaled pyramid spec so a resumed job searches in
-	// exactly the mode the original request was accepted with.
-	pyr, err := r.Req.Pyramid.Resolve(params)
-	if err != nil {
-		return fmt.Errorf("journaled pyramid spec: %w", err)
-	}
-	opt := core.Options{Robust: r.Req.Robust, Pyramid: pyr}
-
 	if err := s.pool.Submit(func(poolCtx context.Context) {
-		s.runJob(poolCtx, jobCtx, job, src, params, opt)
+		s.runJob(poolCtx, jobCtx, job, src, adm)
 	}); err != nil {
 		jobCancel()
 		// The journal still holds the job unfinished; it will be retried on
 		// the next restart. Record the failure in the store meanwhile.
 		job.status = JobFailed
 		job.errMsg = fmt.Sprintf("recovery resubmission rejected: %v", err)
-		s.store.Put(r.ID, job)
+		s.jobs.Store.Put(r.ID, job)
 		return err
 	}
-	s.store.Put(r.ID, job)
+	s.jobs.Store.Put(r.ID, job)
 	s.metrics.jobs.With("resumed").Inc()
 	return nil
 }

@@ -101,7 +101,7 @@ func TestDurableRestoreAcrossRestart(t *testing.T) {
 	waitForJob(t, ts1.URL, gone.ID, JobDone, 30*time.Second)
 	before := fetchResult(t, ts1.URL, kept.ID)
 	// Simulate retention dropping one job: its journal state must go too.
-	s1.store.Delete(gone.ID)
+	s1.jobs.Store.Delete(gone.ID)
 	ts1.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -287,7 +287,7 @@ func TestDurableJobSpillsFields(t *testing.T) {
 	ref := SyntheticRef{Scene: "hurricane", Size: 32, Seed: 11, Frames: 4}
 	view := createJob(t, ts.URL, JobRequest{Synthetic: &ref, Retain: true})
 	waitForJob(t, ts.URL, view.ID, JobDone, 30*time.Second)
-	v, _ := s.store.Get(view.ID)
+	v, _ := s.jobs.Store.Get(view.ID)
 	job := v.(*Job)
 	job.mu.Lock()
 	for p, f := range job.fields {
@@ -302,7 +302,7 @@ func TestDurableJobSpillsFields(t *testing.T) {
 	}
 	assertResultMatches(t, ref, fetchResult(t, ts.URL, view.ID))
 
-	if err := os.Remove(s.fstore.fieldPath(view.ID, 1)); err != nil {
+	if err := os.Remove(s.jobs.Fields.fieldPath(view.ID, 1)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + view.ID + "/result")

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -54,11 +53,11 @@ type JobRequest struct {
 	Retain bool `json:"retain,omitempty"`
 }
 
-// trackInput is a parsed track request, whichever wire form it arrived in.
+// trackInput is an admitted track request, whichever wire form it
+// arrived in.
 type trackInput struct {
+	Admitted
 	pair   core.Pair
-	params core.Params
-	opt    core.Options
 	format string
 }
 
@@ -68,6 +67,7 @@ func (s *Server) parseTrackRequest(r *http.Request) (trackInput, error) {
 	if err != nil {
 		return in, fmt.Errorf("bad Content-Type: %w", err)
 	}
+	spec := Spec{Frames: 2}
 	switch {
 	case ct == "application/json":
 		var req TrackRequest
@@ -77,21 +77,7 @@ func (s *Server) parseTrackRequest(r *http.Request) (trackInput, error) {
 		if req.Synthetic == nil {
 			return in, errors.New("JSON track requests need a synthetic dataset reference (or upload frames as multipart/form-data)")
 		}
-		scene, err := req.Synthetic.SceneOf()
-		if err != nil {
-			return in, err
-		}
-		t0 := req.Synthetic.T0
-		in.pair = core.Monocular(scene.Frame(float64(t0)), scene.Frame(float64(t0+1)))
-		in.params, err = req.Params.Resolve(s.cfg.DefaultParams)
-		if err != nil {
-			return in, err
-		}
-		pyr, err := req.Pyramid.Resolve(in.params)
-		if err != nil {
-			return in, err
-		}
-		in.opt = core.Options{Robust: req.Robust, Pyramid: pyr}
+		spec.Synthetic, spec.Params, spec.Pyramid, spec.Robust = req.Synthetic, req.Params, req.Pyramid, req.Robust
 		in.format = req.Format
 	case ct == "multipart/form-data":
 		if err := r.ParseMultipartForm(s.cfg.MaxBodyBytes); err != nil {
@@ -106,7 +92,11 @@ func (s *Server) parseTrackRequest(r *http.Request) (trackInput, error) {
 			return in, err
 		}
 		in.pair = core.Monocular(i0, i1)
-		spec := ParamsSpec{
+		if err := in.pair.Validate(); err != nil {
+			return in, err
+		}
+		spec.Width, spec.Height = i0.W, i0.H
+		spec.Params = ParamsSpec{
 			NS:  formInt(r, "ns"),
 			NZS: formInt(r, "nzs"),
 			NZT: formInt(r, "nzt"),
@@ -117,40 +107,32 @@ func (s *Server) parseTrackRequest(r *http.Request) (trackInput, error) {
 			if err != nil {
 				return in, fmt.Errorf("bad nss %q", v)
 			}
-			spec.NSS = &nss
+			spec.Params.NSS = &nss
 		}
-		in.params, err = spec.Resolve(s.cfg.DefaultParams)
-		if err != nil {
-			return in, err
-		}
-		var pspec *PyramidSpec
 		if v := r.FormValue("pyramid-levels"); v != "" {
 			levels, err := strconv.Atoi(v)
 			if err != nil {
 				return in, fmt.Errorf("bad pyramid-levels %q", v)
 			}
-			pspec = &PyramidSpec{Levels: levels}
+			spec.Pyramid = &PyramidSpec{Levels: levels}
 		}
-		pyr, err := pspec.Resolve(in.params)
-		if err != nil {
-			return in, err
-		}
-		in.opt = core.Options{Robust: r.FormValue("robust") == "true", Pyramid: pyr}
+		spec.Robust = r.FormValue("robust") == "true"
 		in.format = r.FormValue("format")
 	default:
 		return in, fmt.Errorf("unsupported Content-Type %q (want application/json or multipart/form-data)", ct)
+	}
+	if in.Admitted, err = Admit(spec, s.limits()); err != nil {
+		return in, err
+	}
+	if in.Scene != nil {
+		t0 := float64(spec.Synthetic.T0)
+		in.pair = core.Monocular(in.Scene.Frame(t0), in.Scene.Frame(t0+1))
 	}
 	if in.format == "" {
 		in.format = "json"
 	}
 	if in.format != "json" && in.format != "binary" {
 		return in, fmt.Errorf("unknown format %q (want json or binary)", in.format)
-	}
-	if err := in.pair.Validate(); err != nil {
-		return in, err
-	}
-	if px := in.pair.I0.W * in.pair.I0.H; px > s.cfg.MaxPixels {
-		return in, fmt.Errorf("frame area %d px exceeds the serving cap %d", px, s.cfg.MaxPixels)
 	}
 	return in, nil
 }
@@ -195,7 +177,7 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.TrackTimeout)
 	defer cancel()
-	res, code, err := s.runTrack(ctx, in.pair, in.params, in.opt)
+	res, code, err := s.runTrack(ctx, in.pair, in.Params, in.Options)
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			s.rejectSaturated(w, code)
@@ -207,7 +189,7 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	s.metrics.pairs.Inc()
 	s.metrics.fitsComputed.Add(2)
 
-	id, err := s.storeTrack(res, in.pair.I0, in.params)
+	id, err := s.storeTrack(res, in.pair.I0, in.Params)
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -294,44 +276,15 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON body: %v", err))
 		return
 	}
-	if req.Synthetic == nil {
-		s.httpError(w, http.StatusBadRequest, "jobs need a synthetic dataset reference")
+	adm, err := Admit(req.Spec(), s.limits())
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	frames := req.Synthetic.Frames
-	if frames < 2 {
-		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("need at least 2 frames, got %d", frames))
-		return
-	}
-	if frames > s.cfg.MaxFrames {
-		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("%d frames exceeds the serving cap %d", frames, s.cfg.MaxFrames))
-		return
-	}
-	params, err := req.Params.Resolve(s.cfg.DefaultParams)
+	src, err := req.source(adm, 0, frames)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	pyr, err := req.Pyramid.Resolve(params)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	src, err := jobSource(*req.Synthetic, frames)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Fault != nil {
-		plan, err := req.Fault.plan(frames)
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		src = fault.WrapSource(src, plan)
-	}
-	if px := req.Synthetic.Size * req.Synthetic.Size; px > s.cfg.MaxPixels {
-		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("frame area %d px exceeds the serving cap %d", px, s.cfg.MaxPixels))
 		return
 	}
 
@@ -346,12 +299,11 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	// (DELETE /v1/jobs/{id} is the cancellation surface).
 	jobCtx, jobCancel := context.WithCancel(context.WithoutCancel(r.Context()))
 	job := NewJob(id, frames, req.Retain, jobCancel)
-	opt := core.Options{Robust: req.Robust, Pyramid: pyr}
 
 	// The spec must be durable before the job is acknowledged: a crash
 	// after the 202 then finds the job in the journal and resumes it.
-	if s.jlog != nil {
-		if err := s.jlog.Spec(id, &req, frames, job.created); err != nil {
+	if s.jobs.Log != nil {
+		if err := s.jobs.Log.Spec(id, &req, frames, job.created); err != nil {
 			jobCancel()
 			s.httpError(w, http.StatusInternalServerError, fmt.Sprintf("journaling job: %v", err))
 			return
@@ -359,12 +311,12 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	submitErr := s.pool.Submit(func(poolCtx context.Context) {
-		s.runJob(poolCtx, jobCtx, job, src, params, opt)
+		s.runJob(poolCtx, jobCtx, job, src, adm)
 	})
 	if submitErr != nil {
 		jobCancel()
-		if s.jlog != nil {
-			s.jlog.Delete(id) // never ran; do not resurrect it on restart
+		if s.jobs.Log != nil {
+			s.jobs.Log.Delete(id) // never ran; do not resurrect it on restart
 		}
 		if errors.Is(submitErr, ErrSaturated) || errors.Is(submitErr, ErrShuttingDown) {
 			s.rejectSaturated(w, http.StatusServiceUnavailable)
@@ -373,15 +325,29 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusInternalServerError, submitErr.Error())
 		return
 	}
-	s.store.Put(id, job)
+	s.jobs.Store.Put(id, job)
 	s.metrics.jobs.With("created").Inc()
 	s.jobs.Accepted(w, job)
+}
+
+// source renders n frames of the admitted job from frame first on,
+// through the job's fault schedule planned over those n frames.
+func (req *JobRequest) source(a Admitted, first, n int) (stream.Source, error) {
+	src := a.Source(req.Synthetic.T0+first, n)
+	if req.Fault == nil {
+		return src, nil
+	}
+	plan, err := req.Fault.plan(n)
+	if err != nil {
+		return nil, err
+	}
+	return fault.WrapSource(src, plan), nil
 }
 
 // runJob executes one multi-frame job on the streaming pipeline inside a
 // pool slot. Cancellation arrives three ways — explicit DELETE, the job
 // timeout, and a forced shutdown drain — all merged into one context.
-func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.Source, p core.Params, opt core.Options) {
+func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.Source, adm Admitted) {
 	ctx, cancel := context.WithTimeout(jobCtx, s.cfg.JobTimeout)
 	defer cancel()
 	stopWatch := context.AfterFunc(poolCtx, cancel)
@@ -392,8 +358,8 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 		// checkpoint the job as pending (it stays queued) so recovery
 		// resumes it, instead of silently abandoning queued work the way
 		// SIGTERM used to.
-		if s.draining.Load() && s.jlog != nil {
-			s.jlog.Pending(job.ID)
+		if s.draining.Load() && s.jobs.Log != nil {
+			s.jobs.Log.Pending(job.ID)
 			s.metrics.jobs.With("pending").Inc()
 			return
 		}
@@ -402,71 +368,33 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 		job.finished = time.Now()
 		job.mu.Unlock()
 		s.metrics.jobs.With(string(JobCancelled)).Inc()
-		if s.jlog != nil {
-			s.jlog.End(job.ID, JobCancelled, "", stream.Stats{})
+		if s.jobs.Log != nil {
+			s.jobs.Log.End(job.ID, JobCancelled, "", stream.Stats{})
 		}
 		return
 	}
 	job.Start()
 
-	st, err := stream.StreamCtx(ctx, src, stream.Config{
-		Params:     p,
-		Options:    opt,
-		Workers:    1, // the pool slot is the unit of concurrency
-		RowWorkers: s.rowWorkers,
-		// Degraded-mode serving: transient frame errors are retried,
-		// persistently bad or damaged frames are skipped with pairing
-		// resynchronized, and a tracking failure costs only its pair.
-		// Surviving pairs stay bit-identical to an undamaged run.
-		Retry: stream.RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond},
-		Skip:  stream.SkipPolicy{MaxSkips: -1},
-		// NaN/Inf-strict; dead-line rejection stays off because flat
-		// scanlines are legitimate in low-texture imagery.
-		Gate:         &core.QualityGate{MaxBadFrac: 0, MaxDeadLineFrac: 1},
-		IsolatePairs: true,
-		OnPairDrop: func(pair int, cause error) {
-			// pairOffset maps a resumed pipeline's indices onto the original
-			// sequence (zero for ordinary jobs).
-			pair += job.pairOffset
-			status := PairFailed
-			var fe *stream.FrameError
-			if errors.As(cause, &fe) {
-				status = PairSkipped
-			}
-			ps := PairSummary{Pair: pair, Status: status, Error: cause.Error()}
-			job.AddPair(ps, nil)
-			if s.jlog != nil {
-				s.jlog.Pair(job.ID, ps)
-				fault.Crash("server.pair")
-			}
-		},
-	}, func(pair int, res *core.Result) error {
-		pair += job.pairOffset
-		var smf []byte
-		if job.retain {
-			var buf bytes.Buffer
-			if err := NewMotionField("", res).WriteBinary(&buf); err != nil {
-				return err
-			}
-			smf = buf.Bytes()
-		}
-		ps := PairSummary{Pair: pair, Status: PairOK, MeanMag: res.Flow.MeanMagnitude()}
+	// pairOffset maps a resumed pipeline's pairs onto the original
+	// sequence (zero for ordinary jobs).
+	st, err := StreamJob(ctx, src, adm, s.rowWorkers, job.pairOffset, job.retain, func(ps PairSummary, smf []byte) error {
 		job.AddPair(ps, smf)
-		if s.jlog != nil {
-			// Checkpoint ordering: the field bytes must be durable BEFORE
-			// the pair event, so replay never references a missing field. A
-			// failed field write skips the checkpoint (the pair re-runs on
-			// resume) — durability degrades, correctness does not.
-			if smf != nil {
-				if err := s.fstore.PutField(job.ID, pair, smf); err != nil {
-					s.cfg.Logf("smaserve: persisting field %d of %s: %v", pair, job.ID, err)
-					return nil
-				}
-				job.Spill(pair)
-			}
-			s.jlog.Pair(job.ID, ps)
-			fault.Crash("server.pair")
+		if s.jobs.Log == nil {
+			return nil
 		}
+		// Checkpoint ordering: the field bytes must be durable BEFORE the
+		// pair event, so replay never references a missing field. A failed
+		// field write skips the checkpoint (the pair re-runs on resume) —
+		// durability degrades, correctness does not.
+		if smf != nil {
+			if err := s.jobs.Fields.PutField(job.ID, ps.Pair, smf); err != nil {
+				s.cfg.Logf("smaserve: persisting field %d of %s: %v", ps.Pair, job.ID, err)
+				return nil
+			}
+			job.Spill(ps.Pair)
+		}
+		s.jobs.Log.Pair(job.ID, ps)
+		fault.Crash("server.pair")
 		return nil
 	})
 
@@ -478,14 +406,14 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 	st.Add(job.prefix)
 	job.AddStats(st)
 	status, errMsg := job.Finish(err, fmt.Sprintf("job exceeded its %v deadline", s.cfg.JobTimeout))
-	if s.jlog != nil {
+	if s.jobs.Log != nil {
 		if status == JobCancelled && s.draining.Load() {
 			// The drain, not the user, cancelled this run: mark it pending
 			// so recovery resumes it from the pairs already checkpointed.
-			s.jlog.Pending(job.ID)
+			s.jobs.Log.Pending(job.ID)
 			s.metrics.jobs.With("pending").Inc()
 		} else {
-			s.jlog.End(job.ID, status, errMsg, st)
+			s.jobs.Log.End(job.ID, status, errMsg, st)
 			s.metrics.jobs.With(string(status)).Inc()
 		}
 	} else {

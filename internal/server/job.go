@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"sma/internal/core"
 	"sma/internal/stream"
 )
 
@@ -274,3 +276,61 @@ func (j *Job) record() *Job { return j }
 
 // Snapshot returns the job's View.
 func (j *Job) Snapshot() any { return j.View() }
+
+// StreamJob runs src through the degraded-mode pipeline every job runs
+// under, on smaserve and on a cluster worker alike, so a shard degrades
+// exactly as the same pairs would in-process. Transient frame errors are
+// retried (3 attempts, 10 ms base delay); persistently bad or damaged
+// frames are skipped with pairing resynchronized; a frame with a NaN or
+// Inf sample is rejected, while dead-line rejection stays off because
+// flat scanlines are legitimate in low-texture imagery; a tracking
+// failure costs only its pair. Surviving pairs stay bit-identical to an
+// undamaged run.
+//
+// Each pair reaches emit in order, numbered from first: a tracked pair
+// with its mean magnitude, and its SMF1 bytes when encode is set, or a
+// dropped pair as skipped (a constituent frame was lost) or failed, with
+// its cause. An emit error ends the run and is returned.
+func StreamJob(ctx context.Context, src stream.Source, a Admitted, rowWorkers, first int, encode bool,
+	emit func(ps PairSummary, smf []byte) error) (stream.Stats, error) {
+	var emitErr error
+	st, err := stream.StreamCtx(ctx, src, stream.Config{
+		Params:       a.Params,
+		Options:      a.Options,
+		Workers:      1, // the pool or shard slot is the unit of concurrency
+		RowWorkers:   rowWorkers,
+		Retry:        stream.RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond},
+		Skip:         stream.SkipPolicy{MaxSkips: -1},
+		Gate:         &core.QualityGate{MaxBadFrac: 0, MaxDeadLineFrac: 1},
+		IsolatePairs: true,
+		OnPairDrop: func(pair int, cause error) {
+			if emitErr != nil {
+				return
+			}
+			status := PairFailed
+			var fe *stream.FrameError
+			if errors.As(cause, &fe) {
+				status = PairSkipped
+			}
+			emitErr = emit(PairSummary{Pair: first + pair, Status: status, Error: cause.Error()}, nil)
+		},
+	}, func(pair int, res *core.Result) error {
+		if emitErr != nil {
+			return emitErr
+		}
+		var smf []byte
+		if encode {
+			var buf bytes.Buffer
+			if err := NewMotionField("", res).WriteBinary(&buf); err != nil {
+				return err
+			}
+			smf = buf.Bytes()
+		}
+		emitErr = emit(PairSummary{Pair: first + pair, Status: PairOK, MeanMag: res.Flow.MeanMagnitude()}, smf)
+		return emitErr
+	})
+	if err == nil {
+		err = emitErr
+	}
+	return st, err
+}

@@ -26,6 +26,55 @@ type JobPlane struct {
 	Logf func(format string, args ...any)
 }
 
+// PlaneConfig sizes a role's job plane.
+type PlaneConfig struct {
+	// MemStoreConfig holds the result store's caps and eviction hook.
+	MemStoreConfig
+	// DataDir, when set, makes the plane durable: the store is a
+	// FileStore under DataDir/fields whose removals are journaled, and
+	// job state is journaled under DataDir/journal.
+	DataDir string
+	Jobs    metrics.Vec[*metrics.Value]
+	Logf    func(format string, args ...any)
+}
+
+// OpenJobPlane builds a role's job plane: the result store, and under
+// cfg.DataDir the journal and field files behind it. It fails only when
+// the data directory cannot be opened.
+func OpenJobPlane(cfg PlaneConfig) (*JobPlane, error) {
+	if cfg.DataDir == "" {
+		return memPlane(cfg), nil
+	}
+	jl, err := OpenJobLog(cfg.DataDir, cfg.Logf)
+	if err != nil {
+		return nil, err
+	}
+	// A job evicted or deleted from the store must not resurrect on the
+	// next restart.
+	cfg.OnRemove = jl.Delete
+	fs, err := NewFileStore(FileStoreConfig{MemStoreConfig: cfg.MemStoreConfig, Dir: cfg.DataDir, Logf: cfg.Logf})
+	if err != nil {
+		jl.Close() //smavet:allow errdiscard -- error-path teardown
+		return nil, err
+	}
+	return &JobPlane{Store: fs, Log: jl, Fields: fs, Jobs: cfg.Jobs, Logf: cfg.Logf}, nil
+}
+
+// memPlane is the in-memory job plane: a MemStore under cfg's caps.
+func memPlane(cfg PlaneConfig) *JobPlane {
+	return &JobPlane{Store: NewMemStore(cfg.MemStoreConfig), Jobs: cfg.Jobs, Logf: cfg.Logf}
+}
+
+// Close stops the store and closes the journal. Roles call it after
+// their drain, so the pending markers of the jobs it cut short land.
+func (p *JobPlane) Close() error {
+	p.Store.Close()
+	if p.Log == nil {
+		return nil
+	}
+	return p.Log.Close()
+}
+
 // httpError writes the JSON error body every endpoint answers with.
 func (p *JobPlane) httpError(w http.ResponseWriter, code int, msg string) {
 	WriteError(w, code, msg, p.Logf)

@@ -24,11 +24,11 @@ func TestTrackPyramidBitIdentity(t *testing.T) {
 		Pyramid:   &PyramidSpec{Levels: 2},
 	}
 
-	p, err := req.Params.Resolve(core.ScaledParams())
+	p, err := req.Params.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := req.Pyramid.Resolve(p)
+	opt, err := req.Pyramid.resolve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTrackPyramidRobust(t *testing.T) {
 		Robust:    true,
 		Pyramid:   &PyramidSpec{Levels: 2},
 	}
-	p, err := req.Params.Resolve(core.ScaledParams())
+	p, err := req.Params.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,12 +63,13 @@ go test -race -run 'Kernel|Block|EarlyExit|Screen|Batch|Tile|Summed|PyramidAccur
 
 # The robustness lock (docs/ROBUSTNESS.md): fault injection, degraded-
 # mode counters/bit-identity, pair isolation, pool drain/TTL races,
-# durable restore/resume and the /metrics exposition goldens on both
-# roles, run by name under the race detector for the same reason as
+# durable restore/resume, the /metrics exposition goldens on both roles,
+# and admission (one verdict on every role, the semi-fluid map and spec
+# body caps), run by name under the race detector for the same reason as
 # above.
 echo "== fault injection + degraded mode + durability (-race)"
 go test -race ./internal/fault || fail=1
-go test -race -run 'Fault|Degraded|Chaos|Skip|Retry|FrameError|Pool|TTL|Expired|Truncat|Durable|Exposition' \
+go test -race -run 'Fault|Degraded|Chaos|Skip|Retry|FrameError|Pool|TTL|Expired|Truncat|Durable|Exposition|Admission|BodyLimit' \
     ./internal/stream ./internal/server ./internal/cluster ./internal/ingest ./internal/grid ./internal/metrics || fail=1
 
 # The BENCH gates (docs/PERFORMANCE.md §4, §8, §9): each smabench run
