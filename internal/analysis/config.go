@@ -71,8 +71,8 @@ func DefaultConfig() *Config {
 			"slide", "aPlaneValues", "summedA", "invertMotion", "inverse", "packInverse",
 			"summedEps", "summedTheta",
 			// semi-fluid map — semimap.go
-			"semiMapPixel", "scoreDisplacements", "argminDeltas",
-			"argminNbr", "CropInto",
+			"mapRow", "addRow", "clampedRow", "sumPatches", "argminRow",
+			"CropInto",
 			// reference kernel (same hot-path discipline)
 			"scoreReference", "trackPixelReference",
 			// surface fit per-pixel path

@@ -94,6 +94,8 @@ func TestJobAdmissionMatchesAcrossRoles(t *testing.T) {
 		{"frames above cap", `{"synthetic":{"size":32,"frames":9}}`, true},
 		{"unknown scene", `{"synthetic":{"scene":"volcano","size":32,"frames":3}}`, false},
 		{"size out of range", `{"synthetic":{"size":4,"frames":3}}`, false},
+		{"t0 above cap", `{"synthetic":{"size":32,"t0":1000000000,"frames":3}}`, false},
+		{"t0 negative", `{"synthetic":{"size":32,"t0":-1,"frames":3}}`, false},
 		{"area above cap", `{"synthetic":{"size":128,"frames":3}}`, false},
 		{"nzs 128", `{"synthetic":{"size":32,"frames":3},"params":{"nzs":128}}`, false},
 		{"pyramid under Fsemi", `{"synthetic":{"size":32,"frames":3},"pyramid":{"levels":3}}`, false},

@@ -286,6 +286,27 @@ func TestClusterRealDeadWorker(t *testing.T) {
 	}
 }
 
+// TestShutdownUnstarted: a coordinator whose Start never ran shuts down
+// promptly — its registry has no heartbeat loop to join.
+func TestShutdownUnstarted(t *testing.T) {
+	co, err := New(Config{Workers: []string{"http://127.0.0.1:1"}, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- co.Shutdown(ctx) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown of an unstarted coordinator did not return")
+	}
+}
+
 // TestRegistryRevival: a worker that comes back (a restart) passes its
 // next heartbeat and rejoins dispatch.
 func TestRegistryRevival(t *testing.T) {

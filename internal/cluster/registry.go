@@ -29,9 +29,10 @@ type Registry struct {
 	mu    sync.Mutex
 	nodes []NodeState
 
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	stop    chan struct{}
+	done    chan struct{}
+	once    sync.Once
+	started bool // Start launched the heartbeat loop, which closes done; guarded by mu
 }
 
 // NewRegistry builds a registry over the worker base URLs. All nodes
@@ -59,6 +60,9 @@ func (r *Registry) Start(ctx context.Context, interval time.Duration) {
 		interval = time.Second
 	}
 	r.probeAll(ctx)
+	r.mu.Lock()
+	r.started = true
+	r.mu.Unlock()
 	go func() {
 		defer close(r.done)
 		t := time.NewTicker(interval)
@@ -76,10 +80,16 @@ func (r *Registry) Start(ctx context.Context, interval time.Duration) {
 	}()
 }
 
-// Stop ends the heartbeat loop and joins it.
+// Stop ends the heartbeat loop and joins it. On a registry whose Start
+// never ran there is no loop to join, and Stop returns at once.
 func (r *Registry) Stop() {
 	r.once.Do(func() { close(r.stop) })
-	<-r.done
+	r.mu.Lock()
+	started := r.started
+	r.mu.Unlock()
+	if started {
+		<-r.done
+	}
 }
 
 // probeAll heartbeats every node once.

@@ -3,8 +3,9 @@ package core
 import (
 	"context"
 	"math"
-	"math/bits"
 	"runtime"
+
+	"sma/internal/grid"
 )
 
 // SemiMap is the precomputed semi-fluid template mapping (paper eq. 9 and
@@ -74,11 +75,15 @@ func BuildSemiMap(prep *Prepared) *SemiMap {
 // information"), the discriminant differences are summed across all
 // channels.
 //
-// fsemi depends on h and δ only through the total displacement h+δ, so
-// each pixel scores every distinct displacement once into a table
-// (semiMapPixel) and takes each hypothesis's argmin from it. The table
-// entries are the very sums the per-(h, δ) evaluation computes, in the
-// same order, so the map is bit-identical to it at every worker count.
+// fsemi depends on h and δ only through the total displacement d = h+δ,
+// and each of its terms e_d(u) = (D′(u+d) − D(u))² only through the
+// patch sample u = p+s, which the (2·NST+1)² patches around u share.
+// Each worker therefore keeps the terms of 2·NST+1 rows for every
+// channel and total displacement (semiPlanes), adds one row per output
+// row, sums each fsemi(p, d) from the stored terms and takes each
+// hypothesis's argmin over δ. The terms and the sums are the very values
+// the per-(h, δ) evaluation computes, in the same order, so the map is
+// bit-identical to it at every worker count.
 //
 // Rows are claimed through the tile scheduler, which polls ctx before
 // every row: after cancellation each worker finishes at most its current
@@ -110,16 +115,14 @@ func buildSemiMapCtx(ctx context.Context, prep *Prepared, workers int, rowStart 
 	sm := &SemiMap{W: w, H: h, RX: rx, RY: ry, NSS: p.NSS,
 		DX: make([]int8, w*h*hyps), DY: make([]int8, w*h*hyps)}
 	side := chooseTileSize(p, w, h, workers)
-	err := forEachTileRow(ctx, newTileGrid(w, h, side, side), workers, func() func(t tileRect, y int) {
-		s := newSemiScorer(prep)
+	strip, chunk := semiScratchShape(p, 1+len(prep.Extra), side)
+	err := forEachTileRow(ctx, newTileGrid(w, h, strip, side), workers, func() func(t tileRect, y int) {
+		s := newSemiPlanes(prep, strip, chunk)
 		return func(t tileRect, y int) {
 			if rowStart != nil {
 				rowStart()
 			}
-			for x := t.X0; x < t.X1; x++ {
-				i := (y*w + x) * hyps
-				s.semiMapPixel(x, y, sm.DX[i:i+hyps], sm.DY[i:i+hyps])
-			}
+			s.mapRow(t, y, sm)
 		}
 	})
 	if err != nil {
@@ -128,177 +131,256 @@ func buildSemiMapCtx(ctx context.Context, prep *Prepared, workers int, rowStart 
 	return sm, nil
 }
 
-// semiLanes is how many adjacent displacements scoreDisplacements sums
-// at once: independent accumulators let their additions overlap instead
-// of waiting on one float64 add chain.
-const semiLanes = 4
+// semiLanes is how many adjacent pixels sumPatches sums at once:
+// independent accumulators let their additions overlap instead of
+// waiting on one float64 add chain. Rows narrower than semiLanes are
+// summed as semiLanes pixels wide, the extra pixels' sums unused.
+const semiLanes = 8
 
-// semiView locates one channel's samples for the pixel being mapped:
-// patch sample (sy, sx) of D is p0[sy·st0 + sx], and sample (wy, wx) of
-// the D′ window — origin (x−EX−NST, y−EY−NST), where EX = RX+NSS and
-// EY = RY+NSS are the total-displacement reaches — is p1[wy·st1 + wx].
-// Interior pixels view the discriminant grids in place (stride W);
-// border pixels view edge-clamped copies.
-type semiView struct {
-	p0, p1   []float32
-	st0, st1 int
+// semiScratchShape sizes a worker's scratch from tileL2Budget, for tiles
+// of side rows and channels discriminant channels: strip is the tile
+// width, the widest (≤ side) whose terms for every displacement and
+// their fsemi keys fit the budget, and chunk is how many total
+// displacements the term rows hold — all of them unless even a
+// semiLanes-wide strip's do not fit, as with very large NSS, NZS or NST.
+// Like the tile side, both are pure scheduling: any shape produces the
+// same map.
+func semiScratchShape(p Params, channels, side int) (strip, chunk int) {
+	nd := (2*(p.SearchRX()+p.NSS) + 1) * (2*(p.SearchRY()+p.NSS) + 1)
+	n := 2*p.NST + 1
+	// Bytes per strip column: 8·nd·(channels·n + 1); the term rows add
+	// 2·NST padding columns per channel, displacement and row.
+	perCol := 8 * nd * (channels*n + 1)
+	pad := 8 * nd * channels * n * 2 * p.NST
+	strip = min(side, max(semiLanes, (tileL2Budget-pad)/perCol))
+	gw := max(strip, semiLanes)
+	chunk = (tileL2Budget - 8*nd*gw) / (8 * channels * n * (gw + 2*p.NST))
+	return strip, min(nd, max(1, chunk))
 }
 
-// semiScorer is one worker's scratch for the semi-fluid map: the score
-// table over total displacement, the per-channel views, and the clamped
-// copies border pixels score from.
-type semiScorer struct {
-	ch       []ExtraChannel // channel 0 is the intensity discriminant
-	w, h     int
-	rx, ry   int
-	nss, nst int
-	ex, ey   int      // total-displacement reach: RX+NSS, RY+NSS
-	tw, th   int      // score table edges: 2·EX+1, 2·EY+1
-	n        int      // patch edge 2·NST+1
-	ww, wh   int      // D′ window edges: TW+2·NST, TH+2·NST
-	tab      []uint64 // semiKey of fsemi per total displacement
-	// δ ≠ (0, 0) in scan order: table offset and components.
+// semiPlanes is one worker's scratch for the semi-fluid map of tiles up
+// to its strip width.
+//
+// ring holds the per-displacement term planes: for channel c, total
+// displacement d (table raster order, the first chunk of them) and
+// padded row r ∈ [y−NST, y+NST] of output row y, ring slot (r+NST) mod n
+// holds e_c,d(u) = float64(D′_c(clamp(u+d)) − D_c(clamp(u)))² for
+// u = (x0−NST+i, r), i < rw, at ring[((c·chunk + d)·n + slot)·rw + i].
+// keys holds semiKey(fsemi(p, d)) of the output row's pixels at
+// keys[d·kw + x−x0].
+type semiPlanes struct {
+	ch     []ExtraChannel // channel 0 is the intensity discriminant
+	w      int
+	rx, ry int
+	nst, n int // patch radius and edge 2·NST+1
+	ex, ey int // total-displacement reach: RX+NSS, RY+NSS
+	tw     int // displacement table row length 2·EX+1
+	nd     int // total displacements (2·EX+1)·(2·EY+1)
+	chunk  int // displacements the term rows hold at once
+	kw, rw int // key row and term row strides: strip width (≥ semiLanes) and kw+2·NST
+	ring   []float64
+	keys   []uint64
+	slot   []int     // ring row offset slot·rw of patch row sy, for the current output row
+	row0   []float32 // clamped copy of a D row
+	row1   []float32 // clamped copy of a D′ row (EX wider on each side)
+	tile   tileRect  // the tile whose rows the ring holds, up to row next−1+NST
+	next   int
+	// δ ≠ (0, 0) in scan order: keys offset, and the components with
+	// δ = (0, 0) prepended at index 0.
 	nbrOff       []int
 	nbrDX, nbrDY []int8
-	views        []semiView
-	pat, win     []float32 // clamped D patches and D′ windows, one per channel
+	best         []uint64 // argminRow's running minimum and its δ index per pixel
+	bj           []int32
 }
 
-func newSemiScorer(prep *Prepared) *semiScorer {
+func newSemiPlanes(prep *Prepared, strip, chunk int) *semiPlanes {
 	p := prep.P
-	s := &semiScorer{
+	s := &semiPlanes{
 		ch: append([]ExtraChannel{{D0: prep.D0, D1: prep.D1}}, prep.Extra...),
-		w:  prep.W, h: prep.H,
+		w:  prep.W,
 		rx: p.SearchRX(), ry: p.SearchRY(),
-		nss: p.NSS, nst: p.NST,
+		nst: p.NST, n: 2*p.NST + 1,
+		chunk: chunk,
+		kw:    max(strip, semiLanes),
+		next:  -1,
+		nbrDX: []int8{0}, nbrDY: []int8{0},
 	}
-	s.ex, s.ey = s.rx+s.nss, s.ry+s.nss
-	s.tw, s.th = 2*s.ex+1, 2*s.ey+1
-	s.n = 2*s.nst + 1
-	s.ww, s.wh = s.tw+2*s.nst, s.th+2*s.nst
-	s.tab = make([]uint64, s.tw*s.th)
-	for dy := -s.nss; dy <= s.nss; dy++ {
-		for dx := -s.nss; dx <= s.nss; dx++ {
+	s.ex, s.ey = s.rx+p.NSS, s.ry+p.NSS
+	s.tw = 2*s.ex + 1
+	s.nd = s.tw * (2*s.ey + 1)
+	s.rw = s.kw + 2*s.nst
+	for dy := -p.NSS; dy <= p.NSS; dy++ {
+		for dx := -p.NSS; dx <= p.NSS; dx++ {
 			if dx != 0 || dy != 0 {
-				s.nbrOff = append(s.nbrOff, dy*s.tw+dx)
+				s.nbrOff = append(s.nbrOff, (dy*s.tw+dx)*s.kw)
 				s.nbrDX = append(s.nbrDX, int8(dx))
 				s.nbrDY = append(s.nbrDY, int8(dy))
 			}
 		}
 	}
-	s.views = make([]semiView, len(s.ch))
-	s.pat = make([]float32, len(s.ch)*s.n*s.n)
-	s.win = make([]float32, len(s.ch)*s.ww*s.wh)
+	s.ring = make([]float64, len(s.ch)*chunk*s.n*s.rw)
+	s.keys = make([]uint64, s.nd*s.kw)
+	s.best = make([]uint64, s.kw)
+	s.bj = make([]int32, s.kw)
+	s.slot = make([]int, s.n)
+	s.row0 = make([]float32, s.rw)
+	s.row1 = make([]float32, s.rw+2*s.ex)
 	return s
 }
 
-// semiMapPixel fills δ for every hypothesis of pixel (x, y) into dx/dy
-// (hypothesis raster order). Pixels whose whole reach — EX/EY plus the
-// NST patch radius — lies inside the grid read the discriminant rows in
-// place; the rest score edge-clamped copies, which hold exactly the
-// samples grid.At serves there.
-func (s *semiScorer) semiMapPixel(x, y int, dx, dy []int8) {
-	reachX, reachY := s.ex+s.nst, s.ey+s.nst
-	if x-reachX >= 0 && x+reachX < s.w && y-reachY >= 0 && y+reachY < s.h {
-		for c, ch := range s.ch {
-			s.views[c] = semiView{
-				p0: ch.D0.Data[(y-s.nst)*s.w+x-s.nst:], st0: s.w,
-				p1: ch.D1.Data[(y-reachY)*s.w+x-reachX:], st1: s.w,
-			}
-		}
-	} else {
-		for c, ch := range s.ch {
-			pat := s.pat[c*s.n*s.n : (c+1)*s.n*s.n]
-			ch.D0.CropInto(pat, x-s.nst, y-s.nst, s.n, s.n)
-			win := s.win[c*s.ww*s.wh : (c+1)*s.ww*s.wh]
-			ch.D1.CropInto(win, x-reachX, y-reachY, s.ww, s.wh)
-			s.views[c] = semiView{p0: pat, st0: s.n, p1: win, st1: s.ww}
-		}
+// mapRow fills δ for every hypothesis of output row y's pixels in tile t.
+// When the ring holds every displacement and already holds rows up to
+// y−1+NST of this tile, it adds row y+NST; otherwise (a new tile, or
+// displacements in chunks) it fills all 2·NST+1 rows first.
+func (s *semiPlanes) mapRow(t tileRect, y int, sm *SemiMap) {
+	gw := max(t.X1-t.X0, semiLanes)
+	for sy := range s.slot {
+		s.slot[sy] = (y + sy) % s.n * s.rw
 	}
-	scoreDisplacements(s.tab, s.tw, s.th, s.n, s.views)
-	s.argminDeltas(dx, dy)
-}
-
-// scoreDisplacements fills tab[ty·tw + tx] with fsemi at total
-// displacement (tx−EX, ty−EY): the sum over channels, then patch rows sy,
-// then columns sx, of the squared float32 discriminant difference widened
-// to float64 — the order eqs. 10–11 are evaluated in per (h, δ), so each
-// entry is bit-identical to a direct evaluation. semiLanes adjacent
-// displacements of a table row are summed side by side, each in its own
-// accumulator; a row's last group is shifted left to end at the row's
-// edge, recomputing (identically) entries it overlaps. tw ≥ semiLanes
-// holds because validated params (Prepare checks them) have RX ≥ 1 and
-// the semi-fluid model has NSS ≥ 1, so tw ≥ 5.
-func scoreDisplacements(tab []uint64, tw, th, n int, views []semiView) {
-	for ty := 0; ty < th; ty++ {
-		row := tab[ty*tw : (ty+1)*tw]
-		for tx := 0; tx < tw; tx += semiLanes {
-			if tx+semiLanes > tw {
-				tx = tw - semiLanes
-			}
-			var s0, s1, s2, s3 float64
-			for _, v := range views {
-				for sy := 0; sy < n; sy++ {
-					r0 := v.p0[sy*v.st0 : sy*v.st0+n]
-					o := (ty+sy)*v.st1 + tx
-					r1 := v.p1[o : o+n+semiLanes-1]
-					for i, a := range r0 {
-						q := r1[i : i+semiLanes : i+semiLanes]
-						d := float64(q[0] - a)
-						s0 += d * d
-						d = float64(q[1] - a)
-						s1 += d * d
-						d = float64(q[2] - a)
-						s2 += d * d
-						d = float64(q[3] - a)
-						s3 += d * d
-					}
-				}
-			}
-			row[tx], row[tx+1], row[tx+2], row[tx+3] = semiKey(s0), semiKey(s1), semiKey(s2), semiKey(s3)
-		}
+	lo := y - s.nst
+	if s.chunk == s.nd && t == s.tile && y == s.next {
+		lo = y + s.nst
 	}
-}
+	for d0 := 0; d0 < s.nd; d0 += s.chunk {
+		d1 := min(d0+s.chunk, s.nd)
+		for r := lo; r <= y+s.nst; r++ {
+			s.addRow(t.X0, gw, r, d0, d1)
+		}
+		s.sumPatches(gw, d0, d1)
+	}
+	s.tile, s.next = t, y+1
 
-// argminDeltas takes each hypothesis h's δ from the score table: the
-// table cell of h+δ over |δ|∞ ≤ NSS, starting from δ = (0, 0) and then
-// in scan order (s.nbrOff) with a strict <, so ties keep the earlier δ.
-// The table holds semiKey(score), whose integer order is the float
-// order, so the comparisons run as branch-free borrow masks instead of
-// unpredictable branches. A NaN centre keeps δ = (0, 0), as no float
-// compares less than NaN; NaN neighbours carry the top key, so they
-// never win.
-func (s *semiScorer) argminDeltas(dx, dy []int8) {
+	hyps := sm.hyps()
+	width := t.X1 - t.X0
 	k := 0
 	for hy := -s.ry; hy <= s.ry; hy++ {
-		row := (hy + s.ey) * s.tw
 		for hx := -s.rx; hx <= s.rx; hx++ {
-			j := argminNbr(s.tab, s.nbrOff, row+hx+s.ex)
-			if j >= 0 {
-				dx[k], dy[k] = s.nbrDX[j], s.nbrDY[j]
-			} else {
-				dx[k], dy[k] = 0, 0
+			bj := s.argminRow(((hy+s.ey)*s.tw+hx+s.ex)*s.kw, width)
+			o := (y*s.w+t.X0)*hyps + k
+			for _, j := range bj {
+				sm.DX[o], sm.DY[o] = s.nbrDX[j], s.nbrDY[j]
+				o += hyps
 			}
 			k++
 		}
 	}
 }
 
-// argminNbr returns the index into off of the neighbour of table cell c
-// with the smallest key, the first in off among equal keys, when that key
-// is below c's own; otherwise (and always when c is NaN) it returns −1.
-func argminNbr(tab []uint64, off []int, c int) int {
-	best, bj := tab[c], -1
-	if best == semiNaNKey {
-		return -1
+// addRow stores padded row r's terms, columns x0−NST … x0+gw+NST−1, for
+// displacements [d0, d1) in ring slot (r+NST) mod n. The D and D′ rows
+// are read in place when their span lies inside the grid and through
+// grid.At's edge clamp otherwise, so every term is the one the
+// per-(h, δ) evaluation forms at that patch sample.
+func (s *semiPlanes) addRow(x0, gw, r, d0, d1 int) {
+	m := gw + 2*s.nst
+	slot := (r + s.nst) % s.n * s.rw
+	for c, ch := range s.ch {
+		a0 := clampedRow(ch.D0, x0-s.nst, r, m, s.row0)
+		var a1 []float32
+		dyRow := math.MinInt
+		for d := d0; d < d1; d++ {
+			if dy := d / s.tw; dy != dyRow {
+				dyRow = dy
+				a1 = clampedRow(ch.D1, x0-s.nst-s.ex, r+dy-s.ey, m+2*s.ex, s.row1)
+			}
+			q := a1[d%s.tw:][:len(a0)]
+			o := (c*s.chunk+d-d0)*s.n*s.rw + slot
+			e := s.ring[o : o+len(a0)]
+			for i, a := range a0 {
+				v := float64(q[i] - a)
+				e[i] = v * v
+			}
+		}
 	}
-	for j, o := range off {
-		// mask is all ones exactly when v < best.
-		v := tab[c+o]
-		_, lt := bits.Sub64(v, best, 0)
-		mask := -lt
-		best ^= (best ^ v) & mask
-		bj ^= (bj ^ j) & int(mask)
+}
+
+// clampedRow returns samples x0 … x0+m−1 of row y of g as grid.At serves
+// them: a slice of g's row when the span lies inside the grid, else an
+// edge-clamped copy in buf.
+func clampedRow(g *grid.Grid, x0, y, m int, buf []float32) []float32 {
+	if x0 >= 0 && x0+m <= g.W {
+		y = min(max(y, 0), g.H-1)
+		return g.Data[y*g.W+x0 : y*g.W+x0+m]
+	}
+	g.CropInto(buf[:m], x0, y, m, 1)
+	return buf[:m]
+}
+
+// sumPatches stores the keys of fsemi(p, d) for the output row's first gw
+// pixels and displacements [d0, d1): the sum over channels, then patch
+// rows, then columns of the stored terms — the order eqs. 10–11 are
+// evaluated in per (h, δ), so each key is bit-identical to a direct
+// evaluation's. semiLanes adjacent pixels are summed side by side, each
+// in its own accumulator; a row's last group is shifted left to end at
+// the row's edge, recomputing (identically) the sums it overlaps.
+func (s *semiPlanes) sumPatches(gw, d0, d1 int) {
+	n := s.n
+	for d := d0; d < d1; d++ {
+		keys := s.keys[d*s.kw : d*s.kw+gw]
+		for x := 0; x < gw; x += semiLanes {
+			if x+semiLanes > gw {
+				x = gw - semiLanes
+			}
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
+			for c := range s.ch {
+				plane := s.ring[(c*s.chunk+d-d0)*n*s.rw:]
+				for _, off := range s.slot {
+					// Patch columns sx = 0 … n−1: q starts at column x+sx.
+					// The loop exits at its bottom, so each accumulator's
+					// only use is its add and the loads fold into the adds;
+					// a counted loop spills an accumulator instead.
+					q := plane[off+x : off+x+n+semiLanes-1]
+					for {
+						_ = q[semiLanes-1]
+						a0 += q[0]
+						a1 += q[1]
+						a2 += q[2]
+						a3 += q[3]
+						a4 += q[4]
+						a5 += q[5]
+						a6 += q[6]
+						a7 += q[7]
+						if len(q) <= semiLanes {
+							break
+						}
+						q = q[1:]
+					}
+				}
+			}
+			k := keys[x : x+semiLanes : x+semiLanes]
+			k[0], k[1], k[2], k[3] = semiKey(a0), semiKey(a1), semiKey(a2), semiKey(a3)
+			k[4], k[5], k[6], k[7] = semiKey(a4), semiKey(a5), semiKey(a6), semiKey(a7)
+		}
+	}
+}
+
+// argminRow takes one hypothesis's δ for the row's first width pixels,
+// from the keys of its centre displacement (keys offset c) and of its
+// neighbours (s.nbrOff): δ = (0, 0) first, then scan order with a strict
+// <, so ties keep the earlier δ. It returns, per pixel, the index of δ
+// in s.nbrDX/s.nbrDY. Keys are semiKey(score), whose integer order is
+// the float order, so each comparison is one unsigned compare feeding
+// conditional moves, run pixel by pixel across the row, instead of an
+// unpredictable float branch. A NaN centre keeps δ = (0, 0), as no float
+// compares less than NaN: it starts from key 0, which no key is below.
+// NaN neighbours carry the top key, so they never win.
+func (s *semiPlanes) argminRow(c, width int) []int32 {
+	best, bj := s.best[:width], s.bj[:width]
+	for x, v := range s.keys[c : c+width] {
+		if v == semiNaNKey {
+			v = 0
+		}
+		best[x], bj[x] = v, 0
+	}
+	for j, o := range s.nbrOff {
+		keys, jj := s.keys[c+o:][:len(best)], int32(j+1)
+		for x, b := range best {
+			v, i := keys[x], bj[x]
+			if v < b { // compiled to conditional moves, not a branch
+				b, i = v, jj
+			}
+			best[x], bj[x] = b, i
+		}
 	}
 	return bj
 }

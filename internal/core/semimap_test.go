@@ -235,3 +235,80 @@ func TestSemiMapCtxCancelMidBuild(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, now)
 	}
 }
+
+// TestSemiMapChunkedMatchesNaive covers the scratch shape large reaches
+// take: when even a semiLanes-wide strip's terms for every displacement
+// overflow tileL2Budget, the term rows hold the displacements a chunk at
+// a time and every row refills them. The map is still the naive one.
+func TestSemiMapChunkedMatchesNaive(t *testing.T) {
+	p := Params{NS: 2, NZS: 6, NZT: 2, NST: 3, NSS: 1}
+	prep := discPrep(rand.New(rand.NewSource(25)), p, 13, 11, 2, 3)
+	nd := (2*(p.NZS+p.NSS) + 1) * (2*(p.NZS+p.NSS) + 1)
+	if _, chunk := semiScratchShape(p, 3, 11); chunk >= nd {
+		t.Fatalf("chunk %d holds all %d displacements: the case does not chunk", chunk, nd)
+	}
+	want := buildSemiMapNaive(prep)
+	for _, workers := range []int{1, 2} {
+		got, err := BuildSemiMapCtx(context.Background(), prep, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSemiMap(got, want) {
+			t.Fatalf("workers=%d: chunked semi-fluid map differs from the naive evaluation", workers)
+		}
+	}
+}
+
+// TestSemiMapAllocsIndependentOfHeight: the build allocates the map,
+// the scheduler's goroutines and one scratch per worker, so its
+// allocation count does not grow with the image — no row or tile
+// allocates.
+func TestSemiMapAllocsIndependentOfHeight(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	allocs := func(h int) float64 {
+		prep := discPrep(rng, ScaledParams(), 64, h, 0, 0)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := BuildSemiMapCtx(context.Background(), prep, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, tall := allocs(16), allocs(256); short != tall {
+		t.Fatalf("allocations per build: %v at 64×16, %v at 64×256", short, tall)
+	}
+}
+
+// FuzzSemiMap compares the map byte for byte with buildSemiMapNaive on
+// random small grids (1×N and N×1 included), NSS and NST from 1 to 3,
+// square and rectangular search windows, up to two extra channels,
+// quantized samples (ties), NaN and ±Inf samples, and 1–3 workers.
+func FuzzSemiMap(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(8), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(0), uint8(11), uint8(2), uint8(3), uint8(1), uint8(2), uint8(2), uint8(1), uint8(1), uint8(3))
+	f.Add(int64(3), uint8(9), uint8(0), uint8(0), uint8(1), uint8(3), uint8(1), uint8(0), uint8(2), uint8(2), uint8(7))
+	f.Add(int64(4), uint8(5), uint8(6), uint8(1), uint8(0), uint8(0), uint8(2), uint8(2), uint8(0), uint8(2), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, w, h, nzs, nzsx, nzsy, nss, nst, extra, workers, special uint8) {
+		p := Params{NS: 2, NZT: 2,
+			NZS: 1 + int(nzs%3), NZSX: int(nzsx % 4), NZSY: int(nzsy % 4),
+			NSS: 1 + int(nss%3), NST: 1 + int(nst%3)}
+		rng := rand.New(rand.NewSource(seed))
+		prep := discPrep(rng, p, 1+int(w%12), 1+int(h%12), int(extra%3), []int{0, 2, 5}[rng.Intn(3)])
+		chans := []*grid.Grid{prep.D0, prep.D1}
+		for _, c := range prep.Extra {
+			chans = append(chans, c.D0, c.D1)
+		}
+		values := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+		for i := 0; i < int(special%8); i++ {
+			g := chans[rng.Intn(len(chans))]
+			g.Data[rng.Intn(len(g.Data))] = values[rng.Intn(len(values))]
+		}
+		want := buildSemiMapNaive(prep)
+		got, err := BuildSemiMapCtx(context.Background(), prep, 1+int(workers%3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSemiMap(got, want) {
+			t.Fatalf("%dx%d %+v, %d extra channels: semi-fluid map differs from the naive evaluation", prep.W, prep.H, p, len(prep.Extra))
+		}
+	})
+}

@@ -56,9 +56,10 @@ type Admitted struct {
 // and job endpoints, the coordinator, the worker's shard endpoint and
 // crash recovery — so a spec gets the same verdict and the same error
 // wherever it is posted. It checks, in this order: the frame source and
-// count, the synthetic scene and size, the frame area, the parameters
-// (zero fields take core.ScaledParams), the search mode, and the
-// semi-fluid map's size.
+// count, the synthetic scene and size, the synthetic first frame index
+// (T0 in [0, DefaultMaxFrames]), the frame area, the parameters (zero
+// fields take core.ScaledParams), the search mode, and the semi-fluid
+// map's size.
 func Admit(spec Spec, lim Limits) (Admitted, error) {
 	var a Admitted
 	if spec.Synthetic == nil && spec.Width <= 0 {
@@ -75,6 +76,11 @@ func Admit(spec Spec, lim Limits) (Admitted, error) {
 		scene, err := spec.Synthetic.SceneOf()
 		if err != nil {
 			return a, err
+		}
+		// Rendering frame t integrates each pixel's trajectory over |t|
+		// time units, so the first frame index is capped like the count.
+		if t0 := spec.Synthetic.T0; t0 < 0 || t0 > DefaultMaxFrames {
+			return a, fmt.Errorf("first frame index t0 = %d out of range [0, %d]", t0, DefaultMaxFrames)
 		}
 		a.Scene = scene
 		w, h = scene.W, scene.H

@@ -76,17 +76,19 @@ func TestAdmissionSemiMapBound(t *testing.T) {
 }
 
 // FuzzAdmission: Admit never panics; whatever it accepts validates and
-// fits the caps; and a job's verdict on the frame-capped roles (smaserve,
+// fits the caps, its first frame index included; and a job's verdict on the frame-capped roles (smaserve,
 // coordinator) matches the verdict on a worker, which admits a shard of
 // it without the frame cap — the same error, or the same resolved
 // parameters and options.
 func FuzzAdmission(f *testing.F) {
-	f.Add("", 32, 3, 0, 0, 0, 0, -1, 0, false, 8, 4096)
-	f.Add("volcano", 32, 3, 0, 128, 0, 0, -1, 0, false, 8, 4096)
-	f.Add("thunderstorm", 64, 9, 2, 7, 7, 2, 0, 3, true, 0, 0)
-	f.Add("shear", 64, 2, 0, 3, 0, 0, 1, 0, false, 8, 4096)
-	f.Add("", 1024, 2, 0, 127, 0, 0, -1, 0, false, 0, 0)
-	f.Fuzz(func(t *testing.T, scene string, size, frames, ns, nzs, nzt, nst, nss, levels int, robust bool, maxFrames, maxPixels int) {
+	f.Add("", 32, 0, 3, 0, 0, 0, 0, -1, 0, false, 8, 4096)
+	f.Add("volcano", 32, 0, 3, 0, 128, 0, 0, -1, 0, false, 8, 4096)
+	f.Add("thunderstorm", 64, 5, 9, 2, 7, 7, 2, 0, 3, true, 0, 0)
+	f.Add("shear", 64, 0, 2, 0, 3, 0, 0, 1, 0, false, 8, 4096)
+	f.Add("", 1024, 0, 2, 0, 127, 0, 0, -1, 0, false, 0, 0)
+	f.Add("", 32, 1000000000, 3, 0, 0, 0, 0, -1, 0, false, 8, 4096)
+	f.Add("", 32, -1, 3, 0, 0, 0, 0, -1, 0, false, 8, 4096)
+	f.Fuzz(func(t *testing.T, scene string, size, t0, frames, ns, nzs, nzt, nst, nss, levels int, robust bool, maxFrames, maxPixels int) {
 		// A role's caps are positive once its config takes its defaults.
 		lim := Limits{MaxFrames: maxFrames, MaxPixels: maxPixels}
 		if lim.MaxFrames <= 0 {
@@ -95,7 +97,7 @@ func FuzzAdmission(f *testing.F) {
 		if lim.MaxPixels <= 0 {
 			lim.MaxPixels = DefaultMaxPixels
 		}
-		ref := &SyntheticRef{Scene: scene, Size: size, Frames: frames}
+		ref := &SyntheticRef{Scene: scene, Size: size, T0: t0, Frames: frames}
 		spec := Spec{
 			Synthetic: ref,
 			Frames:    frames,
@@ -134,6 +136,9 @@ func FuzzAdmission(f *testing.F) {
 		}
 		if err := job.Options.Pyramid.Check(job.Params); err != nil {
 			t.Fatalf("admitted an invalid search mode: %v", err)
+		}
+		if t0 < 0 || t0 > DefaultMaxFrames {
+			t.Fatalf("admitted first frame index %d outside [0, %d]", t0, DefaultMaxFrames)
 		}
 		px := job.Scene.W * job.Scene.H
 		if px > lim.MaxPixels {

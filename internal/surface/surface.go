@@ -8,7 +8,9 @@
 //
 // Following the paper, each patch uses a (2Ns+1)×(2Ns+1) neighborhood and
 // the fit "leads to solving a 6×6 matrix using the Gaussian-elimination
-// method"; FitAll performs exactly one such elimination per pixel.
+// method". The matrix is the same at every pixel, so a Fitter eliminates
+// it once and replays the elimination on each pixel's right-hand side,
+// with the bits of one elimination per pixel.
 package surface
 
 import (
@@ -46,13 +48,16 @@ func (p *Patch) Discriminant() float64 { return 4*p.C[3]*p.C[5] - p.C[4]*p.C[4] 
 
 // Fitter fits quadratic patches with a fixed neighborhood radius Ns.
 // The design matrix depends only on the window geometry, so its normal
-// matrix AᵀA is precomputed once; each per-pixel fit still performs the
-// paper's 6×6 Gaussian elimination on a fresh copy.
+// matrix AᵀA is accumulated and eliminated once, in NewFitter; each
+// per-pixel fit replays that elimination on its own right-hand side
+// (la.SolveFactored6), which gives the same bits as running the paper's
+// 6×6 Gaussian elimination (la.Solve6) at every pixel.
 type Fitter struct {
 	Ns   int
 	rows []la.Vec6 // one design row per window pixel, row-major
 	offs []int8    // interleaved (du, dv) per window pixel
-	ata  la.Mat6
+	lu   la.Factored6
+	ok   bool // AᵀA is nonsingular (always, for Ns >= 1)
 }
 
 // NewFitter returns a Fitter for a (2ns+1)×(2ns+1) surface-patch window.
@@ -63,6 +68,7 @@ func NewFitter(ns int) (*Fitter, error) {
 		return nil, fmt.Errorf("surface: Ns = %d, need >= 1", ns)
 	}
 	f := &Fitter{Ns: ns}
+	var ata la.Mat6
 	for dv := -ns; dv <= ns; dv++ {
 		for du := -ns; du <= ns; du++ {
 			u := float64(du)
@@ -72,11 +78,12 @@ func NewFitter(ns int) (*Fitter, error) {
 			f.offs = append(f.offs, int8(du), int8(dv))
 			for i := 0; i < 6; i++ {
 				for j := 0; j < 6; j++ {
-					f.ata[i][j] += row[i] * row[j]
+					ata[i][j] += row[i] * row[j]
 				}
 			}
 		}
 	}
+	f.lu, f.ok = la.Factor6(&ata)
 	return f, nil
 }
 
@@ -89,21 +96,24 @@ func (f *Fitter) WindowSize() int { return 2*f.Ns + 1 }
 // ok is false only if the (fixed, well-conditioned) system is singular,
 // which cannot happen for ns >= 1; it is retained for interface symmetry.
 func (f *Fitter) Fit(g *grid.Grid, x, y int) (Patch, bool) {
-	var b la.Vec6
+	if !f.ok {
+		return Patch{}, false
+	}
+	// Aᵀz in six scalars, each summed over the window in row-major order.
+	var b0, b1, b2, b3, b4, b5 float64
 	for k, row := range f.rows {
 		du := int(f.offs[2*k])
 		dv := int(f.offs[2*k+1])
 		z := float64(g.At(x+du, y+dv))
-		for i := 0; i < 6; i++ {
-			b[i] += row[i] * z
-		}
+		b0 += row[0] * z
+		b1 += row[1] * z
+		b2 += row[2] * z
+		b3 += row[3] * z
+		b4 += row[4] * z
+		b5 += row[5] * z
 	}
-	a := f.ata // copy; Solve6 clobbers
-	c, ok := la.Solve6(&a, &b)
-	if !ok {
-		return Patch{}, false
-	}
-	return Patch{C: c}, true
+	b := la.Vec6{b0, b1, b2, b3, b4, b5}
+	return Patch{C: la.SolveFactored6(&f.lu, &b)}, true
 }
 
 // Field holds the per-pixel differential geometry of a fitted image:
@@ -118,7 +128,7 @@ type Field struct {
 
 // FitAll fits a patch at every pixel of g and assembles the geometry field.
 // This is the paper's "Surface fit" + "Compute geometric variables" stage:
-// one 6×6 Gaussian elimination per pixel.
+// one 6×6 solve per pixel.
 func (f *Fitter) FitAll(g *grid.Grid) *Field {
 	w, h := g.W, g.H
 	out := &Field{
