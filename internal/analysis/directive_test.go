@@ -88,3 +88,22 @@ func TestReasonRequiredSuppression(t *testing.T) {
 		t.Fatalf("re-reported %d bare allows, want 1", bare)
 	}
 }
+
+// TestDeadExportBareAllowReReported checks deadexport is reason-required:
+// the fixture's bare directive on BareAllowed comes back as an error, and
+// the reasoned one on Oracle suppresses.
+func TestDeadExportBareAllowReReported(t *testing.T) {
+	pkg := fixture(t, "deadexport")
+	var bare []Finding
+	for _, f := range Run(DefaultConfig(), pkg, []*Analyzer{DeadExport}) {
+		if strings.Contains(f.Message, "Oracle") {
+			t.Errorf("reasoned allow did not suppress: %v", f)
+		}
+		if strings.Contains(f.Message, "reason-less suppression") {
+			bare = append(bare, f)
+		}
+	}
+	if len(bare) != 1 || bare[0].Severity != SevError || !strings.Contains(bare[0].Message, "BareAllowed") {
+		t.Fatalf("re-reported bare allows = %v, want one error on BareAllowed", bare)
+	}
+}

@@ -90,6 +90,19 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	return l.load(path, abs)
 }
 
+// Packages returns every package the loader has type-checked so far, in
+// import-path order.
+func (l *Loader) Packages() []*Package {
+	var out []*Package
+	for _, pkg := range l.cache {
+		if pkg != nil {
+			out = append(out, pkg)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
+}
+
 func (l *Loader) load(path, dir string) (*Package, error) {
 	if pkg, ok := l.cache[path]; ok {
 		if pkg == nil {

@@ -68,6 +68,8 @@ func otsu(hist []int, total int) int {
 // Layers clusters the heights of masked (cloudy) pixels into k layers by
 // 1-D k-means and returns a per-pixel layer index (−1 for clear pixels)
 // and the sorted layer-mean heights (layer 0 is the lowest).
+//
+//smavet:allow deadexport -- DESIGN.md §6 extension: cloud height layering
 func Layers(z *grid.Grid, mask []bool, k int) ([]int, []float64, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("classify: k = %d, need >= 1", k)

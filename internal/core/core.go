@@ -118,10 +118,6 @@ func (p Params) SemiFluid() bool { return p.NSS > 0 }
 // rectangular override is set).
 func (p Params) SearchWidth() int { return 2*p.SearchRX() + 1 }
 
-// TemplateWidth returns the template edge 2·NZT+1 (x-axis edge when a
-// rectangular override is set).
-func (p Params) TemplateWidth() int { return 2*p.TemplateRX() + 1 }
-
 // TemplatePixels returns the template area in pixels.
 func (p Params) TemplatePixels() int {
 	return (2*p.TemplateRX() + 1) * (2*p.TemplateRY() + 1)

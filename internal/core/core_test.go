@@ -68,7 +68,7 @@ func TestFredericParamsMatchTable1(t *testing.T) {
 	if w := p.SearchWidth(); w != 13 {
 		t.Errorf("z-search window %d, want 13", w)
 	}
-	if w := p.TemplateWidth(); w != 121 {
+	if w := 2*p.NZT + 1; w != 121 {
 		t.Errorf("z-template window %d, want 121", w)
 	}
 	if w := 2*p.NST + 1; w != 5 {
@@ -86,9 +86,9 @@ func TestFredericParamsMatchTable1(t *testing.T) {
 
 func TestGOES9ParamsMatchTable3(t *testing.T) {
 	p := GOES9Params()
-	if p.SearchWidth() != 15 || p.TemplateWidth() != 15 || 2*p.NS+1 != 5 {
+	if p.SearchWidth() != 15 || 2*p.NZT+1 != 15 || 2*p.NS+1 != 5 {
 		t.Fatalf("GOES-9 windows %d/%d/%d, want 15/15/5",
-			p.SearchWidth(), p.TemplateWidth(), 2*p.NS+1)
+			p.SearchWidth(), 2*p.NZT+1, 2*p.NS+1)
 	}
 	if p.SemiFluid() {
 		t.Fatal("GOES-9 run uses the continuous model")
@@ -97,7 +97,7 @@ func TestGOES9ParamsMatchTable3(t *testing.T) {
 
 func TestLuisParams(t *testing.T) {
 	p := LuisParams()
-	if p.TemplateWidth() != 11 || p.SearchWidth() != 9 || p.SemiFluid() {
+	if 2*p.NZT+1 != 11 || p.SearchWidth() != 9 || p.SemiFluid() {
 		t.Fatalf("Luis params %+v, want 11×11 template, 9×9 search, continuous", p)
 	}
 }

@@ -245,6 +245,8 @@ func FitPasses(pair Pair, p Params) int {
 
 // FrameFitPasses reports how many full-image fit passes PrepareFrame runs
 // for one frame — the per-frame share of FitPasses.
+//
+//smavet:allow deadexport -- staged deletion with TestFrameFitPassesConsistentWithPair (ROADMAP item 9)
 func FrameFitPasses(f Frame, p Params) int {
 	n := 1 // surface
 	if p.SemiFluid() {

@@ -23,6 +23,8 @@ import (
 // pixels whose fit+template+search footprint stays inside the image
 // (distance > NS + NZT + NZS + NS from the border); the equivalence test
 // asserts exact agreement there.
+//
+//smavet:allow deadexport -- DESIGN.md §7 pure-SIMD tracking data path; EXPERIMENTS.md SIMD-path row
 func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.FetchScheme) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

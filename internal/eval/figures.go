@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"sma/internal/classify"
 	"sma/internal/core"
 	"sma/internal/grid"
 	"sma/internal/maspar"
@@ -161,13 +162,15 @@ type Fig6Step struct {
 	RMSE   float64 // vs ground truth, interior pixels
 	MeanU  float64
 	MeanV  float64
-	Quiver string // ASCII rendering of the subsampled motion field
+	Quiver string // ASCII rendering of the subsampled field over cloudy pixels
 }
 
 // Figure6 reproduces the GOES-9 Florida thunderstorm tracking: a rapid-
 // scan convective scene tracked with the continuous model over several
 // timesteps, rendered as subsampled flow fields (the paper's Figure 6
-// shows four of 48 timesteps as wind-vector imagery).
+// shows four of 48 timesteps as wind-vector imagery). Each rendering
+// shows vectors only over classified cloudy pixels, Figure 6's
+// convention ("we show the results ... over cloudy regions").
 func Figure6(size, steps int, seed int64) ([]Fig6Step, error) {
 	scene := synth.Thunderstorm(size, size, seed)
 	p := core.GOES9Params()
@@ -204,7 +207,7 @@ func Figure6(size, steps int, seed int64) ([]Fig6Step, error) {
 			RMSE:   math.Sqrt(s / float64(n)),
 			MeanU:  su / float64(n),
 			MeanV:  sv / float64(n),
-			Quiver: Quiver(res.Flow, size/16),
+			Quiver: Quiver(classify.MaskFlow(res.Flow, classify.CloudMask(f0)), size/16),
 		})
 	}
 	return out, nil

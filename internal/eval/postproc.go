@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"sma/internal/classify"
 	"sma/internal/core"
 	"sma/internal/grid"
 	"sma/internal/postproc"
@@ -63,20 +62,4 @@ func PostprocExperiment(size int, seed int64) ([]PostprocRow, error) {
 		{"confidence smoothing", score(smoothed)},
 		{"robust solve", score(robust.Flow)},
 	}, nil
-}
-
-// MaskedQuiver tracks one pair of a thunderstorm scene and renders the
-// flow only over classified cloudy pixels — Figure 6's presentation
-// convention ("we show the results ... over cloudy regions").
-func MaskedQuiver(size int, seed int64, step int) (string, error) {
-	scene := synth.Thunderstorm(size, size, seed)
-	f0 := scene.Frame(0)
-	f1 := scene.Frame(1)
-	p := core.Params{NS: 2, NZS: 2, NZT: 3, NST: 2, NSS: 0}
-	res, err := core.TrackSequential(core.Monocular(f0, f1), p, core.Options{})
-	if err != nil {
-		return "", err
-	}
-	mask := classify.CloudMask(f0)
-	return Quiver(classify.MaskFlow(res.Flow, mask), step), nil
 }

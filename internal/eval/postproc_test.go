@@ -30,11 +30,14 @@ func TestPostprocExperimentRowsAndSanity(t *testing.T) {
 	}
 }
 
+// TestMaskedQuiverHasClearRegions checks Figure 6's presentation: the
+// quiver shows clear sky as dots and motion only over clouds.
 func TestMaskedQuiverHasClearRegions(t *testing.T) {
-	q, err := MaskedQuiver(48, 9, 6)
+	steps, err := Figure6(48, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := steps[0].Quiver
 	if !strings.Contains(q, "·") {
 		t.Fatal("masked quiver shows no clear-sky pixels")
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"sma/internal/core"
@@ -121,16 +120,6 @@ func RandomPlan(seed int64, n int, cfg RandomConfig) *Plan {
 		faults = append(faults, ff)
 	}
 	return NewPlan(seed, faults...)
-}
-
-// Faults returns the schedule sorted by frame index.
-func (p *Plan) Faults() []FrameFault {
-	out := make([]FrameFault, 0, len(p.faults))
-	for _, f := range p.faults {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Frame < out[j].Frame })
-	return out
 }
 
 // Expectation predicts the degraded-mode counters a streaming run over

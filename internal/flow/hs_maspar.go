@@ -17,6 +17,8 @@ import (
 // The image must match the PE array exactly (one pixel per PE); array
 // edges are toroidal, as the X-net is, so compare against the host
 // implementation on interior pixels.
+//
+//smavet:allow deadexport -- DESIGN.md §7 SIMD Horn–Schunck kernel
 func HornSchunckMasPar(m *maspar.Machine, img1, img2 *grid.Grid, cfg HSConfig) (*grid.VectorField, error) {
 	if img1.W != img2.W || img1.H != img2.H {
 		return nil, fmt.Errorf("flow: image sizes differ: %dx%d vs %dx%d", img1.W, img1.H, img2.W, img2.H)

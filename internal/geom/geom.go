@@ -75,6 +75,8 @@ func (s Stereo) DisparityPerKm() (float64, error) {
 
 // HeightFromDisparity converts a measured disparity (pixels) to cloud-top
 // height (km).
+//
+//smavet:allow deadexport -- DESIGN.md §7 geostationary geometry: parallax height retrieval
 func (s Stereo) HeightFromDisparity(dPx float64) (float64, error) {
 	dpk, err := s.DisparityPerKm()
 	if err != nil {
@@ -85,6 +87,8 @@ func (s Stereo) HeightFromDisparity(dPx float64) (float64, error) {
 
 // DisparityFromHeight converts a cloud-top height (km) to the disparity
 // (pixels) the stereo pair observes.
+//
+//smavet:allow deadexport -- DESIGN.md §7 geostationary geometry: parallax height retrieval
 func (s Stereo) DisparityFromHeight(hKm float64) (float64, error) {
 	dpk, err := s.DisparityPerKm()
 	if err != nil {
@@ -100,6 +104,8 @@ func (s Stereo) DisparityFromHeight(hKm float64) (float64, error) {
 // the viewing zenith angle (foreshortening):
 //
 //	footprint = nadirKm · (|PS| / H) / cos θ.
+//
+//smavet:allow deadexport -- DESIGN.md §7 geostationary geometry: 1 km to 4 km pixel footprint growth
 func FootprintKm(nadirKm, deltaDeg float64) (float64, error) {
 	if nadirKm <= 0 {
 		return 0, fmt.Errorf("geom: nadir footprint must be positive")

@@ -22,6 +22,8 @@ func (n Nav) satRadius() float64 { return EarthRadiusKm + GeoAltitudeKm }
 // ToScanAngles converts geographic coordinates (geocentric degrees) to
 // sensor scan angles (alpha: east-west, beta: north-south, radians).
 // It fails for points on the far side of the Earth.
+//
+//smavet:allow deadexport -- DESIGN.md §7 geostationary geometry: scan-angle to lat/lon navigation
 func (n Nav) ToScanAngles(latDeg, lonDeg float64) (alpha, beta float64, err error) {
 	phi := latDeg * math.Pi / 180
 	dlam := (lonDeg - n.SatLon) * math.Pi / 180
@@ -44,6 +46,8 @@ func (n Nav) ToScanAngles(latDeg, lonDeg float64) (alpha, beta float64, err erro
 
 // ToLatLon converts sensor scan angles back to geographic coordinates.
 // It fails with a "space look" error when the ray misses the Earth.
+//
+//smavet:allow deadexport -- DESIGN.md §7 geostationary geometry: scan-angle to lat/lon navigation
 func (n Nav) ToLatLon(alpha, beta float64) (latDeg, lonDeg float64, err error) {
 	// Ray from the satellite: d = (−cosβ·cosα, cosβ·sinα, sinβ).
 	dx := -math.Cos(beta) * math.Cos(alpha)
@@ -72,6 +76,8 @@ func (n Nav) ToLatLon(alpha, beta float64) (latDeg, lonDeg float64, err error) {
 // GroundDistanceKm returns the great-circle distance between two
 // geographic points — used to convert tracked pixel displacements into
 // ground distances for wind speeds.
+//
+//smavet:allow deadexport -- DESIGN.md §7 geostationary geometry: scan-angle to lat/lon navigation
 func GroundDistanceKm(lat1, lon1, lat2, lon2 float64) float64 {
 	p1 := lat1 * math.Pi / 180
 	p2 := lat2 * math.Pi / 180
@@ -85,6 +91,8 @@ func GroundDistanceKm(lat1, lon1, lat2, lon2 float64) float64 {
 
 // EarthEdgeAngle returns the scan angle (radians) at which the Earth's
 // limb appears: asin(R / (R+H)) ≈ 8.7° for the geostationary orbit.
+//
+//smavet:allow deadexport -- DESIGN.md §7 geostationary geometry: scan-angle to lat/lon navigation
 func EarthEdgeAngle() float64 {
 	return math.Asin(EarthRadiusKm / (EarthRadiusKm + GeoAltitudeKm))
 }

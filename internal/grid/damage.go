@@ -30,9 +30,6 @@ func (r DamageReport) DeadLineFrac() float64 {
 	return float64(r.DeadLines) / float64(r.Lines)
 }
 
-// Damaged reports whether any damage was found at all.
-func (r DamageReport) Damaged() bool { return r.BadPixels > 0 || r.DeadLines > 0 }
-
 // ScanDamage scans the grid for non-finite samples and dead scanlines.
 // A row counts as dead only when it is at least two samples wide, fully
 // finite, and every sample equals the first — the signature of a dropped

@@ -66,6 +66,8 @@ func (g *Grid) GaussianBlur(sigma float64) *Grid {
 }
 
 // BoxBlur returns g smoothed by an (2r+1)×(2r+1) box filter.
+//
+//smavet:allow deadexport -- staged deletion with TestBoxBlurReducesVariance and TestBoxBlurZeroRadiusClones (ROADMAP item 9)
 func (g *Grid) BoxBlur(r int) *Grid {
 	if r <= 0 {
 		return g.Clone()

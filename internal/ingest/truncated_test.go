@@ -6,14 +6,12 @@ import (
 	"io"
 	"testing"
 
-	"sma/internal/fault"
 	"sma/internal/grid"
 	"sma/internal/stream"
 )
 
 // TestAreaTruncationClassified cuts a valid AREA document at byte
-// offsets in every section (directory, data) with the fault injector and
-// checks each failure wraps ErrTruncated — and stays retry-classifiable,
+// offsets in every section (directory, data) and checks each failure wraps ErrTruncated — and stays retry-classifiable,
 // since a truncated read is exactly the "file still arriving" case the
 // stream retry policy exists for.
 func TestAreaTruncationClassified(t *testing.T) {
@@ -27,8 +25,8 @@ func TestAreaTruncationClassified(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, off := range []int64{10, dirWords*4 - 1, dirWords*4 + 7, int64(len(full)) - 1} {
-		// io.MultiReader hides the size, forcing the incremental path.
-		r := fault.WrapReader(io.MultiReader(bytes.NewReader(full)), fault.ReaderFault{Offset: off})
+		// io.LimitReader hides the size, forcing the incremental path.
+		r := io.LimitReader(bytes.NewReader(full), off)
 		_, _, err := ReadArea(r)
 		if err == nil {
 			t.Fatalf("offset %d: truncated document accepted", off)

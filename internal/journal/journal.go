@@ -384,20 +384,6 @@ func (j *Journal) Append(payload []byte) error {
 	return nil
 }
 
-// Sync forces the active segment to disk (useful under SyncNone before
-// acknowledging a batch).
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed || j.f == nil {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
 // Compact atomically replaces the whole journal with the given live
 // payloads: they are written to a fresh segment (tmp file + rename), and
 // every older segment is removed. Recovery calls this after replay so

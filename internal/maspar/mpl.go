@@ -38,6 +38,8 @@ type MPL struct {
 }
 
 // NewMPL returns an interpreter bound to the machine.
+//
+//smavet:allow deadexport -- DESIGN.md §7 MPL-subset interpreter
 func NewMPL(m *Machine) *MPL {
 	return &MPL{m: m, acu: NewACU(m), regs: make(map[string]*Plural)}
 }
@@ -54,10 +56,14 @@ func (p *MPL) Reg(name string) *Plural {
 
 // SetReg installs externally prepared plural data under a name (e.g. an
 // image layer loaded from the MPDA).
+//
+//smavet:allow deadexport -- DESIGN.md §7 MPL-subset interpreter
 func (p *MPL) SetReg(name string, v *Plural) { p.regs[name] = v }
 
 // Run executes an MPL program. On error the machine state reflects the
 // instructions executed so far (as on the real machine).
+//
+//smavet:allow deadexport -- DESIGN.md §7 MPL-subset interpreter
 func (p *MPL) Run(src string) error {
 	lines := strings.Split(src, "\n")
 	depth0 := p.acu.Depth()

@@ -135,6 +135,8 @@ func ConfidenceSmooth(flow *grid.VectorField, eps *grid.Grid, radius int) (*grid
 // Euclidean distance to all (2r+1)² neighborhood vectors. Unlike the
 // componentwise median it always outputs a vector that occurs in the
 // neighborhood, so discrete correspondence labels are preserved.
+//
+//smavet:allow deadexport -- staged deletion with the three TestVectorMedian tests (ROADMAP item 9)
 func VectorMedian(flow *grid.VectorField, radius int) (*grid.VectorField, error) {
 	if radius < 1 {
 		return nil, fmt.Errorf("postproc: radius must be positive")

@@ -121,22 +121,3 @@ func (g Geometry) WindField(f *grid.VectorField) (speed, direction *grid.Grid) {
 	}
 	return speed, direction
 }
-
-// WindFieldVariable converts a flow field to wind speeds with a per-pixel
-// ground sampling distance — the paper's Frederic imagery spans ≈1 sq-km
-// pixels at image center but ≈4 sq-km near the borders, so honest winds
-// need the local footprint (e.g. geom.FootprintKm at each pixel's
-// geocentric angle).
-func (g Geometry) WindFieldVariable(f *grid.VectorField, kmAt func(x, y int) float64) *grid.Grid {
-	w, h := f.Bounds()
-	speed := grid.New(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			u, v := f.At(x, y)
-			local := Geometry{KmPerPixel: kmAt(x, y), SecondsPerDt: g.SecondsPerDt}
-			s, _ := local.WindMS(float64(u), float64(v))
-			speed.Set(x, y, float32(s))
-		}
-	}
-	return speed
-}

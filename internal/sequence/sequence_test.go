@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sma/internal/core"
-	"sma/internal/geom"
 	"sma/internal/grid"
 	"sma/internal/synth"
 )
@@ -185,26 +184,5 @@ func TestWindField(t *testing.T) {
 	}
 	if d := dir.At(2, 2); math.Abs(float64(d)-270) > 1e-3 {
 		t.Fatalf("direction = %v", d)
-	}
-}
-
-func TestWindFieldVariableFootprint(t *testing.T) {
-	// Same pixel displacement at center vs border: the border's larger
-	// footprint means a faster physical wind (the paper's 1 km vs 4 km).
-	f := grid.NewVectorField(9, 9)
-	f.U.Fill(1)
-	g := Geometry{SecondsPerDt: 100}
-	kmAt := func(x, y int) float64 {
-		d, err := geom.FootprintKm(1, float64(x)*8) // 0°..64° across the row
-		if err != nil {
-			t.Fatalf("footprint: %v", err)
-		}
-		return d
-	}
-	speed := g.WindFieldVariable(f, kmAt)
-	center := speed.At(0, 4)
-	border := speed.At(8, 4)
-	if border <= center*2 {
-		t.Fatalf("border wind %v not well above center %v for equal pixel motion", border, center)
 	}
 }

@@ -6,9 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // FileStoreConfig sizes the durable store. The in-memory index keeps
@@ -79,9 +76,6 @@ func (s *FileStore) Delete(id string) { s.mem.Delete(id) }
 
 // Len reports the live entry count.
 func (s *FileStore) Len() int { return s.mem.Len() }
-
-// Bytes reports the index's accounted in-memory footprint.
-func (s *FileStore) Bytes() int64 { return s.mem.Bytes() }
 
 // Range iterates live entries in id order (see MemStore.Range).
 func (s *FileStore) Range(fn func(id string, v any) bool) { s.mem.Range(fn) }
@@ -170,22 +164,6 @@ func (s *FileStore) Field(id string, pair int) ([]byte, bool, error) {
 	return b, true, nil
 }
 
-// Fields loads the persisted fields of id into a pairs-long slice; pairs
-// without a file stay nil (dropped pairs, or pairs not yet checkpointed).
-func (s *FileStore) Fields(id string, pairs int) ([][]byte, error) {
-	out := make([][]byte, pairs)
-	for p := 0; p < pairs; p++ {
-		b, ok, err := s.Field(id, p)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[p] = b
-		}
-	}
-	return out, nil
-}
-
 // LoadFields reads the persisted bytes of every pair marked in onDisk
 // into fields. A missing file is an error: the job held the pair as
 // durable, so it left the store (or the disk lost it) while the caller
@@ -205,31 +183,6 @@ func (s *FileStore) LoadFields(id string, fields [][]byte, onDisk []bool) error 
 		fields[p] = b
 	}
 	return nil
-}
-
-// FieldPairs lists which pair indices have persisted fields, ascending.
-func (s *FileStore) FieldPairs(id string) ([]int, error) {
-	entries, err := os.ReadDir(s.fieldDir(id))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("server: filestore: %w", err)
-	}
-	var pairs []int
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".smf") {
-			continue
-		}
-		n, err := strconv.Atoi(strings.TrimSuffix(name, ".smf"))
-		if err != nil {
-			continue
-		}
-		pairs = append(pairs, n)
-	}
-	sort.Ints(pairs)
-	return pairs, nil
 }
 
 // removeFields drops id's field directory (best effort, logged).

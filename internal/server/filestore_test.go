@@ -23,8 +23,8 @@ func newTestFileStore(t *testing.T, cfg MemStoreConfig) (*FileStore, string) {
 	return st, dir
 }
 
-// TestFileStoreFieldRoundTrip: PutField persists bytes that Field/Fields
-// read back, with unwritten pairs reported absent.
+// TestFileStoreFieldRoundTrip: PutField persists bytes that Field and
+// LoadFields read back, with unwritten pairs reported absent.
 func TestFileStoreFieldRoundTrip(t *testing.T) {
 	st, _ := newTestFileStore(t, MemStoreConfig{TTL: time.Hour})
 	want := [][]byte{[]byte("pair-0"), nil, []byte("pair-2")}
@@ -36,9 +36,9 @@ func TestFileStoreFieldRoundTrip(t *testing.T) {
 			t.Fatalf("PutField(%d): %v", p, err)
 		}
 	}
-	got, err := st.Fields("job-a", 3)
-	if err != nil {
-		t.Fatalf("Fields: %v", err)
+	got := make([][]byte, len(want))
+	if err := st.LoadFields("job-a", got, []bool{true, false, true}); err != nil {
+		t.Fatalf("LoadFields: %v", err)
 	}
 	for p := range want {
 		if !bytes.Equal(got[p], want[p]) {
@@ -48,12 +48,8 @@ func TestFileStoreFieldRoundTrip(t *testing.T) {
 	if _, ok, err := st.Field("job-a", 1); err != nil || ok {
 		t.Fatalf("unwritten pair reported present (ok=%v err=%v)", ok, err)
 	}
-	pairs, err := st.FieldPairs("job-a")
-	if err != nil || len(pairs) != 2 || pairs[0] != 0 || pairs[1] != 2 {
-		t.Fatalf("FieldPairs = %v (err %v), want [0 2]", pairs, err)
-	}
-	if pairs, err := st.FieldPairs("nope"); err != nil || pairs != nil {
-		t.Fatalf("FieldPairs on unknown id = %v (err %v)", pairs, err)
+	if err := st.LoadFields("job-a", got, []bool{false, true, false}); err == nil {
+		t.Fatal("LoadFields read a pair that was never written")
 	}
 }
 
@@ -135,7 +131,7 @@ func TestFileStoreBytesCap(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		st.Put(fmt.Sprintf("fat-%d", i), fatEntry{size: 4 << 10})
 	}
-	if b := st.Bytes(); b > 10<<10 {
+	if b := ledgerBytes(st.mem); b > 10<<10 {
 		t.Fatalf("store holds %d bytes, cap is %d", b, 10<<10)
 	}
 	if _, ok := st.Get("fat-7"); !ok {
@@ -264,7 +260,7 @@ func TestFileStoreDeleteRacesSweep(t *testing.T) {
 	if n := st.Len(); n != 0 {
 		t.Fatalf("store holds %d entries after full delete", n)
 	}
-	if b := st.Bytes(); b != 0 {
+	if b := ledgerBytes(st.mem); b != 0 {
 		t.Fatalf("byte ledger reads %d after full delete, want 0", b)
 	}
 	for i := 0; i < 16; i++ {

@@ -82,7 +82,7 @@ func TestMemStoreBytesCap(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		st.Put(fmt.Sprintf("fat-%d", i), fatEntry{size: 4 << 10})
 	}
-	if b := st.Bytes(); b > 10<<10 {
+	if b := ledgerBytes(st); b > 10<<10 {
 		t.Fatalf("store holds %d bytes, cap is %d", b, 10<<10)
 	}
 	if n := st.Len(); n > 2 {
@@ -104,11 +104,11 @@ func TestMemStoreReplaceAccounting(t *testing.T) {
 		t.Fatalf("replacement left %d entries, want 1", n)
 	}
 	// 2048 + the 256-byte flat overhead would indicate double counting.
-	if b := st.Bytes(); b != 2048 {
+	if b := ledgerBytes(st); b != 2048 {
 		t.Fatalf("store accounts %d bytes after replacement, want 2048", b)
 	}
 	st.Delete("a")
-	if b := st.Bytes(); b != 0 {
+	if b := ledgerBytes(st); b != 0 {
 		t.Fatalf("store accounts %d bytes after delete, want 0", b)
 	}
 }
@@ -124,7 +124,7 @@ func TestMemStoreSweepRefreshesSizes(t *testing.T) {
 	st.Put("small", fatEntry{size: 256})
 	grower.setSize(8 << 10) // now alone exceeds the cap
 	st.sweep(time.Now())
-	if b := st.Bytes(); b > 4<<10 {
+	if b := ledgerBytes(st); b > 4<<10 {
 		t.Fatalf("store accounts %d bytes after sweep, cap is %d", b, 4<<10)
 	}
 	if n := st.Len(); n != 1 {
@@ -187,7 +187,7 @@ func TestMemStoreDeleteRacesSweep(t *testing.T) {
 	if n := st.Len(); n != 0 {
 		t.Fatalf("store holds %d entries after full delete", n)
 	}
-	if b := st.Bytes(); b != 0 {
+	if b := ledgerBytes(st); b != 0 {
 		t.Fatalf("byte ledger reads %d after full delete, want 0", b)
 	}
 }
@@ -259,4 +259,11 @@ func TestTrackResultSVGMatchesGridRendering(t *testing.T) {
 	if _, err := newTrackResult("id", flow, frame, core.ScaledParams()); err == nil {
 		t.Fatal("a fractional flow component was stored lossily")
 	}
+}
+
+// ledgerBytes reads the store's accounted footprint.
+func ledgerBytes(s *MemStore) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytes
 }

@@ -141,92 +141,6 @@ func ToHeight(disp *grid.Grid, gain float32) *grid.Grid {
 	return z
 }
 
-// ConsistencyResult augments a disparity map with a left-right validity
-// mask: pixels whose L→R and R→L disparities disagree (occlusions,
-// low-texture mismatches) are flagged invalid and filled from their
-// nearest valid scan-line neighbors.
-type ConsistencyResult struct {
-	Disparity *grid.Grid
-	Valid     []bool // per pixel, row-major
-	Invalid   int    // count of flagged pixels
-}
-
-// EstimateWithConsistency runs the ASA matcher in both directions and
-// cross-checks: a left pixel's disparity d must be (approximately) the
-// negative of the right image's disparity at the matched position,
-// |d(x, y) + d'(x+d, y)| ≤ tol. Flagged pixels receive the smaller-
-// magnitude disparity of their nearest valid left/right neighbors (the
-// standard occlusion-filling heuristic: occluded pixels belong to the
-// background surface).
-func EstimateWithConsistency(left, right *grid.Grid, cfg Config, tol float32) (*ConsistencyResult, error) {
-	lr, err := Estimate(left, right, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rl, err := Estimate(right, left, cfg)
-	if err != nil {
-		return nil, err
-	}
-	w, h := lr.W, lr.H
-	res := &ConsistencyResult{Disparity: lr.Clone(), Valid: make([]bool, w*h)}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			d := lr.AtUnchecked(x, y)
-			back := rl.Bilinear(float64(x)+float64(d), float64(y))
-			if diff := d + back; diff <= tol && diff >= -tol {
-				res.Valid[y*w+x] = true
-			} else {
-				res.Invalid++
-			}
-		}
-	}
-	// Fill invalid pixels along scan lines.
-	for y := 0; y < h; y++ {
-		row := res.Valid[y*w : (y+1)*w]
-		for x := 0; x < w; x++ {
-			if row[x] {
-				continue
-			}
-			var lv, rv float32
-			haveL, haveR := false, false
-			for i := x - 1; i >= 0; i-- {
-				if row[i] {
-					lv = res.Disparity.AtUnchecked(i, y)
-					haveL = true
-					break
-				}
-			}
-			for i := x + 1; i < w; i++ {
-				if row[i] {
-					rv = res.Disparity.AtUnchecked(i, y)
-					haveR = true
-					break
-				}
-			}
-			switch {
-			case haveL && haveR:
-				if abs32(lv) <= abs32(rv) {
-					res.Disparity.Set(x, y, lv)
-				} else {
-					res.Disparity.Set(x, y, rv)
-				}
-			case haveL:
-				res.Disparity.Set(x, y, lv)
-			case haveR:
-				res.Disparity.Set(x, y, rv)
-			}
-		}
-	}
-	return res, nil
-}
-
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // ToHeightGeom converts a disparity map to cloud-top heights (km) using a
 // geostationary stereo geometry instead of a raw gain factor.
 func ToHeightGeom(disp *grid.Grid, s geom.Stereo) (*grid.Grid, error) {

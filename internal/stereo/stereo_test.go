@@ -170,57 +170,6 @@ func TestDisparityDeterministic(t *testing.T) {
 	}
 }
 
-func TestConsistencyAcceptsCleanPair(t *testing.T) {
-	scene := synth.Hurricane(64, 64, 41)
-	left := scene.Frame(0)
-	truth := grid.New(64, 64)
-	truth.Fill(2)
-	right := synth.StereoPair(left, truth)
-	res, err := EstimateWithConsistency(left, right, DefaultConfig(), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := float64(res.Invalid) / float64(64*64)
-	if frac > 0.15 {
-		t.Fatalf("%.1f%% of a clean pair flagged inconsistent", frac*100)
-	}
-	in := res.Disparity.Crop(8, 8, 48, 48)
-	tin := truth.Crop(8, 8, 48, 48)
-	if rms := in.RMSDiff(tin); rms > 0.5 {
-		t.Fatalf("consistency-checked disparity RMS %v", rms)
-	}
-}
-
-func TestConsistencyFlagsCorruptedRegion(t *testing.T) {
-	scene := synth.Hurricane(64, 64, 43)
-	left := scene.Frame(0)
-	truth := grid.New(64, 64)
-	truth.Fill(2)
-	right := synth.StereoPair(left, truth)
-	// Destroy a block of the right image: matches there cannot be
-	// consistent in both directions.
-	for y := 24; y < 36; y++ {
-		for x := 24; x < 36; x++ {
-			right.Set(x, y, 0)
-		}
-	}
-	res, err := EstimateWithConsistency(left, right, DefaultConfig(), 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged := 0
-	for y := 26; y < 34; y++ {
-		for x := 24; x < 32; x++ {
-			if !res.Valid[y*64+x] {
-				flagged++
-			}
-		}
-	}
-	if flagged < 16 {
-		t.Fatalf("only %d/64 pixels of the corrupted block flagged", flagged)
-	}
-}
-
 func TestToHeightGeomFrederic(t *testing.T) {
 	d := grid.New(4, 4)
 	d.Fill(5) // 5 px of disparity

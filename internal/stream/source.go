@@ -8,13 +8,6 @@ import (
 	"sma/internal/grid"
 )
 
-// Frames returns a Source yielding the given frames in order.
-func Frames(frames []core.Frame) Source {
-	return Func(len(frames), func(i int) (core.Frame, error) {
-		return frames[i], nil
-	})
-}
-
 // Grids returns a monocular Source over an intensity sequence, each image
 // standing in for its own surface (the paper's monocular mode) — the
 // adapter internal/sequence feeds the pipeline with. Errors carry no

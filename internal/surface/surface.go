@@ -31,6 +31,8 @@ type Patch struct {
 }
 
 // Eval evaluates the patch at local offset (u, v).
+//
+//smavet:allow deadexport -- staged deletion with TestPatchEval (ROADMAP item 9)
 func (p *Patch) Eval(u, v float64) float64 {
 	return p.C[0] + p.C[1]*u + p.C[2]*v + p.C[3]*u*u + p.C[4]*u*v + p.C[5]*v*v
 }
@@ -88,6 +90,8 @@ func NewFitter(ns int) (*Fitter, error) {
 }
 
 // WindowSize returns the patch window edge length 2·Ns+1.
+//
+//smavet:allow deadexport -- staged deletion with TestWindowSize (ROADMAP item 9)
 func (f *Fitter) WindowSize() int { return 2*f.Ns + 1 }
 
 // Fit fits the quadratic patch centered at pixel (x, y) of g.

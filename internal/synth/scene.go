@@ -55,6 +55,8 @@ func (s *Scene) Truth(dt float64) *grid.VectorField {
 // Height converts an intensity frame to a cloud-top height surface:
 // brighter (colder, in IR terms inverted) clouds are higher. A mild blur
 // mimics the smoothness of real cloud decks.
+//
+//smavet:allow deadexport -- staged deletion with TestHeightFollowsIntensity (ROADMAP item 9)
 func (s *Scene) Height(frame *grid.Grid) *grid.Grid {
 	z := frame.GaussianBlur(1.5)
 	gain := s.ZGain

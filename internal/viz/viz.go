@@ -172,6 +172,8 @@ func WriteQuiverSVGFile(path string, f *grid.VectorField, opt QuiverOptions) err
 // WriteTrajectorySVG renders particle paths (from sequence.Trajectories)
 // over an optional background — the wind-barb/tracer view of Figure 5.
 // Each path is a polyline with a dot at the seed.
+//
+//smavet:allow deadexport -- DESIGN.md §7 SVG trajectory rendering
 func WriteTrajectorySVG(w io.Writer, imgW, imgH int, paths [][2][]float64, bg *grid.Grid, cell float64) error {
 	if cell == 0 {
 		cell = 4
