@@ -36,12 +36,12 @@ func Assess(flow *grid.VectorField, i0, i1 *grid.Grid, eps *grid.Grid) (*Report,
 		return nil, fmt.Errorf("quality: image sizes do not match the flow")
 	}
 	r := &Report{}
+	warp := flow.Warp(i1)
 	var sw, sb float64
 	n := 0
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			u, v := flow.At(x, y)
-			warped := float64(i1.Bilinear(float64(x)+float64(u), float64(y)+float64(v)))
+			warped := float64(warp.AtUnchecked(x, y))
 			base := float64(i1.AtUnchecked(x, y))
 			orig := float64(i0.AtUnchecked(x, y))
 			dw := warped - orig
