@@ -105,7 +105,7 @@ func TestSuppressionDirectives(t *testing.T) {
 	suppressed := 0
 	allow := collectAllows(pkg)
 	for _, f := range pass.findings {
-		if allow.ok(f.Pos.Filename, f.Pos.Line, f.Check) {
+		if allow.status(f.Pos.Filename, f.Pos.Line, f.Check) != allowNone {
 			suppressed++
 		}
 	}

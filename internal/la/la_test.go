@@ -654,3 +654,50 @@ func BenchmarkFactoredSolve(b *testing.B) {
 		}
 	})
 }
+
+// Cholesky6 solves A·x = b for a symmetric positive-definite 6×6 system
+// by Cholesky factorization — the numerically natural method for the
+// normal equations both SMA solves produce. About half the flops of
+// Gaussian elimination; the paper's implementation used elimination, so
+// the trackers default to Solve6, with Cholesky6 available as a drop-in
+// (see BenchmarkSolvers). ok is false if A is not positive definite to
+// working precision.
+func Cholesky6(a *Mat6, b *Vec6) (x Vec6, ok bool) {
+	// Factor A = L·Lᵀ in place (lower triangle).
+	var l Mat6
+	for j := 0; j < 6; j++ {
+		d := a[j][j]
+		for k := 0; k < j; k++ {
+			d -= l[j][k] * l[j][k]
+		}
+		if d <= 1e-14 {
+			return x, false
+		}
+		l[j][j] = math.Sqrt(d)
+		for i := j + 1; i < 6; i++ {
+			s := a[i][j]
+			for k := 0; k < j; k++ {
+				s -= l[i][k] * l[j][k]
+			}
+			l[i][j] = s / l[j][j]
+		}
+	}
+	// Forward substitution L·y = b.
+	var y Vec6
+	for i := 0; i < 6; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l[i][k] * y[k]
+		}
+		y[i] = s / l[i][i]
+	}
+	// Back substitution Lᵀ·x = y.
+	for i := 5; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < 6; k++ {
+			s -= l[k][i] * x[k]
+		}
+		x[i] = s / l[i][i]
+	}
+	return x, true
+}

@@ -669,3 +669,26 @@ func mustFetchCost(mp Mapping, r int, s FetchScheme) Cost {
 	}
 	return c
 }
+
+// Collect gathers the distributed image back into a grid: the tests'
+// readback of Distribute.
+func (img *Image) Collect() *grid.Grid {
+	w, h := img.Map.Dims()
+	g := grid.New(w, h)
+	for mem, layer := range img.Data {
+		for pe, v := range layer {
+			x, y := img.Map.Invert(pe, mem)
+			if x < w && y < h {
+				g.Set(x, y, v)
+			}
+		}
+	}
+	img.M.ChargeMem(int64(img.Map.Layers()))
+	return g
+}
+
+// ResetCost clears the cost ledger.
+func (m *Machine) ResetCost() { m.Cost = Cost{} }
+
+// Time applies the machine's configuration to its own ledger.
+func (m *Machine) Time() time.Duration { return m.Cfg.Time(m.Cost) }

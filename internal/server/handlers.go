@@ -9,7 +9,6 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"sma/internal/core"
@@ -428,9 +427,4 @@ func (s *Server) runJob(poolCtx, jobCtx context.Context, job *Job, src stream.So
 	m.pairsSkipped.Add(run.PairsSkipped)
 	m.pairsFailed.Add(run.PairsFailed)
 	m.gaps.Add(run.Gaps)
-}
-
-// contentTypeIsJSON is a small helper for tests.
-func contentTypeIsJSON(h http.Header) bool {
-	return strings.HasPrefix(h.Get("Content-Type"), "application/json")
 }

@@ -666,3 +666,8 @@ func TestJobResultStream(t *testing.T) {
 		t.Fatalf("result stream carried %d pairs, want %d", n, frames-1)
 	}
 }
+
+// contentTypeIsJSON reports whether h declares a JSON body.
+func contentTypeIsJSON(h http.Header) bool {
+	return strings.HasPrefix(h.Get("Content-Type"), "application/json")
+}

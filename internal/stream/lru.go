@@ -53,6 +53,3 @@ func (c *lru) touch(k int) {
 		}
 	}
 }
-
-// len reports the current entry count.
-func (c *lru) len() int { return len(c.preps) }
