@@ -476,3 +476,30 @@ func TestPropertyMedianWithinRange(t *testing.T) {
 type bytesBuffer = bytes.Buffer
 
 func stringReader(s string) io.Reader { return strings.NewReader(s) }
+
+// Normalize linearly rescales samples to [lo, hi]. A constant grid maps to lo.
+func (g *Grid) Normalize(lo, hi float32) {
+	min, max := g.MinMax()
+	span := max - min
+	if span == 0 {
+		g.Fill(lo)
+		return
+	}
+	scale := (hi - lo) / span
+	for i, v := range g.Data {
+		g.Data[i] = lo + (v-min)*scale
+	}
+}
+
+// MaxAbsDiff returns the largest absolute elementwise difference.
+func (g *Grid) MaxAbsDiff(o *Grid) float64 {
+	g.mustMatch(o)
+	var m float64
+	for i := range g.Data {
+		d := math.Abs(float64(g.Data[i] - o.Data[i]))
+		if d > m {
+			m = d
+		}
+	}
+	return m
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -30,9 +31,7 @@ func TestAreaRoundTrip8Bit(t *testing.T) {
 		t.Fatalf("dims %dx%d", bg.W, bg.H)
 	}
 	// Quantization to 8 bits: after normalizing both, within one count.
-	gn := g.Clone()
-	gn.Normalize(0, 255)
-	if d := gn.MaxAbsDiff(bg); d > 1.0 {
+	if d := quantizationError(g, bg, 255); d > 1.0 {
 		t.Fatalf("8-bit round trip max diff %v counts", d)
 	}
 }
@@ -47,9 +46,7 @@ func TestAreaRoundTrip16Bit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gn := g.Clone()
-	gn.Normalize(0, 65535)
-	if d := gn.MaxAbsDiff(bg); d > 1.0 {
+	if d := quantizationError(g, bg, 65535); d > 1.0 {
 		t.Fatalf("16-bit round trip max diff %v counts", d)
 	}
 }
@@ -221,4 +218,16 @@ func TestAreaFileRoundTrip(t *testing.T) {
 	if d.SensorID != 180 || bg.W != 16 {
 		t.Fatalf("file round trip: %+v %dx%d", d, bg.W, bg.H)
 	}
+}
+
+// quantizationError returns the largest difference between g rescaled
+// linearly onto [0, full] and the decoded samples.
+func quantizationError(g, decoded *grid.Grid, full float32) float64 {
+	min, max := g.MinMax()
+	scale := full / (max - min)
+	var worst float64
+	for i, v := range g.Data {
+		worst = math.Max(worst, math.Abs(float64((v-min)*scale-decoded.Data[i])))
+	}
+	return worst
 }
