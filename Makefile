@@ -36,20 +36,22 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke: a short -fuzz pass over the binary-format readers, the
-# streaming scheduler, the block kernel's screen, the semi-fluid map and
-# serving admission, enough to catch regressions in the parsers' bounds
-# handling, the pipeline's ordering/caching invariants, the screen's
-# exactness (every bound below the reference ε, output identical with
-# the screen off), the map's identity with its naive evaluation and
-# admission's caps (whatever is admitted fits them, with one verdict on
-# every role) without tying up CI. Corpus finds are kept under the
-# packages' testdata.
+# streaming scheduler, the search's differential oracle, the block
+# kernel's screen, the semi-fluid map and serving admission, enough to
+# catch regressions in the parsers' bounds handling, the pipeline's
+# ordering/caching invariants, every search surface's bit-identity with
+# its oracle on random parameters, the screen's exactness (every bound
+# below the reference ε, output identical with the screen off), the
+# map's identity with its naive evaluation and admission's caps
+# (whatever is admitted fits them, with one verdict on every role)
+# without tying up CI. Corpus finds are kept under the packages' testdata.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadPGM -fuzztime=$(FUZZTIME) ./internal/grid
 	$(GO) test -run=^$$ -fuzz=FuzzReadArea -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzPipelineScheduling -fuzztime=$(FUZZTIME) ./internal/stream
 	$(GO) test -run=^$$ -fuzz=FuzzTileScheduling -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzKernelOracle -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzScreenBound -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzSemiMap -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzAdmission -fuzztime=$(FUZZTIME) ./internal/server

@@ -390,7 +390,9 @@ func BenchmarkHostParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				core.TrackPreparedParallel(prep, core.BuildSemiMap(prep), core.Options{}, workers)
+				if _, err := core.TrackPreparedParallelCtx(context.Background(), prep, core.BuildSemiMap(prep), core.Options{}, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -258,7 +258,7 @@ func main() {
 		fmt.Println()
 	}
 	if run("track") {
-		r, err := eval.TrackThroughputExperiment(*size, *workers, *seed)
+		r, err := eval.TrackThroughputExperiment(context.Background(), *size, *workers, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func main() {
 			}
 			counts = append(counts, w)
 		}
-		r, err := eval.ScalingExperiment(*size, counts, *seed)
+		r, err := eval.ScalingExperiment(context.Background(), *size, counts, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}

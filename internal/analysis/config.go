@@ -88,7 +88,7 @@ func DefaultConfig() *Config {
 			"Factor6", "SolveFactored6",
 		),
 		NarrowSinks: set(
-			"Set", "Fill", "SetScalar", "AddScalar", "MulScalar", "Broadcast",
+			"Set", "Fill", "SetScalar", "AddScalar", "MulScalar",
 		),
 		MutatorNames: set(
 			"Set", "Fill", "Apply", "ApplyXY", "AddScaled",

@@ -9,7 +9,7 @@ import (
 
 // GoroutineCapture flags writes to captured shared pixel state from
 // inside `go func` literals unless the write is indexed by a per-worker
-// variable. The SMA data-parallel drivers (TrackPreparedParallel, TrackMasPar)
+// variable. The SMA data-parallel drivers (TrackPreparedParallelCtx, TrackMasPar)
 // rely on a partitioning discipline: every worker goroutine may write
 // res.Flow/res.Err only at coordinates derived from its own work
 // assignment — a value received from the work channel or passed as a

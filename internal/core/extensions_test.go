@@ -131,30 +131,6 @@ func TestPyramidRecoversLargeMotion(t *testing.T) {
 	}
 }
 
-func TestPyramidSingleLevelMatchesSequential(t *testing.T) {
-	s := synth.Thunderstorm(24, 24, 37)
-	pair := Monocular(s.Frame(0), s.Frame(1))
-	p := contParams()
-	a, err := TrackSequential(pair, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := PreparePyramid(pair, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, st, err := TrackPyramidPreparedCtx(context.Background(), prep, Options{Pyramid: PyramidOptions{Levels: 1}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Hypotheses != int64(24*24*p.Hypotheses()) || st.FallbackPixels != 0 {
-		t.Fatalf("single-level pyramid stats %+v, want the exhaustive count and no fallbacks", st)
-	}
-	if !a.Flow.Equal(b.Flow) || !a.Err.Equal(b.Err) {
-		t.Fatal("single-level pyramid differs from sequential")
-	}
-}
-
 func TestPyramidRejectsSemiFluid(t *testing.T) {
 	s := synth.Thunderstorm(16, 16, 39)
 	pair := Monocular(s.Frame(0), s.Frame(1))
@@ -176,34 +152,6 @@ func TestPyramidRejectsBadLevels(t *testing.T) {
 	pair := Monocular(s.Frame(0), s.Frame(1))
 	if _, err := PreparePyramid(pair, contParams(), 0); err == nil {
 		t.Fatal("zero levels accepted")
-	}
-}
-
-// --- Host parallelism -------------------------------------------------------------
-
-func TestTrackParallelMatchesSequential(t *testing.T) {
-	s := synth.Hurricane(28, 28, 43)
-	pair := Monocular(s.Frame(0), s.Frame(1))
-	p := testParams()
-	seq, err := TrackSequential(pair, p, Options{KeepMotion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := Prepare(pair, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := BuildSemiMap(prep)
-	for _, workers := range []int{1, 3, 8} {
-		par := TrackPreparedParallel(prep, sm, Options{KeepMotion: true}, workers)
-		if !par.Flow.Equal(seq.Flow) || !par.Err.Equal(seq.Err) {
-			t.Fatalf("workers=%d: parallel differs from sequential", workers)
-		}
-		for i := range par.Motion {
-			if !par.Motion[i].Equal(seq.Motion[i]) {
-				t.Fatalf("workers=%d: motion parameter %d differs", workers, i)
-			}
-		}
 	}
 }
 

@@ -1,160 +1,17 @@
 package core
 
+// Unit tests of the search kernel's pieces: the factor-once motion solve,
+// the bounded residual sum and the block shape. That the whole search
+// reproduces the reference kernel bit for bit is the oracle's
+// (oracle_test.go).
+
 import (
-	"context"
-	"fmt"
 	"math"
 	"testing"
 
-	"sma/internal/grid"
 	"sma/internal/la"
 	"sma/internal/synth"
 )
-
-// This file locks the block kernel (factor-once A, term planes, factored
-// solves, ε early exit) to the retained naive kernel in reference.go.
-// Every comparison is bitwise: the optimization contract is exact
-// equivalence, not numerical closeness.
-
-// equivScenes are the inputs of the kernel-vs-reference tables. The nan
-// scene has one NaN pixel in frame 1: at 72 of its pixels the anchor
-// hypothesis scores ε = NaN while another hypothesis is finite. The
-// reference accepts the anchor unconditionally, so the NaN anchor wins
-// there; a search that seeded its incumbent with ε = +Inf instead would
-// let the finite hypothesis win, and this scene catches it.
-var equivScenes = []struct {
-	name string
-	pair func(seed int64) Pair
-}{
-	{"hurricane", func(seed int64) Pair {
-		s := synth.Hurricane(20, 20, seed)
-		return Monocular(s.Frame(0), s.Frame(1))
-	}},
-	{"thunderstorm", func(seed int64) Pair {
-		s := synth.Thunderstorm(20, 20, seed)
-		return Monocular(s.Frame(0), s.Frame(1))
-	}},
-	{"nan", func(int64) Pair {
-		s := synth.Hurricane(24, 24, 3)
-		f1 := s.Frame(1)
-		f1.Set(12, 12, float32(math.NaN()))
-		return Monocular(s.Frame(0), f1)
-	}},
-}
-
-// requireSameBits fails unless got and want hold bit-identical flow, ε
-// and motion parameters. It compares float32 bit patterns because
-// Grid.Equal treats NaN as unequal to itself; any two NaNs match, since
-// which NaN operand an x86 addition propagates (and so the sign of the
-// result) follows the compiler's operand order, which -race changes.
-func requireSameBits(t *testing.T, what string, got, want *Result) {
-	t.Helper()
-	same := func(a, b *grid.Grid) bool {
-		if len(a.Data) != len(b.Data) {
-			return false
-		}
-		for i, v := range a.Data {
-			w := b.Data[i]
-			if math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
-				return false
-			}
-		}
-		return true
-	}
-	if !same(got.Flow.U, want.Flow.U) || !same(got.Flow.V, want.Flow.V) {
-		t.Fatalf("%s: flow differs from reference kernel", what)
-	}
-	if !same(got.Err, want.Err) {
-		t.Fatalf("%s: ε differs from reference kernel", what)
-	}
-	if len(got.Motion) != len(want.Motion) {
-		t.Fatalf("%s: %d motion grids, want %d", what, len(got.Motion), len(want.Motion))
-	}
-	for i := range want.Motion {
-		if !same(got.Motion[i], want.Motion[i]) {
-			t.Fatalf("%s: motion grid %d differs from reference kernel", what, i)
-		}
-	}
-}
-
-// TestOptimizedKernelMatchesReference runs the full search with both
-// kernels across the equivalence scenes × {continuous, semi-fluid} ×
-// {least-squares, robust} — serially and through the tiled parallel
-// driver at 1 and 3 workers — and demands bit-identical flow, ε, and
-// motion parameters.
-func TestOptimizedKernelMatchesReference(t *testing.T) {
-	for _, sc := range equivScenes {
-		for _, semi := range []bool{false, true} {
-			for _, robust := range []bool{false, true} {
-				name := fmt.Sprintf("%s/semi=%v/robust=%v", sc.name, semi, robust)
-				t.Run(name, func(t *testing.T) {
-					p := contParams()
-					if semi {
-						p = testParams()
-					}
-					prep, err := Prepare(sc.pair(211), p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sm := BuildSemiMap(prep)
-					opt := Options{Robust: robust, KeepMotion: true}
-					ref := TrackPreparedReference(prep, sm, opt)
-					requireSameBits(t, "TrackPrepared", TrackPrepared(prep, sm, opt), ref)
-					for _, workers := range []int{1, 3} {
-						got, err := TrackPreparedParallelCtx(context.Background(), prep, sm, opt, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireSameBits(t, fmt.Sprintf("TrackPreparedParallelCtx(workers=%d)", workers), got, ref)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestEarlyExitBitIdentical sweeps every pixel with the ε early exit on
-// and off: the argmin (hx, hy, ε, θ) must be bit-identical, because a
-// pruned hypothesis provably cannot beat the incumbent under the strict
-// ε < best acceptance.
-func TestEarlyExitBitIdentical(t *testing.T) {
-	for _, seed := range []int64{31, 32, 33} {
-		for _, semi := range []bool{false, true} {
-			for _, robust := range []bool{false, true} {
-				name := fmt.Sprintf("seed=%d/semi=%v/robust=%v", seed, semi, robust)
-				t.Run(name, func(t *testing.T) {
-					p := contParams()
-					if semi {
-						p = testParams()
-					}
-					s := synth.Hurricane(18, 18, seed)
-					prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sm := BuildSemiMap(prep)
-					opt := Options{Robust: robust}
-					on := searchAllBlocks(prep, sm, opt, fullWindow(p), blockSide, false)
-					off := searchAllBlocks(prep, sm, opt, fullWindow(p), blockSide, true)
-					for i := range on {
-						x, y := i%prep.W, i/prep.W
-						a, b := on[i], off[i]
-						if a.hx != b.hx || a.hy != b.hy {
-							t.Fatalf("(%d,%d): argmin (%d,%d) with exit, (%d,%d) without",
-								x, y, a.hx, a.hy, b.hx, b.hy)
-						}
-						if math.Float64bits(a.eps) != math.Float64bits(b.eps) {
-							t.Fatalf("(%d,%d): ε %v with exit, %v without", x, y, a.eps, b.eps)
-						}
-						if a.theta != b.theta {
-							t.Fatalf("(%d,%d): θ differs: %v vs %v", x, y, a.theta, b.theta)
-						}
-					}
-				})
-			}
-		}
-	}
-}
 
 // TestMotionFactorMatchesSolveMotion pins the hoisted factor-once path to
 // solveMotion on both branches: the plain elimination and the ridge
@@ -244,6 +101,35 @@ func TestResidualSumBoundedExact(t *testing.T) {
 					t.Fatalf("(%d,%d): pruned with partial sum %v below bound %v", x, y, eps, bound)
 				}
 			}
+		}
+	}
+}
+
+// TestBatchWidthClamped pins blockShape's resolution of the block
+// options: a side ≤ 0 means the default side (and a height ≤ 0 the
+// width), a side beyond the image is clipped to it, and every resolved
+// shape still matches the reference (spot check).
+func TestBatchWidthClamped(t *testing.T) {
+	cases := []struct{ w, h, wantW, wantH int }{
+		{0, 0, blockSide, blockSide}, {-3, 0, blockSide, blockSide}, {1, 0, 1, 1},
+		{5, 0, 5, 5}, {5, 3, 5, 3}, {5, -2, 5, 5}, {100, 0, 16, 16}, {100, 7, 16, 7},
+	}
+	for _, c := range cases {
+		bw, bh := blockShape(Options{blockW: c.w, blockH: c.h}, 16, 16, 1)
+		if bw != c.wantW || bh != c.wantH {
+			t.Fatalf("blockShape(%d, %d) = %d×%d, want %d×%d", c.w, c.h, bw, bh, c.wantW, c.wantH)
+		}
+	}
+	s := synth.Hurricane(16, 16, 7)
+	prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), contParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := TrackPreparedReference(prep, nil, Options{})
+	for _, bw := range []int{-1, 3, 100} {
+		got := TrackPrepared(prep, nil, Options{blockW: bw})
+		if !got.Flow.Equal(ref.Flow) || !got.Err.Equal(ref.Err) {
+			t.Fatalf("blockW=%d: output differs from reference", bw)
 		}
 	}
 }

@@ -7,30 +7,6 @@ import (
 	"sma/internal/synth"
 )
 
-func TestMasParMatchesSequentialExactly(t *testing.T) {
-	// The paper's §4 validation: "The parallel algorithm obtained the same
-	// result as the sequential implementation."
-	s := synth.Hurricane(32, 32, 71)
-	pair := Monocular(s.Frame(0), s.Frame(1))
-	p := testParams()
-
-	seq, err := TrackSequential(pair, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := maspar.MustNew(maspar.ScaledConfig(8, 8)) // 32×32 image → 4×4 px/PE
-	par, err := TrackMasPar(m, pair, p, Options{}, maspar.RasterReadout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Flow.Equal(seq.Flow) {
-		t.Fatal("parallel flow differs from sequential")
-	}
-	if !par.Err.Equal(seq.Err) {
-		t.Fatal("parallel ε differs from sequential")
-	}
-}
-
 func TestMasParEquivalenceUnderSnakeReadout(t *testing.T) {
 	// The read-out scheme changes cost, never results.
 	s := synth.Thunderstorm(24, 24, 73)
@@ -170,29 +146,5 @@ func TestMasParKeepMotion(t *testing.T) {
 	}
 	if len(res.Motion) != 6 {
 		t.Fatalf("Motion has %d grids, want 6", len(res.Motion))
-	}
-}
-
-func TestMasParHostWorkersEquivalence(t *testing.T) {
-	s := synth.Hurricane(24, 24, 107)
-	pair := Monocular(s.Frame(0), s.Frame(1))
-	p := testParams()
-	m1 := maspar.MustNew(maspar.ScaledConfig(8, 8))
-	m2 := maspar.MustNew(maspar.ScaledConfig(8, 8))
-	serial, err := TrackMasPar(m1, pair, p, Options{}, maspar.RasterReadout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := TrackMasPar(m2, pair, p, Options{HostWorkers: 4}, maspar.RasterReadout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !serial.Flow.Equal(par.Flow) || !serial.Err.Equal(par.Err) {
-		t.Fatal("host worker count changed results")
-	}
-	// The modeled machine ledger is identical: host parallelism is an
-	// execution detail, not a machine behavior.
-	if m1.Cost != m2.Cost {
-		t.Fatalf("ledger differs: %+v vs %+v", m1.Cost, m2.Cost)
 	}
 }

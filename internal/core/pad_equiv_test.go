@@ -15,12 +15,6 @@ import (
 // beyond the padded reach, and with semi-fluid hypotheses at the NSS
 // margin.
 
-// sameF64 reports whether a and b have the same bits; any two NaNs match
-// (see requireSameBits).
-func sameF64(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
-}
-
 // refScore is one hypothesis scored by the reference kernel.
 type refScore struct {
 	eps   float64

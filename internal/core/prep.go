@@ -242,18 +242,3 @@ func FitPasses(pair Pair, p Params) int {
 	}
 	return n
 }
-
-// FrameFitPasses reports how many full-image fit passes PrepareFrame runs
-// for one frame — the per-frame share of FitPasses.
-//
-//smavet:allow deadexport -- staged deletion with TestFrameFitPassesConsistentWithPair (ROADMAP item 9)
-func FrameFitPasses(f Frame, p Params) int {
-	n := 1 // surface
-	if p.SemiFluid() {
-		if !(f.I == f.Surface() && p.NST == p.NS) {
-			n++
-		}
-		n += len(f.Extra)
-	}
-	return n
-}

@@ -101,7 +101,8 @@ func TestPrepareFrameMatchesFusedPrepare(t *testing.T) {
 // grid serves both roles and NST == NS — one fit pass, not two.
 func TestPrepareFrameSharesDiscriminant(t *testing.T) {
 	s := synth.Hurricane(16, 16, 3)
-	f := MonocularFrame(s.Frame(0))
+	f0, f1 := s.Frame(0), s.Frame(1)
+	f := MonocularFrame(f0)
 	p := Params{NS: 2, NZS: 2, NZT: 3, NST: 2, NSS: 1}
 	fp, err := PrepareFrame(f, p)
 	if err != nil {
@@ -110,8 +111,8 @@ func TestPrepareFrameSharesDiscriminant(t *testing.T) {
 	if fp.D != fp.G.D {
 		t.Fatal("monocular frame with NST == NS did not share the surface discriminant")
 	}
-	if got, want := FrameFitPasses(f, p), 1; got != want {
-		t.Fatalf("FrameFitPasses = %d, want %d", got, want)
+	if got, want := FitPasses(Monocular(f0, f1), p), 2; got != want {
+		t.Fatalf("FitPasses = %d, want %d", got, want)
 	}
 	// Distinct NST forces a second fit pass and a distinct field.
 	p2 := p
@@ -123,8 +124,8 @@ func TestPrepareFrameSharesDiscriminant(t *testing.T) {
 	if fp2.D == fp2.G.D {
 		t.Fatal("NST != NS still shared the surface discriminant")
 	}
-	if got, want := FrameFitPasses(f, p2), 2; got != want {
-		t.Fatalf("FrameFitPasses = %d, want %d", got, want)
+	if got, want := FitPasses(Monocular(f0, f1), p2), 4; got != want {
+		t.Fatalf("FitPasses = %d, want %d", got, want)
 	}
 	// Continuous model computes no discriminant at all.
 	p3 := Params{NS: 2, NZS: 2, NZT: 3}
@@ -134,30 +135,6 @@ func TestPrepareFrameSharesDiscriminant(t *testing.T) {
 	}
 	if fp3.D != nil {
 		t.Fatal("continuous model produced a discriminant field")
-	}
-}
-
-// TestFrameFitPassesConsistentWithPair checks the per-frame cost split
-// sums to the pair-level inventory the cost models use.
-func TestFrameFitPassesConsistentWithPair(t *testing.T) {
-	s := synth.Hurricane(16, 16, 5)
-	i0, i1 := s.Frame(0), s.Frame(1)
-	z0, z1 := s.Height(i0), s.Height(i1)
-	for _, tc := range []struct {
-		pair Pair
-		p    Params
-	}{
-		{Monocular(i0, i1), Params{NS: 2, NZS: 2, NZT: 3, NST: 2, NSS: 1}},
-		{Pair{I0: i0, I1: i1, Z0: z0, Z1: z1}, Params{NS: 2, NZS: 2, NZT: 3, NST: 2, NSS: 1}},
-		{Pair{I0: i0, I1: i1, Z0: z0, Z1: z1, Extra: []Channel{{I0: i0, I1: i1}}},
-			Params{NS: 2, NZS: 2, NZT: 3, NST: 2, NSS: 1}},
-		{Monocular(i0, i1), Params{NS: 2, NZS: 2, NZT: 3}},
-	} {
-		f0, f1 := tc.pair.Frames()
-		split := FrameFitPasses(f0, tc.p) + FrameFitPasses(f1, tc.p)
-		if fused := FitPasses(tc.pair, tc.p); split != fused {
-			t.Fatalf("per-frame fit passes %d != pair fit passes %d", split, fused)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -16,8 +15,9 @@ import (
 // the ε the reference scores, for any (pixel, hypothesis), not just for
 // the winners the output shows, and if every pair level 3 drops as a tie
 // scores exactly its incumbent's ε. These tests check the bounds and the
-// tie rule themselves, that the output is bit-identical with the screen
-// on and off, and that every level actually eliminates.
+// tie rule themselves and that every level actually eliminates; that the
+// output is bit-identical with the screen on and off is the differential
+// oracle's (oracle_test.go, TestScreenOnOffIdentity).
 
 // stepFlatPair is a 16² scene whose one block mixes a nearly flat,
 // faintly textured left half with a high-contrast step on the right,
@@ -44,44 +44,39 @@ func stepFlatPair() Pair {
 
 // screenCase is one input of the soundness checks.
 type screenCase struct {
-	name   string
-	pair   func() Pair
-	p      Params
-	robust bool
+	oracleCase
 	// ties marks a case whose search must drop ties (level 3).
 	ties bool
 }
 
-// screenCases are the soundness inputs: the differential table's rows
+// screenCases are the soundness inputs: the block kernel's cases
 // (border-dominated grids, the NaN scene, the flat ridge-path surface,
-// rectangular overrides) under both models and both estimators, the three
-// serving configurations, the step-and-flat block, Fsemi whose displaced
-// reads reach the pad's NSS margin, and a robust Fsemi scene with ties.
+// rectangular overrides, under both models and both estimators), then
+// screenExtras.
 func screenCases() []screenCase {
 	var cases []screenCase
-	for _, row := range blockRows {
-		for _, semi := range []bool{false, true} {
-			for _, robust := range []bool{false, true} {
-				p := row.cont
-				if semi {
-					p.NSS, p.NST = 1, 2
-				}
-				cases = append(cases, screenCase{fmt.Sprintf("%s/semi=%v/robust=%v", row.name, semi, robust), row.pair, p, robust, false})
-			}
-		}
+	for _, c := range rowCases(blockRows...) {
+		cases = append(cases, screenCase{c, false})
 	}
-	return append(cases,
-		screenCase{"scaled-32", func() Pair { return hurricanePair(32, 32, 7) }, ScaledParams(), false, true},
-		screenCase{"scaled-20/robust", func() Pair { return hurricanePair(20, 20, 7) }, ScaledParams(), true, true},
-		screenCase{"luis-24", func() Pair { return hurricanePair(24, 24, 7) }, LuisParams(), false, false},
-		screenCase{"luis-12/robust", func() Pair { return hurricanePair(12, 12, 8) }, LuisParams(), true, false},
-		screenCase{"goes9-14", func() Pair { return hurricanePair(14, 14, 7) }, GOES9Params(), false, false},
-		screenCase{"step-flat", stepFlatPair, Params{NS: 2, NZS: 2, NZT: 3}, false, false},
-		screenCase{"step-flat/semi", stepFlatPair, Params{NS: 2, NZS: 2, NZT: 3, NSS: 1, NST: 2}, false, false},
-		screenCase{"nss-margin", func() Pair { return hurricanePair(12, 12, 9) }, Params{NS: 2, NZS: 2, NZT: 2, NSS: 2, NST: 2}, false, false},
-		screenCase{"nss-margin/robust", func() Pair { return hurricanePair(12, 10, 10) }, Params{NS: 2, NZS: 2, NZT: 2, NZTX: 3, NSS: 2, NST: 2}, true, false},
-		screenCase{"semi-16/robust", func() Pair { return hurricanePair(16, 16, 7) }, ScaledParams(), true, true},
-	)
+	return append(cases, screenExtras()...)
+}
+
+// screenExtras are the three serving configurations, the step-and-flat
+// block, Fsemi whose displaced reads reach the pad's NSS margin, and a
+// robust Fsemi scene with ties.
+func screenExtras() []screenCase {
+	return []screenCase{
+		{oracleCase{"scaled-32", func() Pair { return hurricanePair(32, 32, 7) }, ScaledParams(), false}, true},
+		{oracleCase{"scaled-20/robust", func() Pair { return hurricanePair(20, 20, 7) }, ScaledParams(), true}, true},
+		{oracleCase{"luis-24", func() Pair { return hurricanePair(24, 24, 7) }, LuisParams(), false}, false},
+		{oracleCase{"luis-12/robust", func() Pair { return hurricanePair(12, 12, 8) }, LuisParams(), true}, false},
+		{oracleCase{"goes9-14", func() Pair { return hurricanePair(14, 14, 7) }, GOES9Params(), false}, false},
+		{oracleCase{"step-flat", stepFlatPair, Params{NS: 2, NZS: 2, NZT: 3}, false}, false},
+		{oracleCase{"step-flat/semi", stepFlatPair, Params{NS: 2, NZS: 2, NZT: 3, NSS: 1, NST: 2}, false}, false},
+		{oracleCase{"nss-margin", func() Pair { return hurricanePair(12, 12, 9) }, Params{NS: 2, NZS: 2, NZT: 2, NSS: 2, NST: 2}, false}, false},
+		{oracleCase{"nss-margin/robust", func() Pair { return hurricanePair(12, 10, 10) }, Params{NS: 2, NZS: 2, NZT: 2, NZTX: 3, NSS: 2, NST: 2}, true}, false},
+		{oracleCase{"semi-16/robust", func() Pair { return hurricanePair(16, 16, 7) }, ScaledParams(), true}, true},
+	}
 }
 
 // screenStats summarizes a soundness sweep.
@@ -201,68 +196,6 @@ func TestScreenBoundSound(t *testing.T) {
 	}
 }
 
-// TestScreenOnOffIdentity pins the screen invisible: with every level on
-// and off the search is bit-identical — the stored result with KeepMotion
-// on ragged 5×3 blocks at 1 and 3 workers, and each pixel's float64
-// winner on the default blocks. Robust runs only on the smaller scenes
-// here (it scores every hypothesis with the screen off);
-// TestBlockKernelMatchesReference pins the rest against the reference
-// with the screen on. The cases marked ties must drop some.
-func TestScreenOnOffIdentity(t *testing.T) {
-	for _, tc := range screenCases() {
-		if tc.robust && len(tc.pair().I0.Data) > 400 {
-			continue
-		}
-		t.Run(tc.name, func(t *testing.T) {
-			prep, err := Prepare(tc.pair(), tc.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sm := BuildSemiMap(prep)
-			c := requireScreenInvisible(t, prep, sm, Options{Robust: tc.robust})
-			if tc.ties && c.tied == 0 {
-				t.Fatal("no pair dropped as a tie")
-			}
-		})
-	}
-}
-
-// requireScreenInvisible fails the test unless the search with opt's
-// screen is bit-identical to the search with every level off, and
-// returns the screen's counts on 5×3 blocks at one worker.
-func requireScreenInvisible(t *testing.T, prep *Prepared, sm *SemiMap, opt Options) screenCounts {
-	t.Helper()
-	off := opt
-	off.noScreen = true
-	// The float64 winners, screen and early exit both on vs both off.
-	win := fullWindow(prep.P)
-	requireSameWinners(t, prep, nil,
-		searchAllBlocks(prep, sm, opt, win, blockSide, false),
-		searchAllBlocks(prep, sm, off, win, blockSide, true))
-	opt.KeepMotion, off.KeepMotion = true, true
-	opt.blockW, opt.blockH = 5, 3
-	off.blockW, off.blockH = 5, 3
-	want, err := TrackPreparedParallelCtx(context.Background(), prep, sm, off, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.screenCounts != (screenCounts{}) {
-		t.Fatalf("noScreen run eliminated %+v", want.screenCounts)
-	}
-	var c screenCounts
-	for _, workers := range []int{1, 3} {
-		got, err := TrackPreparedParallelCtx(context.Background(), prep, sm, opt, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameBits(t, fmt.Sprintf("5x3 blocks, screen on vs off, workers=%d", workers), got, want)
-		if workers == 1 {
-			c = got.screenCounts
-		}
-	}
-	return c
-}
-
 // TestScreenPruneFloor pins how much each level of the screen eliminates
 // on the 64² hurricane pair of BenchmarkSearch64, so a level that is
 // silently disabled (or a margin grown too loose) fails. The counts are
@@ -312,8 +245,8 @@ func TestScreenPruneFloor(t *testing.T) {
 
 // FuzzScreenBound draws small scenes and parameters — template and search
 // radii with per-axis overrides, Fsemi on and off, Robust — and checks the
-// screen's bound for every (pixel, hypothesis) and its invisibility in
-// the output.
+// screen's bound for every (pixel, hypothesis) and, through the oracle's
+// winners with the screen on and off, its invisibility in the output.
 func FuzzScreenBound(f *testing.F) {
 	// seed, w, h, nzt, nzs, flags (1 semi, 2 robust, 4 NZTX, 8 NZSY, 16 NSS 2)
 	f.Add(int64(7), uint8(20), uint8(20), uint8(4), uint8(2), uint8(1))  // Scaled-like
@@ -343,10 +276,9 @@ func FuzzScreenBound(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		sm := BuildSemiMap(prep)
-		opt := Options{Robust: flags&2 != 0}
-		checkScreenBound(t, prep, sm, opt)
-		requireScreenInvisible(t, prep, sm, opt)
+		c := oracleCase{"fuzz", func() Pair { return hurricanePair(w, h, seed) }, p, flags&2 != 0}
+		checkScreenBound(t, prep, BuildSemiMap(prep), c.opt(false))
+		checkSurfaces(t, newOracle(t, c), winnersSurface, screenOffSurface)
 	})
 }
 

@@ -3,22 +3,20 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 
-	"sma/internal/grid"
 	"sma/internal/la"
 	"sma/internal/synth"
 )
 
 // Tests of the summed-window search (summed.go), the search
-// Options.Pyramid selects: byte-identity with its oracle
-// (TrackSummedReference) on border-dominated, rectangular, multi-block
-// and ridge-path inputs; independence of the worker count;
-// cancellation; the refusal of non-finite geometry; and Robust's route
-// to the block kernel. Argmin agreement with the reference kernel is
-// TestPyramidAccuracyVsExhaustiveOnFixtures (pyramid_accel_test.go).
+// Options.Pyramid selects: cancellation, the refusal of non-finite
+// geometry, and Robust's route to the block kernel. Byte-identity with
+// its oracle (TrackSummedReference) at every worker count is the
+// differential oracle's (oracle_test.go); argmin agreement with the
+// reference kernel is TestPyramidAccuracyVsExhaustiveOnFixtures
+// (pyramid_accel_test.go).
 
 // summedOpt selects the summed-window search.
 var summedOpt = Options{Pyramid: PyramidOptions{Levels: 2}}
@@ -32,62 +30,6 @@ func summedPrep(t *testing.T, w, h int, seed int64, p Params) *Prepared {
 		t.Fatal(err)
 	}
 	return prep
-}
-
-// TestSummedMatchesOracle: the kernel — padded row slices, the slider's
-// ring, per-worker scratch reused across blocks — is byte-identical to
-// the oracle's full-table transcription, ε, flow and KeepMotion θ alike.
-func TestSummedMatchesOracle(t *testing.T) {
-	flat := grid.New(20, 12)
-	flat.Fill(100)
-	cases := []struct {
-		name string
-		prep func(t *testing.T) *Prepared
-	}{
-		{"3x3", func(t *testing.T) *Prepared { return summedPrep(t, 3, 3, 1, contParams()) }},
-		{"1xN", func(t *testing.T) *Prepared { return summedPrep(t, 1, 17, 2, contParams()) }},
-		{"Nx1", func(t *testing.T) *Prepared { return summedPrep(t, 17, 1, 3, contParams()) }},
-		{"9x7", func(t *testing.T) *Prepared { return summedPrep(t, 9, 7, 4, contParams()) }},
-		{"rect-overrides", func(t *testing.T) *Prepared {
-			return summedPrep(t, 23, 19, 5, Params{NS: 2, NZS: 2, NZT: 2, NZTX: 4, NZSX: 3})
-		}},
-		{"rect-overrides-y", func(t *testing.T) *Prepared {
-			return summedPrep(t, 19, 23, 6, Params{NS: 2, NZS: 1, NZT: 3, NZTY: 1, NZSY: 2})
-		}},
-		{"multi-block-130x70", func(t *testing.T) *Prepared {
-			return summedPrep(t, 130, 70, 7, Params{NS: 2, NZS: 1, NZT: 2})
-		}},
-		{"flat-ridge", func(t *testing.T) *Prepared {
-			prep, err := Prepare(Monocular(flat, flat.Clone()), contParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return prep
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			prep := tc.prep(t)
-			for _, keep := range []bool{false, true} {
-				opt := summedOpt
-				opt.KeepMotion = keep
-				want, err := TrackSummedReference(prep, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{1, 3} {
-					got, st, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameBits(t, fmt.Sprintf("keep=%v workers=%d", keep, workers), got, want)
-					if px := int64(prep.W * prep.H); st.Pixels != px || st.Hypotheses != px*int64(prep.P.Hypotheses()) {
-						t.Fatalf("stats %+v, want %d pixels × %d hypotheses", st, px, prep.P.Hypotheses())
-					}
-				}
-			}
-		})
-	}
 }
 
 // TestSummedFlatTemplateTakesRidgePath pins the premise of the oracle
@@ -118,46 +60,6 @@ func TestSummedFlatTemplateTakesRidgePath(t *testing.T) {
 	b := la.Vec6{1, 2, 3, 4, 5, 6}
 	if e := summedEps(&[21]float64{}, &b, 7); e != 7 {
 		t.Fatalf("ε with M = 0 is %v, want C = 7", e)
-	}
-}
-
-// TestSummedScheduleIndependence: blocks are absolute-aligned and sums
-// restart at each block, so any worker count gives the same bytes and
-// stats — on an image spanning several blocks, including the narrow edge
-// blocks, and on a 48² thunderstorm — and TrackPreparedParallel with
-// Options.Pyramid gives the same bytes as TrackPyramidPreparedCtx.
-func TestSummedScheduleIndependence(t *testing.T) {
-	storm := synth.Thunderstorm(48, 48, 17)
-	stormPrep, err := PreparePyramid(Monocular(storm.Frame(0), storm.Frame(1)), contParams(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		prep *Prepared
-	}{
-		{"hurricane-150x70", summedPrep(t, 150, 70, 9, Params{NS: 2, NZS: 2, NZT: 3})},
-		{"thunderstorm-48", stormPrep},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opt := summedOpt
-			opt.KeepMotion = true
-			base, stBase, err := TrackPyramidPreparedCtx(context.Background(), tc.prep, opt, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, 8} {
-				got, st, err := TrackPyramidPreparedCtx(context.Background(), tc.prep, opt, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameBits(t, fmt.Sprintf("workers=%d", workers), got, base)
-				if *st != *stBase {
-					t.Fatalf("workers=%d: stats %+v, want %+v", workers, st, stBase)
-				}
-			}
-			requireSameBits(t, "TrackPreparedParallel", TrackPreparedParallel(tc.prep, nil, opt, 4), base)
-		})
 	}
 }
 

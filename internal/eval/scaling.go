@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -66,7 +67,7 @@ type Scaling struct {
 // counts (nil → {1, 2, 4, 8}). Like TrackThroughputExperiment the run
 // doubles as a conformance check: every parallel result on the base pair
 // must be bit-identical to the serial optimized kernel.
-func ScalingExperiment(baseSize int, workers []int, seed int64) (Scaling, error) {
+func ScalingExperiment(ctx context.Context, baseSize int, workers []int, seed int64) (Scaling, error) {
 	out := Scaling{Name: "scaling", BaseSize: baseSize}
 	if baseSize < 8 {
 		return out, fmt.Errorf("eval: size %d too small for the template+search footprint", baseSize)
@@ -104,7 +105,10 @@ func ScalingExperiment(baseSize int, workers []int, seed int64) (Scaling, error)
 	out.BestStrongSec = math.Inf(1)
 	for _, w := range workers {
 		t2 := time.Now()
-		res := core.TrackPreparedParallel(prep, sm, core.Options{}, w)
+		res, err := core.TrackPreparedParallelCtx(ctx, prep, sm, core.Options{}, w)
+		if err != nil {
+			return out, err
+		}
 		sec := time.Since(t2).Seconds()
 		pt := ScalingPoint{Workers: w, Size: baseSize, Pixels: pixels, Sec: sec}
 		if sec > 0 {
@@ -133,7 +137,9 @@ func ScalingExperiment(baseSize int, workers []int, seed int64) (Scaling, error)
 		}
 		wsm := core.BuildSemiMap(wprep)
 		t3 := time.Now()
-		core.TrackPreparedParallel(wprep, wsm, core.Options{}, w)
+		if _, err := core.TrackPreparedParallelCtx(ctx, wprep, wsm, core.Options{}, w); err != nil {
+			return out, err
+		}
 		sec := time.Since(t3).Seconds()
 		pt := ScalingPoint{Workers: w, Size: size, Pixels: int64(size) * int64(size), Sec: sec}
 		if sec > 0 {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 // weak sizes growing ∝ √workers, positive timings, anchored speedups,
 // bit-identity, and the BENCH_scaling.json field names.
 func TestScalingExperimentShape(t *testing.T) {
-	r, err := ScalingExperiment(16, []int{1, 2}, 5)
+	r, err := ScalingExperiment(context.Background(), 16, []int{1, 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestScalingExperimentShape(t *testing.T) {
 // TestScalingExperimentRejectsTinyInput mirrors the throughput
 // experiment's guard: the template+search footprint needs room.
 func TestScalingExperimentRejectsTinyInput(t *testing.T) {
-	if _, err := ScalingExperiment(4, nil, 1); err == nil {
+	if _, err := ScalingExperiment(context.Background(), 4, nil, 1); err == nil {
 		t.Fatal("size 4 should be rejected")
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -71,7 +72,7 @@ type TrackThroughput struct {
 // TrackReps interleaved times each. The returned point doubles as a
 // conformance check: it errors if any run's motion fields are not
 // bit-identical to the reference kernel's.
-func TrackThroughputExperiment(size, workers int, seed int64) (TrackThroughput, error) {
+func TrackThroughputExperiment(ctx context.Context, size, workers int, seed int64) (TrackThroughput, error) {
 	out := TrackThroughput{Name: "track_throughput", Size: size, Seed: seed, Reps: TrackReps, Host: HostInfo()}
 	if size < 8 {
 		return out, fmt.Errorf("eval: size %d too small for the template+search footprint", size)
@@ -106,7 +107,12 @@ func TrackThroughputExperiment(size, workers int, seed int64) (TrackThroughput, 
 	for rep := 0; rep < TrackReps; rep++ {
 		ref := timed(&refSec, func() *core.Result { return core.TrackPreparedReference(prep, sm, core.Options{}) })
 		opt := timed(&optSec, func() *core.Result { return core.TrackPrepared(prep, sm, core.Options{}) })
-		par := timed(&parSec, func() *core.Result { return core.TrackPreparedParallel(prep, sm, core.Options{}, workers) })
+		t0 := time.Now()
+		par, err := core.TrackPreparedParallelCtx(ctx, prep, sm, core.Options{}, workers)
+		if err != nil {
+			return out, err
+		}
+		parSec = append(parSec, time.Since(t0).Seconds())
 		out.BitIdentical = out.BitIdentical && opt.Flow.Equal(ref.Flow) && opt.Err.Equal(ref.Err) &&
 			par.Flow.Equal(ref.Flow) && par.Err.Equal(ref.Err)
 	}

@@ -107,8 +107,7 @@ func (a *ACU) Mul(dst, x, y *Plural) {
 	a.binaryOp(dst, x, y, func(p, q float32) float32 { return p * q })
 }
 
-// SetScalar broadcasts an immediate to dst on active PEs only (the masked
-// form of Plural.Broadcast).
+// SetScalar broadcasts an immediate to dst on active PEs only.
 func (a *ACU) SetScalar(dst *Plural, s float32) {
 	mask := a.Active()
 	for pe, act := range mask {

@@ -133,25 +133,6 @@ func TestRouterFetchCostScalesWithWindow(t *testing.T) {
 	}
 }
 
-func TestPluralClone(t *testing.T) {
-	m := testMachine(2, 2)
-	p := NewPlural(m)
-	p.V[0] = 7
-	q := p.Clone()
-	q.V[0] = 9
-	if p.V[0] != 7 {
-		t.Fatal("Clone aliased the register")
-	}
-}
-
-func TestPEIndex(t *testing.T) {
-	m := testMachine(4, 8) // 4 rows (nyproc), 8 cols (nxproc)
-	x, y := PEIndex(m, 8*2+5)
-	if x != 5 || y != 2 {
-		t.Fatalf("PEIndex = (%d,%d), want (5,2)", x, y)
-	}
-}
-
 func TestDirectionStringAll(t *testing.T) {
 	want := []string{"N", "NE", "E", "SE", "S", "SW", "W", "NW"}
 	for d := North; d <= NorthWest; d++ {

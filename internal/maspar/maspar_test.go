@@ -342,40 +342,6 @@ func TestRouterPermuteRejectsNonPermutation(t *testing.T) {
 	}
 }
 
-func TestReduceAdd(t *testing.T) {
-	m := testMachine(4, 4)
-	p := NewPlural(m)
-	for i := range p.V {
-		p.V[i] = 1
-	}
-	if s := p.ReduceAdd(); s != 16 {
-		t.Fatalf("ReduceAdd = %v, want 16", s)
-	}
-	if m.Cost.XNetShifts == 0 {
-		t.Fatal("reduce charged no communication")
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	m := testMachine(2, 2)
-	p := NewPlural(m)
-	copy(p.V, []float32{-5, 3, 2, -7})
-	if v := p.ReduceMax(); v != 3 {
-		t.Fatalf("ReduceMax = %v, want 3", v)
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	m := testMachine(2, 2)
-	p := NewPlural(m)
-	p.Broadcast(7)
-	for _, v := range p.V {
-		if v != 7 {
-			t.Fatalf("broadcast value %v", v)
-		}
-	}
-}
-
 // --- Neighborhood read-out (Fig. 3, §4.2) ------------------------------------
 
 func TestShiftPixelMovesImage(t *testing.T) {

@@ -1,9 +1,6 @@
 package maspar
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Direction identifies one of the eight X-net mesh neighbors (Fig. 1).
 type Direction int
@@ -60,16 +57,6 @@ type Plural struct {
 // NewPlural allocates a plural variable on m.
 func NewPlural(m *Machine) *Plural {
 	return &Plural{M: m, V: make([]float32, m.Cfg.NProc())}
-}
-
-// Clone copies the plural variable (one plural register move).
-//
-//smavet:allow deadexport -- staged deletion with TestPluralClone (ROADMAP item 9)
-func (p *Plural) Clone() *Plural {
-	q := NewPlural(p.M)
-	copy(q.V, p.V)
-	p.M.ChargeMem(1)
-	return q
 }
 
 // XNetShift returns a new plural variable where every PE holds the value
@@ -132,54 +119,4 @@ func (p *Plural) RouterPermute(dst []int) (*Plural, error) {
 	}
 	m.ChargeRouter(1)
 	return out, nil
-}
-
-// ReduceAdd returns the global sum of the plural variable. The ACU reduce
-// tree costs ⌈log₂ nproc⌉ X-net shift + add stages.
-//
-//smavet:allow deadexport -- staged deletion with TestReduceAdd (ROADMAP item 9)
-func (p *Plural) ReduceAdd() float64 {
-	var s float64
-	for _, v := range p.V {
-		s += float64(v)
-	}
-	levels := int64(bits.Len(uint(p.M.Cfg.NProc() - 1)))
-	p.M.ChargeXNet(levels)
-	p.M.ChargeFlops(levels)
-	return s
-}
-
-// ReduceMax returns the global maximum (same reduce-tree cost as ReduceAdd).
-//
-//smavet:allow deadexport -- staged deletion with TestReduceMax (ROADMAP item 9)
-func (p *Plural) ReduceMax() float32 {
-	mx := p.V[0]
-	for _, v := range p.V[1:] {
-		if v > mx {
-			mx = v
-		}
-	}
-	levels := int64(bits.Len(uint(p.M.Cfg.NProc() - 1)))
-	p.M.ChargeXNet(levels)
-	p.M.ChargeFlops(levels)
-	return mx
-}
-
-// Broadcast sets every PE's value to v (one ACU broadcast instruction).
-//
-//smavet:allow deadexport -- staged deletion with TestBroadcast (ROADMAP item 9)
-func (p *Plural) Broadcast(v float32) {
-	for i := range p.V {
-		p.V[i] = v
-	}
-	p.M.Cost.ScalarOps++
-	p.M.ChargeMem(1)
-}
-
-// PEIndex returns (ixproc, iyproc) for a linear PE index, matching the
-// predefined MPL plural variables of the same names.
-//
-//smavet:allow deadexport -- staged deletion with TestPEIndex (ROADMAP item 9)
-func PEIndex(m *Machine, pe int) (ixproc, iyproc int) {
-	return pe % m.Cfg.NXProc, pe / m.Cfg.NXProc
 }

@@ -49,7 +49,7 @@ type Config struct {
 	// (0 = GOMAXPROCS). Results are independent of the worker count.
 	Workers int
 	// RowWorkers additionally spreads each pair's pixels across
-	// goroutines via core.TrackPreparedParallel's work-stealing tile
+	// goroutines via core.TrackPreparedParallelCtx's work-stealing tile
 	// scheduler; 0 or 1 tracks each pair on a single goroutine. Useful
 	// when sequences are short and pairs large.
 	RowWorkers int

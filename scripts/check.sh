@@ -46,13 +46,14 @@ echo "== golden + stream equivalence (-race)"
 go test -race -run 'Golden|Stream|TrackStats|PrepareFrame' \
     ./internal/core ./internal/stream ./internal/sequence || fail=1
 
-# The search-kernel equivalence wall and tile-scheduler properties
-# (docs/PERFORMANCE.md §6–7, §9): the block kernel's differential table,
-# every block shape and worker count bit-identical to the reference, the
-# early exit invisible, the lower-bound screen sound for every (pixel,
-# hypothesis), invisible and pruning at its floor, the
-# summed-window search byte-identical to its oracle at every worker
-# count, in argmin agreement with the reference and cancellable, the
+# The search kernel's differential oracle and tile-scheduler properties
+# (docs/PERFORMANCE.md §6–7, §9): the oracle's named tests and the seed
+# corpus of FuzzKernelOracle (internal/core/oracle_test.go) hold every
+# search surface — every block shape and worker count, the early exit
+# and the screen off, the summed-window search at every worker count —
+# bit-identical to its oracle; the lower-bound screen sound for every
+# (pixel, hypothesis) and pruning at its floor, the summed-window search
+# in argmin agreement with the reference and cancellable, the
 # work-stealing scheduler leak- and race-free, the semi-fluid map
 # byte-identical to its naive oracle at every worker count and
 # cancellable mid-build — run by name under the race detector so a -run
